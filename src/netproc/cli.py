@@ -266,3 +266,7 @@ def run() -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
     raise SystemExit(code)
+
+
+if __name__ == "__main__":
+    run()

@@ -197,15 +197,13 @@ class _Prover:
         self.assumed: set[Pair] = set()
         self.trail: list[Pair] = []
         self.explored = 0
-        self.tainted = False
 
     def _challenger_steps(self, p: Process) -> list[tuple[Action, Process]]:
         return sorted(_step(p, self.mode, self.universe), key=lambda at: (action_key(at[0]), term_key(at[1])))
 
     def _defender_steps(self, p: Process) -> dict[Action, list[Process]]:
         if self.weak:
-            steps, truncated = weak_steps(p, self.mode, self.universe, self.tau_bound)
-            self.tainted |= truncated
+            steps, _ = weak_steps(p, self.mode, self.universe, self.tau_bound)
         else:
             steps = _step(p, self.mode, self.universe)
         grouped: dict[Action, list[Process]] = {}
@@ -219,11 +217,11 @@ class _Prover:
         while len(self.trail) > mark:
             self.assumed.discard(self.trail.pop())
 
-    def close(self, l: Process, r: Process) -> bool:
-        l2, r2 = _reduce(l, r, self.cfg)
-        if l2 == r2:
+    def close(self, red: Pair) -> bool:
+        """Try to close an already reduced pair under the game."""
+        if red[0] == red[1]:
             return True
-        key = _canon((l2, r2), self.cfg)
+        key = _canon(red, self.cfg)
         if key in self.assumed:
             return True
         if self.explored >= self.max_pairs:
@@ -259,16 +257,15 @@ class _Prover:
     def _match(self, chal_target: Process, options: list[Process], forward: bool) -> bool:
         # Try replies whose reduced pair is already assumed before opening
         # new subgoals; keeps witnesses small and deterministic.
-        def rank(opt: Process) -> tuple:
-            pair = (chal_target, opt) if forward else (opt, chal_target)
-            red = _reduce(*pair, self.cfg)
+        ranked = []
+        for opt in options:
+            red = _reduce(*((chal_target, opt) if forward else (opt, chal_target)), self.cfg)
             known = red[0] == red[1] or _canon(red, self.cfg) in self.assumed
-            return (0 if known else 1, term_key(opt))
-
-        for opt in sorted(options, key=rank):
-            pair = (chal_target, opt) if forward else (opt, chal_target)
+            ranked.append(((0 if known else 1, term_key(opt)), red))
+        ranked.sort(key=lambda entry: entry[0])
+        for _, red in ranked:
             mark = len(self.trail)
-            if self.close(*pair):
+            if self.close(red):
                 return True
             self._rollback(mark)
         return False
@@ -438,7 +435,7 @@ def _check(
     if depth_needed > old_limit:
         sys.setrecursionlimit(depth_needed)
     try:
-        proved = prover.close(p, q)
+        proved = prover.close(_reduce(p, q, upto))
     except _BoundHit as hit:
         proved = False
         bound_hit = hit.what

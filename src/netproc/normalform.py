@@ -62,8 +62,19 @@ def term_key(p: Process) -> tuple:
 
     Constructor tag first, then child keys lexicographically.  Keys built
     from the same constructor always have the same shape, so comparisons
-    never mix types.
+    never mix types.  Computed once per node and kept on it.
     """
+    try:
+        key = p._term_key
+    except AttributeError:
+        raise TypeError(f"not a process: {p!r}") from None
+    if key is None:
+        key = _compute_key(p)
+        object.__setattr__(p, "_term_key", key)
+    return key
+
+
+def _compute_key(p: Process) -> tuple:
     match p:
         case Stop():
             return (0,)

@@ -5,14 +5,24 @@ spaces: restriction binds channels, receive prefixes bind values.  Because
 the sorts never mix (a value cannot be used as a channel), crossing a
 receive binder leaves channel indices untouched and vice versa.
 
-Every node is a frozen dataclass, so terms are immutable, hashable and
-comparable by structure.  All operations here are pure.
+Process nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006): building a node with the same constructor and the
+same fields as a live node returns that node, so structurally equal terms
+are the same object.  Equality is identity, and each node computes its
+structural hash once, from its children's stored hashes.  The intern
+table holds nodes weakly, so a term is dropped once nothing else refers
+to it.  Terms must be built through their constructors; copying and
+pickling go through them too.  The channel and value leaves are small
+frozen dataclasses with structural equality.  All operations here are
+pure.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 from .errors import FreshnessViolation
 
@@ -21,14 +31,14 @@ from .errors import FreshnessViolation
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Name:
     """Free channel, identified globally by its name."""
 
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChanVar:
     """Channel bound by an enclosing restriction; index 0 is the nearest one."""
 
@@ -38,14 +48,14 @@ class ChanVar:
 Channel = Union[Name, ChanVar]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """Concrete value drawn from a finite, per-session universe."""
 
     text: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValVar:
     """Value bound by an enclosing receive prefix; index 0 is the nearest one."""
 
@@ -56,33 +66,116 @@ Value = Union[Atom, ValVar]
 
 
 # ---------------------------------------------------------------------------
+# Hash-consing
+# ---------------------------------------------------------------------------
+
+
+class _Ref(weakref.ref):
+    """Weak reference to an interned node; knows the node's table key."""
+
+    __slots__ = ("key",)
+
+
+# (constructor, *fields) -> weak reference to the live node with that structure
+_TABLE: dict[tuple, _Ref] = {}
+# Held while an entry is checked and replaced, so that two threads cannot
+# both build a node for one key.  Re-entrant because a node freed while it
+# is held runs _drop in the same thread.
+_LOCK = threading.RLock()
+_set = object.__setattr__
+
+
+def _drop(ref: _Ref, table: dict = _TABLE, lock=_LOCK) -> None:
+    with lock:
+        # a dead entry may already have been replaced by a newer node
+        if table.get(ref.key) is ref:
+            del table[ref.key]
+
+
+def _intern(key: tuple) -> "Process":
+    """The live node for `key`, which is (constructor, *fields), built
+    if there is none."""
+    ref = _TABLE.get(key)
+    node = None if ref is None else ref()
+    if node is not None:
+        return node
+    with _LOCK:
+        ref = _TABLE.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            cls, fields = key[0], key[1:]
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                _set(node, name, value)
+            # the same value the field-tuple hash of a plain dataclass would give
+            _set(node, "_hash", hash(fields))
+            _set(node, "_term_key", None)
+            ref = _Ref(node, _drop)
+            ref.key = key
+            _TABLE[key] = ref
+    return node
+
+
+class _Node:
+    """Base of the process constructors: interned, hashed once.
+
+    `_term_key` is the node's sort key, filled in on first use by
+    `normalform.term_key`.
+    """
+
+    __slots__ = ("_hash", "_term_key", "__weakref__")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # copy, deepcopy and unpickling rebuild through the constructor,
+        # so they return the interned node rather than a twin
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+
+# identity equality comes from object; the generated __init__ is replaced
+# by each constructor's __new__, which returns the interned node
+_process = dataclass(frozen=True, slots=True, eq=False, init=False)
+
+
+# ---------------------------------------------------------------------------
 # Process constructors
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stop:
+@_process
+class Stop(_Node):
     """The inert process."""
 
+    def __new__(cls) -> Stop:
+        return _intern((cls,))
 
-@dataclass(frozen=True)
-class Send:
+
+@_process
+class Send(_Node):
     """Asynchronous output of one value on one channel."""
 
     channel: Channel
     payload: Value
 
+    def __new__(cls, channel: Channel, payload: Value) -> Send:
+        return _intern((cls, channel, payload))
 
-@dataclass(frozen=True)
-class Receive:
+
+@_process
+class Receive(_Node):
     """One-shot input prefix; the body has one bound value (index 0)."""
 
     channel: Channel
     body: "Process"
 
+    def __new__(cls, channel: Channel, body: Process) -> Receive:
+        return _intern((cls, channel, body))
 
-@dataclass(frozen=True)
-class RepeatReceive:
+
+@_process
+class RepeatReceive(_Node):
     """Input prefix that re-arms itself after every receipt.
 
     Kept folded as a first-class node; it only unfolds one step at a time
@@ -92,24 +185,33 @@ class RepeatReceive:
     channel: Channel
     body: "Process"
 
+    def __new__(cls, channel: Channel, body: Process) -> RepeatReceive:
+        return _intern((cls, channel, body))
 
-@dataclass(frozen=True)
-class Parallel:
+
+@_process
+class Parallel(_Node):
     """Binary parallel composition."""
 
     left: "Process"
     right: "Process"
 
+    def __new__(cls, left: Process, right: Process) -> Parallel:
+        return _intern((cls, left, right))
 
-@dataclass(frozen=True)
-class Restrict:
+
+@_process
+class Restrict(_Node):
     """Channel restriction; the body has one bound channel (index 0)."""
 
     body: "Process"
 
+    def __new__(cls, body: Process) -> Restrict:
+        return _intern((cls, body))
 
-@dataclass(frozen=True)
-class Distribute:
+
+@_process
+class Distribute(_Node):
     """Network-language forwarder: every value received on `source` is
     re-sent on each channel in `targets` (possibly none, possibly repeats).
     """
@@ -117,8 +219,8 @@ class Distribute:
     source: Channel
     targets: tuple[Channel, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(self.targets))
+    def __new__(cls, source: Channel, targets: Iterable[Channel]) -> Distribute:
+        return _intern((cls, source, tuple(targets)))
 
 
 Process = Union[Stop, Send, Receive, RepeatReceive, Parallel, Restrict, Distribute]

@@ -184,36 +184,42 @@ def test_criterion_09_normalization_is_idempotent_and_sound(capsys):
     _report(capsys, 9, "normalization is idempotent and meaning preserving", ok)
 
 
-def _plain_attack_refutes(l, r, mode) -> bool:
-    # two probes: raw states, then normalized states (a deeper search
-    # for the same budget); a found trace must also replay to count
-    for norm, depth, budget in ((False, 3, 800), (True, 6, 5000)):
+def _plain_attack_refutes(l, r, mode) -> tuple[bool, int]:
+    """Whether a plain attacker refutes the pair, and how many of its
+    probes ran out of budget before deciding.
+
+    Two probes: raw states, then normalized states (a deeper search with
+    a larger budget); a found trace must also replay to count."""
+    exhausted = 0
+    for norm, depth, budget in ((False, 3, 800), (True, 6, 20_000)):
         attacker = _Attacker(mode, DEFAULT_UNIVERSE, weak=False, tau_bound=0,
                              node_budget=budget, normalize_states=norm)
         try:
             trace = attacker.search(l, r, depth)
         except _BoundHit:
+            exhausted += 1
             continue
         if trace is not None and replay_trace(l, r, trace, weak=False):
-            return True
-    return False
+            return True, exhausted
+    return False, exhausted
 
 
 def test_criterion_10_upto_proofs_agree_with_plain_game(capsys, laws_report):
     rng = random.Random(101)
     conflicts = 0
-    proven_random = 0
+    exhausted = 0
+    pairs = []
     for _ in range(200):
         p, q = random_comm(rng, 2), random_comm(rng, 2)
         res = check_strong(p, q, max_pairs=256)
         if res.verdict is Verdict.PROVEN:
-            proven_random += 1
-            if _plain_attack_refutes(p, q, infer_mode(Parallel(p, q))):
-                conflicts += 1
+            pairs.append((p, q, infer_mode(Parallel(p, q))))
     # the law pool guarantees a dense supply of nontrivial proofs
     pool = laws_report.proven[::2]
-    for l, r, mode in pool:
-        if _plain_attack_refutes(l, r, mode):
-            conflicts += 1
-    ok = proven_random + len(pool) >= 60 and conflicts == 0
+    for l, r, mode in pairs + pool:
+        refuted, ran_out = _plain_attack_refutes(l, r, mode)
+        conflicts += refuted
+        exhausted += ran_out
+    # a probe that runs out of budget cross-examines nothing
+    ok = len(pairs) + len(pool) >= 60 and conflicts == 0 and exhausted == 0
     _report(capsys, 10, "up-to proofs withstand the unassisted attacker", ok)

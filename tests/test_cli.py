@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import netproc
 from netproc.cli import main
 
 
@@ -185,3 +190,32 @@ def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# running the package as a module
+# ---------------------------------------------------------------------------
+
+
+def run_module(module, *argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(netproc.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["netproc", "netproc.cli"])
+def test_module_runs_the_cli(module):
+    done = run_module(module, "laws", "--only", "par-assoc")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "values: m0,m1" and len(lines) > 2
+    assert all(line.startswith("par-assoc ") for line in lines[1:-1])
+    assert lines[-1] == f"laws: PASS ({len(lines) - 2} rows, 0 failures)"
+
+
+def test_module_bad_term_exits_three():
+    done = run_module("netproc", "transitions", "a!m0 |")
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ParseError:")

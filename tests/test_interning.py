@@ -1,0 +1,198 @@
+"""Hash-consed process terms: equal structure is the same object.
+
+The reference sort key below is the recursive definition the stored
+`term_key` must reproduce exactly; it is kept here, independent of the
+per-node cache.
+"""
+
+from __future__ import annotations
+
+import copy
+import dataclasses
+import gc
+import pickle
+import random
+import weakref
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from netproc import (
+    Atom,
+    ChanVar,
+    Distribute,
+    Name,
+    Parallel,
+    Receive,
+    RepeatReceive,
+    Restrict,
+    STOP,
+    Send,
+    Stop,
+    ValVar,
+    parse,
+    term_key,
+)
+from netproc import terms
+
+from helpers import random_comm, random_pi
+
+a, b = Name("a"), Name("b")
+m0 = Atom("m0")
+
+
+def _chan(c):
+    return (0, c.text) if isinstance(c, Name) else (1, c.index)
+
+
+def _val(v):
+    return (0, v.text) if isinstance(v, Atom) else (1, v.index)
+
+
+def reference_key(p) -> tuple:
+    match p:
+        case Stop():
+            return (0,)
+        case Send(channel=c, payload=v):
+            return (1, _chan(c), _val(v))
+        case Receive(channel=c, body=q):
+            return (2, _chan(c), reference_key(q))
+        case RepeatReceive(channel=c, body=q):
+            return (3, _chan(c), reference_key(q))
+        case Distribute(source=s, targets=ts):
+            return (4, _chan(s), tuple(_chan(t) for t in ts))
+        case Parallel(left=l, right=r):
+            return (5, reference_key(l), reference_key(r))
+        case Restrict(body=q):
+            return (6, reference_key(q))
+    raise TypeError(p)
+
+
+def subterms(p):
+    yield p
+    for f in dataclasses.fields(p):
+        child = getattr(p, f.name)
+        if isinstance(child, terms._Node):
+            yield from subterms(child)
+
+
+# ---------------------------------------------------------------------------
+# construction
+# ---------------------------------------------------------------------------
+
+
+def test_equal_structure_is_the_same_node():
+    s, t = Send(a, m0), Send(b, m0)
+    assert Send(Name("a"), Atom("m0")) is s
+    assert Parallel(s, t) is Parallel(s, t)
+    assert Parallel(s, t) is not Parallel(t, s)
+    assert Stop() is STOP
+    assert Distribute(a, [b]) is Distribute(a, (b,))
+    assert Distribute(a, [b]).targets == (b,)
+    assert Receive(a, STOP) is not RepeatReceive(a, STOP)
+    assert parse("new t. (a -> t | t -> b)") is parse("new u. (a -> u | u -> b)")
+
+
+def test_keyword_construction_gives_the_same_node():
+    s = Send(a, m0)
+    assert Send(channel=a, payload=m0) is s
+    assert Send(a, payload=m0) is s
+    assert Parallel(right=STOP, left=s) is Parallel(s, STOP)
+    assert Receive(body=s, channel=b) is Receive(b, s)
+    assert RepeatReceive(channel=b, body=s) is RepeatReceive(b, s)
+    assert Restrict(body=s) is Restrict(s)
+    assert Distribute(targets=[a, a], source=b) is Distribute(b, (a, a))
+    assert dataclasses.replace(s, payload=Atom("m1")) is Send(a, Atom("m1"))
+    with pytest.raises(TypeError):
+        Send(a)
+
+
+def test_nodes_are_slotted_frozen_and_identity_compared():
+    p = Parallel(Send(a, m0), STOP)
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.left = STOP
+    # leaves keep structural equality
+    assert Name("a") == a and Name("a") is not a
+    assert ChanVar(0) == ChanVar(0) and ValVar(1) != ValVar(0)
+    assert not hasattr(a, "__dict__")
+
+
+def test_hash_is_structural_and_stored():
+    s, t = Send(a, m0), Send(b, m0)
+    assert hash(Parallel(s, t)) == hash((s, t))
+    assert hash(s) == hash((a, m0))
+    assert hash(STOP) == hash(())
+    assert hash(Distribute(a, [b, b])) == hash((a, (b, b)))
+
+
+def test_match_binds_every_field():
+    p = Parallel(Receive(a, Send(b, ValVar(0))), Restrict(Distribute(ChanVar(0), [a, b])))
+    match p:
+        case Parallel(Receive(c, Send(d, v)), Restrict(Distribute(src, ts))):
+            assert (c, d, v, src, ts) == (a, b, ValVar(0), ChanVar(0), (a, b))
+        case _:
+            pytest.fail("positional patterns did not match")
+    match RepeatReceive(a, STOP):
+        case RepeatReceive(channel=c, body=q):
+            assert (c, q) == (a, STOP)
+        case _:
+            pytest.fail("keyword patterns did not match")
+    for cls in (Send, Receive, RepeatReceive, Parallel, Restrict, Distribute, Stop):
+        assert cls.__match_args__ == tuple(f.name for f in dataclasses.fields(cls))
+
+
+# ---------------------------------------------------------------------------
+# copying, pickling and the weak table
+# ---------------------------------------------------------------------------
+
+
+def test_copy_and_pickle_return_the_interned_node():
+    p = parse("new t. (a -> t | t => [b, b] | a!m0)")
+    q = parse("a ?* x. (b!x | new t. t!m1)")
+    for term in (p, q, STOP):
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+        assert pickle.loads(pickle.dumps(term)) is term
+    assert copy.deepcopy([p, q]) == [p, q]
+
+
+def test_table_drops_terms_nobody_holds():
+    probe = Atom("interning-probe")
+    key = (Send, a, probe)
+    p = Restrict(Parallel(Send(a, probe), STOP))
+    assert terms._TABLE[key]() is p.body.left
+    alive = weakref.ref(p)
+    del p
+    gc.collect()
+    assert alive() is None
+    assert key not in terms._TABLE
+    # rebuilding after the drop makes one new node again
+    again = Send(a, probe)
+    assert terms._TABLE[key]() is again
+
+
+# ---------------------------------------------------------------------------
+# sort keys and equality against the reference key
+# ---------------------------------------------------------------------------
+
+_seeds = st.integers(min_value=0, max_value=40)
+_depths = st.integers(min_value=0, max_value=3)
+
+
+def _build(kind: str, seed: int, depth: int):
+    gen = random_pi if kind == "pi" else random_comm
+    return gen(random.Random(seed), depth)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["pi", "comm"]), _seeds, _depths, _seeds, _depths)
+def test_stored_term_key_matches_reference_and_equality(kind, s1, d1, s2, d2):
+    p, q = _build(kind, s1, d1), _build(kind, s2, d2)
+    for t in (p, q):
+        for sub in subterms(t):
+            assert term_key(sub) == reference_key(sub)
+            assert sub._term_key == reference_key(sub)
+    assert (p == q) is (reference_key(p) == reference_key(q))
+    assert (p is q) is (p == q)
+    assert _build(kind, s1, d1) is p
