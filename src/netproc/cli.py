@@ -15,32 +15,24 @@ from .equivalence import FULL_UPTO, PLAIN, Verdict, check_strong, check_weak
 from .errors import NetprocError, ParseError
 from .laws import format_report, run_laws
 from .netlang import TraceEvent, explore, simulate
-from .normalform import normal_process, term_key
+from .normalform import normal_process
 from .semantics import (
     DEFAULT_UNIVERSE,
-    action_key,
     effective_universe,
     infer_mode,
     make_universe,
+    reachable,
+    sorted_steps,
+    sorted_transitions,
     transitions,
 )
 from .syntax import parse, pretty, pretty_action
-from .terms import Process
 
 
 def _universe_from(args) -> tuple:
     text = args.values or os.environ.get("NETPROC_VALUES") or ""
     names = [part.strip() for part in text.split(",") if part.strip()]
     return make_universe(*names) if names else DEFAULT_UNIVERSE
-
-
-def _parse_term(text: str) -> Process:
-    return parse(text)
-
-
-def _sorted_transitions(p: Process, universe):
-    trs = transitions(p, mode=infer_mode(p), universe=universe)
-    return sorted(trs, key=lambda tr: (action_key(tr.action), term_key(tr.target)))
 
 
 def _echo_universe(universe) -> None:
@@ -53,40 +45,29 @@ def _echo_universe(universe) -> None:
 
 
 def _cmd_transitions(args) -> int:
-    p = _parse_term(args.term)
+    p = parse(args.term)
     universe = effective_universe(_universe_from(args), p)
     _echo_universe(universe)
-    for tr in _sorted_transitions(p, universe):
+    for tr in sorted_transitions(transitions(p, universe=universe)):
         print(f"{pretty_action(tr.action):12} {pretty(tr.target)}")
     return 0
 
 
 def _cmd_lts(args) -> int:
-    p = _parse_term(args.term)
+    p = parse(args.term)
     universe = effective_universe(_universe_from(args), p)
     mode = infer_mode(p)
-    start = normal_process(p)
-    seen = {start}
-    order = [start]
-    edges = []
-    frontier = [start]
-    truncated = False
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for tr in _sorted_transitions(s, universe):
-                t = normal_process(tr.target)
-                edges.append((s, tr.action, t))
-                if t not in seen:
-                    if len(seen) >= args.max_states:
-                        truncated = True
-                        continue
-                    seen.add(t)
-                    order.append(t)
-                    nxt.append(t)
-        frontier = nxt
+
+    def normal_steps(s):
+        return [(a, normal_process(t)) for a, t in sorted_steps(s, universe)]
+
+    order, truncated = reachable(
+        normal_process(p), lambda s: [t for _, t in normal_steps(s)], args.max_states
+    )
     ids = {s: i for i, s in enumerate(order)}
-    edges = [(s, a, t) for s, a, t in edges if t in ids]
+    # one edge per (state, action, state), in first-seen order: distinct raw
+    # targets can normalize to one state
+    edges = dict.fromkeys((s, a, t) for s in order for a, t in normal_steps(s) if t in ids)
     if args.dot:
         print("digraph lts {")
         for s, i in ids.items():
@@ -104,8 +85,8 @@ def _cmd_lts(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    left = _parse_term(args.left)
-    right = _parse_term(args.right)
+    left = parse(args.left)
+    right = parse(args.right)
     universe = effective_universe(_universe_from(args), left, right)
     upto = PLAIN if args.no_upto else FULL_UPTO
     if args.weak:
@@ -150,7 +131,7 @@ def _parse_inject(specs) -> list[tuple[str, str]]:
 
 
 def _cmd_explore(args) -> int:
-    p = _parse_term(args.term)
+    p = parse(args.term)
     report = explore(
         p,
         _parse_inject(args.inject),
@@ -181,7 +162,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    p = _parse_term(args.term)
+    p = parse(args.term)
     events = simulate(
         p,
         _parse_inject(args.inject),

@@ -45,10 +45,9 @@ from .semantics import (
     Action,
     Mode,
     Universe,
-    action_key,
+    check_mode,
     effective_universe,
-    infer_mode,
-    validate_mode,
+    sorted_steps,
     weak_steps,
     _step,
 )
@@ -181,14 +180,12 @@ class _Prover:
 
     def __init__(
         self,
-        mode: Mode,
         universe: Universe,
         cfg: UpToConfig,
         max_pairs: int,
         weak: bool,
         tau_bound: int,
     ) -> None:
-        self.mode = mode
         self.universe = universe
         self.cfg = cfg
         self.max_pairs = max_pairs
@@ -198,14 +195,11 @@ class _Prover:
         self.trail: list[Pair] = []
         self.explored = 0
 
-    def _challenger_steps(self, p: Process) -> list[tuple[Action, Process]]:
-        return sorted(_step(p, self.mode, self.universe), key=lambda at: (action_key(at[0]), term_key(at[1])))
-
     def _defender_steps(self, p: Process) -> dict[Action, list[Process]]:
         if self.weak:
-            steps, _ = weak_steps(p, self.mode, self.universe, self.tau_bound)
+            steps, _ = weak_steps(p, self.universe, self.tau_bound)
         else:
-            steps = _step(p, self.mode, self.universe)
+            steps = _step(p, self.universe)
         grouped: dict[Action, list[Process]] = {}
         for a, t in steps:
             grouped.setdefault(a, []).append(t)
@@ -241,7 +235,7 @@ class _Prover:
         for forward in (True, False):
             chal, resp = (u, v) if forward else (v, u)
             responses = self._defender_steps(resp)
-            for a, t in self._challenger_steps(chal):
+            for a, t in sorted_steps(chal, self.universe):
                 options = responses.get(a, [])
                 if not options:
                     return False
@@ -281,14 +275,12 @@ class _Attacker:
 
     def __init__(
         self,
-        mode: Mode,
         universe: Universe,
         weak: bool,
         tau_bound: int,
         node_budget: int,
         normalize_states: bool = True,
     ) -> None:
-        self.mode = mode
         self.universe = universe
         self.weak = weak
         self.tau_bound = tau_bound
@@ -301,16 +293,13 @@ class _Attacker:
     def _norm(self, p: Process) -> Process:
         return normal_process(p) if self.normalize_states else p
 
-    def _moves(self, p: Process) -> list[tuple[Action, Process]]:
-        return sorted(_step(p, self.mode, self.universe), key=lambda at: (action_key(at[0]), term_key(at[1])))
-
     def _replies(self, p: Process, a: Action) -> list[Process]:
         if self.weak:
-            steps, truncated = weak_steps(p, self.mode, self.universe, self.tau_bound)
+            steps, truncated = weak_steps(p, self.universe, self.tau_bound)
             self.tainted |= truncated
             opts = [t for sa, t in steps if sa == a]
         else:
-            opts = [self._norm(t) for sa, t in _step(p, self.mode, self.universe) if sa == a]
+            opts = [self._norm(t) for sa, t in _step(p, self.universe) if sa == a]
         return sorted(set(opts), key=term_key)
 
     def search(self, l: Process, r: Process, max_depth: int) -> tuple[TraceStep, ...] | None:
@@ -332,7 +321,7 @@ class _Attacker:
             raise _BoundHit("node-budget")
         result: tuple[TraceStep, ...] | None = None
         for side, chal, resp in (("left", l, r), ("right", r, l)):
-            for a, t in self._moves(chal):
+            for a, t in sorted_steps(chal, self.universe):
                 tn = self._norm(t)
                 replies = self._replies(resp, a)
                 if not replies:
@@ -363,15 +352,12 @@ class _Attacker:
 # ---------------------------------------------------------------------------
 
 
-def _prepare(
-    p: Process, q: Process, universe: Universe | None, mode: Mode | None
-) -> tuple[Mode, Universe]:
+def _prepare(p: Process, q: Process, universe: Universe | None, mode: Mode | None) -> Universe:
+    """Check the pair's scope and language once; return the value universe."""
     if not is_closed(p) or not is_closed(q):
         raise ScopeError("bisimilarity checks require closed terms")
-    m = mode if mode is not None else infer_mode(p, q)
-    validate_mode(p, m)
-    validate_mode(q, m)
-    return m, effective_universe(universe, p, q)
+    check_mode(mode, p, q)
+    return effective_universe(universe, p, q)
 
 
 def check_strong(
@@ -392,8 +378,8 @@ def check_strong(
     transition relation; everything else is reported inconclusive with
     the bound that was hit.
     """
-    m, uni = _prepare(p, q, universe, mode)
-    return _check(p, q, upto, max_pairs, m, uni, False, 0, max_trace_depth, node_budget)
+    uni = _prepare(p, q, universe, mode)
+    return _check(p, q, upto, max_pairs, uni, False, 0, max_trace_depth, node_budget)
 
 
 def check_weak(
@@ -411,8 +397,8 @@ def check_weak(
     """Decide weak bisimilarity: challenger moves are single steps, the
     defender may pad its reply with up to `tau_bound` internal steps on
     each side of the visible action."""
-    m, uni = _prepare(p, q, universe, mode)
-    return _check(p, q, upto, max_pairs, m, uni, True, tau_bound, max_trace_depth, node_budget)
+    uni = _prepare(p, q, universe, mode)
+    return _check(p, q, upto, max_pairs, uni, True, tau_bound, max_trace_depth, node_budget)
 
 
 def _check(
@@ -420,14 +406,13 @@ def _check(
     q: Process,
     upto: UpToConfig,
     max_pairs: int,
-    mode: Mode,
     uni: Universe,
     weak: bool,
     tau_bound: int,
     max_trace_depth: int,
     node_budget: int,
 ) -> CheckResult:
-    prover = _Prover(mode, uni, upto, max_pairs, weak, tau_bound)
+    prover = _Prover(uni, upto, max_pairs, weak, tau_bound)
     bound_hit: str | None = None
     # proof search recurses once per candidate pair plus matching overhead
     depth_needed = 8 * max_pairs + 500
@@ -445,7 +430,7 @@ def _check(
     if proved:
         return CheckResult(Verdict.PROVEN, frozenset(prover.assumed), None, prover.explored, None)
 
-    attacker = _Attacker(mode, uni, weak, tau_bound, node_budget)
+    attacker = _Attacker(uni, weak, tau_bound, node_budget)
     trace: tuple[TraceStep, ...] | None = None
     try:
         trace = attacker.search(p, q, max_trace_depth)
@@ -478,7 +463,7 @@ def audit_witness(
     """Re-check a witness relation pair by pair, independently of the
     proof search.  Returns the first offending pair, or None if the
     witness is closed and contains the reduced root."""
-    m, uni = _prepare(p, q, universe, mode)
+    uni = _prepare(p, q, universe, mode)
 
     def covered(l: Process, r: Process) -> bool:
         red = _reduce(l, r, upto)
@@ -490,10 +475,10 @@ def audit_witness(
         for forward in (True, False):
             chal, resp = (u, v) if forward else (v, u)
             if weak:
-                resp_steps, _ = weak_steps(resp, m, uni, tau_bound)
+                resp_steps, _ = weak_steps(resp, uni, tau_bound)
             else:
-                resp_steps = _step(resp, m, uni)
-            for a, t in _step(chal, m, uni):
+                resp_steps = _step(resp, uni)
+            for a, t in _step(chal, uni):
                 ok = any(
                     covered(*((t, d) if forward else (d, t)))
                     for sa, d in resp_steps
@@ -536,20 +521,20 @@ def replay_trace(
     Every challenger step must be an actual transition of its side and
     the final challenger action must have no reply from the other side.
     """
-    m, uni = _prepare(p, q, universe, mode)
+    uni = _prepare(p, q, universe, mode)
     state = {"left": normal_process(p), "right": normal_process(q)}
     for i, step in enumerate(trace):
         chal = state[step.side]
-        moves = {(a, normal_process(t)) for a, t in _step(chal, m, uni)}
+        moves = {(a, normal_process(t)) for a, t in _step(chal, uni)}
         if (step.action, step.challenger_target) not in moves:
             return False
         other = "right" if step.side == "left" else "left"
         if weak:
-            resp_steps, _ = weak_steps(state[other], m, uni, tau_bound)
+            resp_steps, _ = weak_steps(state[other], uni, tau_bound)
             replies = {t for a, t in resp_steps if a == step.action}
         else:
             replies = {
-                normal_process(t) for a, t in _step(state[other], m, uni) if a == step.action
+                normal_process(t) for a, t in _step(state[other], uni) if a == step.action
             }
         last = i == len(trace) - 1
         if last:

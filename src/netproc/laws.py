@@ -52,7 +52,6 @@ class Law:
     law_id: str
     description: str
     mode: Mode
-    weak: bool
     instances: tuple[LawInstance, ...]
 
 
@@ -114,7 +113,7 @@ def law_catalog(universe: Universe = DEFAULT_UNIVERSE) -> tuple[Law, ...]:
     laws: list[Law] = []
 
     def add(law_id: str, description: str, instances: list[LawInstance], mode: Mode = Mode.EXTENDED) -> None:
-        laws.append(Law(law_id, description, mode, False, tuple(instances)))
+        laws.append(Law(law_id, description, mode, tuple(instances)))
 
     add(
         "par-unit-left",
@@ -187,7 +186,6 @@ def law_catalog(universe: Universe = DEFAULT_UNIVERSE) -> tuple[Law, ...]:
                 law_id,
                 description,
                 mode,
-                False,
                 tuple(
                     LawInstance(_label(Parallel(t, t), t), Parallel(t, t), t) for t in terms
                 ),
@@ -234,13 +232,9 @@ def law_catalog(universe: Universe = DEFAULT_UNIVERSE) -> tuple[Law, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _run_instance(inst: LawInstance, law: Law, universe: Universe, max_pairs: int) -> tuple[LawRow, CheckResult]:
-    if law.weak:
-        res = check_weak(inst.left, inst.right, 6, max_pairs, universe=universe, mode=law.mode)
-    else:
-        res = check_strong(inst.left, inst.right, FULL_UPTO, max_pairs, universe=universe, mode=law.mode)
-    ok = res.verdict is Verdict.PROVEN
-    return LawRow(law.law_id, inst.label, res.verdict, res.pairs_explored, ok), res
+def _run_instance(inst: LawInstance, law: Law, universe: Universe, max_pairs: int) -> LawRow:
+    res = check_strong(inst.left, inst.right, FULL_UPTO, max_pairs, universe=universe, mode=law.mode)
+    return LawRow(law.law_id, inst.label, res.verdict, res.pairs_explored, res.verdict is Verdict.PROVEN)
 
 
 def run_laws(
@@ -262,7 +256,7 @@ def run_laws(
         if not wanted(law.law_id):
             continue
         for inst in law.instances:
-            row, _ = _run_instance(inst, law, universe, max_pairs)
+            row = _run_instance(inst, law, universe, max_pairs)
             report.rows.append(row)
             report.passed &= row.ok
             if row.ok:
@@ -294,8 +288,8 @@ def run_laws(
 
     if wanted("restrict-congruence"):
         for p1, p2, m in (pool[i % len(pool)] for i in range(0, 25)) if pool else ():
-            conclusion_ok, rows = _restriction_probe(p1, p2, m, universe, max_pairs, "restrict-congruence", weak=False)
-            report.rows.extend(rows)
+            conclusion_ok, row = _restriction_probe(p1, p2, m, universe, max_pairs, "restrict-congruence", weak=False)
+            report.rows.append(row)
             report.passed &= conclusion_ok
 
     weak_pool = pool[:8]
@@ -313,8 +307,8 @@ def run_laws(
 
     if wanted("restrict-congruence-weak"):
         for p1, p2, m in weak_pool[:4]:
-            conclusion_ok, rows = _restriction_probe(p1, p2, m, universe, max_pairs, "restrict-congruence-weak", weak=True)
-            report.rows.extend(rows)
+            conclusion_ok, row = _restriction_probe(p1, p2, m, universe, max_pairs, "restrict-congruence-weak", weak=True)
+            report.rows.append(row)
             report.passed &= conclusion_ok
 
     if wanted("strong-implies-weak"):
@@ -347,13 +341,12 @@ def _restriction_probe(
     max_pairs: int,
     law_id: str,
     weak: bool,
-) -> tuple[bool, list[LawRow]]:
+) -> tuple[bool, LawRow]:
     """Check the channel-family congruence: premises at the original and a
     fresh channel, conclusion under a restriction binding that channel."""
     free = sorted(free_channel_names(p1) | free_channel_names(p2))
     target = free[0] if free else "zz"
     fresh = fresh_channel_name(set(free), base="pc")
-    rows: list[LawRow] = []
 
     def check(l: Process, r: Process) -> CheckResult:
         if weak:
@@ -365,16 +358,8 @@ def _restriction_probe(
     right = Restrict(abstract_channel(p2, Name(target)))
     conclusion = check(left, right)
     ok = premise.verdict is Verdict.PROVEN and conclusion.verdict is Verdict.PROVEN
-    rows.append(
-        LawRow(
-            law_id,
-            _label(left, right),
-            conclusion.verdict,
-            premise.pairs_explored + conclusion.pairs_explored,
-            ok,
-        )
-    )
-    return ok, rows
+    pairs = premise.pairs_explored + conclusion.pairs_explored
+    return ok, LawRow(law_id, _label(left, right), conclusion.verdict, pairs, ok)
 
 
 def format_report(report: LawReport) -> str:

@@ -9,13 +9,14 @@ messages on input channels; `simulate` follows one random trajectory.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ArityError, DistinctnessError, ParseError
-from .normalform import normal_process, term_key
+from .errors import ArityError, DistinctnessError, ParseError, ScopeError
+from .normalform import normal_process
 from .semantics import (
     Action,
     Mode,
@@ -23,10 +24,12 @@ from .semantics import (
     TAU,
     Tau,
     Universe,
-    action_key,
+    check_mode,
     effective_universe,
-    infer_mode,
-    transitions,
+    reachable,
+    sorted_steps,
+    step_order,
+    _step,
 )
 from .syntax import pretty, pretty_action
 from .terms import (
@@ -43,7 +46,6 @@ from .terms import (
     fresh_channel_name,
     is_closed,
 )
-from .errors import ScopeError
 
 
 # ---------------------------------------------------------------------------
@@ -55,64 +57,51 @@ def _name(ch: str | Name) -> Name:
     return ch if isinstance(ch, Name) else Name(ch)
 
 
-_ARITIES = {
-    "distribute": None,
-    "bridge": 2,
-    "bibridge": 2,
-    "loser": 1,
-    "duplicator": 1,
-    "duploser": 1,
+def distributor(source: str | Name, *targets: str | Name) -> Process:
+    return Distribute(_name(source), tuple(_name(t) for t in targets))
+
+
+def bridge(a: str | Name, b: str | Name) -> Process:
+    return Distribute(_name(a), (_name(b),))
+
+
+def bibridge(a: str | Name, b: str | Name) -> Process:
+    return Parallel(bridge(a, b), bridge(b, a))
+
+
+def loser(a: str | Name) -> Process:
+    return Distribute(_name(a), ())
+
+
+def duplicator(a: str | Name) -> Process:
+    a = _name(a)
+    return Distribute(a, (a, a))
+
+
+def duploser(a: str | Name) -> Process:
+    return Parallel(loser(a), duplicator(a))
+
+
+_BUILDERS = {
+    "distribute": distributor,
+    "bridge": bridge,
+    "bibridge": bibridge,
+    "loser": loser,
+    "duplicator": duplicator,
+    "duploser": duploser,
 }
 
 
 def build(kind: str, *channels: str | Name) -> Process:
     """Construct a link by kind name; `distribute` takes source then targets."""
-    if kind not in _ARITIES:
+    if kind not in _BUILDERS:
         raise ArityError(f"unknown link kind {kind!r}")
-    arity = _ARITIES[kind]
-    if arity is None:
-        if not channels:
-            raise ArityError("distribute needs a source channel")
-    elif len(channels) != arity:
-        raise ArityError(f"{kind} takes {arity} channel(s), got {len(channels)}")
-    names = tuple(_name(c) for c in channels)
-    match kind:
-        case "distribute":
-            return Distribute(names[0], names[1:])
-        case "bridge":
-            return Distribute(names[0], (names[1],))
-        case "bibridge":
-            return Parallel(Distribute(names[0], (names[1],)), Distribute(names[1], (names[0],)))
-        case "loser":
-            return Distribute(names[0], ())
-        case "duplicator":
-            return Distribute(names[0], (names[0], names[0]))
-        case _:
-            return Parallel(Distribute(names[0], ()), Distribute(names[0], (names[0], names[0])))
-
-
-def distributor(source: str | Name, *targets: str | Name) -> Process:
-    return build("distribute", source, *targets)
-
-
-def bridge(a: str | Name, b: str | Name) -> Process:
-    return build("bridge", a, b)
-
-
-def bibridge(a: str | Name, b: str | Name) -> Process:
-    return build("bibridge", a, b)
-
-
-def loser(a: str | Name) -> Process:
-    return build("loser", a)
-
-
-def duplicator(a: str | Name) -> Process:
-    return build("duplicator", a)
-
-
-def duploser(a: str | Name) -> Process:
-    return build("duploser", a)
+    builder = _BUILDERS[kind]
+    try:
+        inspect.signature(builder).bind(*channels)
+    except TypeError as exc:
+        raise ArityError(f"{kind}: {exc}") from None
+    return builder(*channels)
 
 
 @dataclass(frozen=True)
@@ -143,26 +132,27 @@ def _distinct(*channels: str) -> None:
         raise DistinctnessError(f"channels must be pairwise distinct: {channels}")
 
 
-def anycast3(s: str = "s", r1: str = "r1", r2: str = "r2", r3: str = "r3") -> Process:
-    """One sender port fans out through a hidden hop to exactly one receiver."""
+def _fan_out(s: str, r1: str, r2: str, r3: str, lossy: bool) -> Process:
+    """Sender port `s` feeds a hidden hop that forwards to r1, r2 and r3;
+    a lossy hop may also drop or duplicate messages."""
     _distinct(s, r1, r2, r3)
     t = fresh_channel_name({s, r1, r2, r3}, base="t") if "t" in {s, r1, r2, r3} else "t"
+    hop = (duploser(t),) if lossy else ()
     return NetworkSpec(
         free_channels=(s, r1, r2, r3),
         local_channels=(t,),
-        links=(bridge(s, t), bridge(t, r1), bridge(t, r2), bridge(t, r3)),
+        links=(bridge(s, t), *hop, bridge(t, r1), bridge(t, r2), bridge(t, r3)),
     ).elaborate()
+
+
+def anycast3(s: str = "s", r1: str = "r1", r2: str = "r2", r3: str = "r3") -> Process:
+    """One sender port fans out through a hidden hop to exactly one receiver."""
+    return _fan_out(s, r1, r2, r3, lossy=False)
 
 
 def broadcast3_unreliable(s: str = "s", r1: str = "r1", r2: str = "r2", r3: str = "r3") -> Process:
     """Like anycast3 but the hop may also drop or duplicate messages."""
-    _distinct(s, r1, r2, r3)
-    t = fresh_channel_name({s, r1, r2, r3}, base="t") if "t" in {s, r1, r2, r3} else "t"
-    return NetworkSpec(
-        free_channels=(s, r1, r2, r3),
-        local_channels=(t,),
-        links=(bridge(s, t), duploser(t), bridge(t, r1), bridge(t, r2), bridge(t, r3)),
-    ).elaborate()
+    return _fan_out(s, r1, r2, r3, lossy=True)
 
 
 # ---------------------------------------------------------------------------
@@ -235,16 +225,15 @@ def _inject(p: Process, inputs) -> tuple[Process, tuple[tuple[str, str], ...], f
     return start, tuple(pairs), frozenset(ch for ch, _ in pairs)
 
 
-def _observable_steps(state: Process, mode: Mode, universe: Universe, suppressed: frozenset[str]):
-    """Steps the exploration follows: internal moves plus outputs on ports
-    that are not used for injection."""
-    out = []
-    for tr in transitions(state, mode=mode, universe=universe):
-        if isinstance(tr.action, Tau):
-            out.append((tr.action, tr.target))
-        elif isinstance(tr.action, SendAct) and tr.action.channel.text not in suppressed:
-            out.append((tr.action, tr.target))
-    out.sort(key=lambda at: (action_key(at[0]), term_key(at[1])))
+def _observable_steps(state: Process, universe: Universe, suppressed: frozenset[str]):
+    """Steps the exploration follows, in `step_order`: internal moves plus
+    outputs on ports that are not used for injection."""
+    out = [
+        (a, t)
+        for a, t in _step(state, universe)
+        if isinstance(a, Tau) or (isinstance(a, SendAct) and a.channel.text not in suppressed)
+    ]
+    out.sort(key=step_order)
     return out
 
 
@@ -269,29 +258,15 @@ def explore(
     if not is_closed(p):
         raise ScopeError("explore needs a closed process")
     start_raw, pairs, suppressed = _inject(p, inputs)
-    mode = mode or infer_mode(start_raw)
+    check_mode(mode, start_raw)
     universe = effective_universe(universe, start_raw)
     start = normal_process(start_raw)
     conds = _parse_query(query) if query else None
 
-    seen = {start}
-    frontier = [start]
-    state_bound_hit = False
-    for _ in range(max_depth):
-        nxt = []
-        for s in frontier:
-            for _, t in _observable_steps(s, mode, universe, suppressed):
-                tn = normal_process(t)
-                if tn not in seen:
-                    if len(seen) >= max_states:
-                        state_bound_hit = True
-                        continue
-                    seen.add(tn)
-                    nxt.append(tn)
-        if not nxt:
-            break
-        frontier = nxt
+    def successors(s: Process) -> list[Process]:
+        return [normal_process(t) for _, t in _observable_steps(s, universe, suppressed)]
 
+    seen, state_bound_hit = reachable(start, successors, max_states, max_depth)
     report = ExploreReport(
         start=start,
         inputs=pairs,
@@ -326,7 +301,7 @@ def explore(
         if shallowest.get(key, max_depth + 1) <= depth:
             return
         shallowest[key] = depth
-        steps = _observable_steps(state, mode, universe, suppressed)
+        steps = _observable_steps(state, universe, suppressed)
         if not steps:
             if key not in completed:
                 completed.add(key)
@@ -374,20 +349,13 @@ def simulate(
     if not is_closed(p):
         raise ScopeError("simulate needs a closed process")
     start_raw, _, _ = _inject(p, inputs)
-    mode = mode or infer_mode(start_raw)
+    check_mode(mode, start_raw)
     universe = effective_universe(universe, start_raw)
     rng = random.Random(seed)
     state = normal_process(start_raw)
     events: list[TraceEvent] = []
     for i in range(steps):
-        taus = [
-            tr.target
-            for tr in sorted(
-                transitions(state, mode=mode, universe=universe),
-                key=lambda tr: (action_key(tr.action), term_key(tr.target)),
-            )
-            if isinstance(tr.action, Tau)
-        ]
+        taus = [t for a, t in sorted_steps(state, universe) if isinstance(a, Tau)]
         if not taus:
             break
         state = normal_process(taus[rng.randrange(len(taus))])

@@ -1,24 +1,35 @@
 """Labeled transition semantics.
 
-Two rule sets share one enumerator.  Base mode (`pi`) covers send, receive
-and repeating-receive prefixes; network mode (`extended`) covers send and
-distributor nodes.  A repeating receiver unfolds exactly one step per
-transition: it receives a value and re-arms itself in parallel with the
-instantiated body.  A distributor behaves the same way with its body fixed
-to a row of forwarding sends.
+One step relation serves both languages.  The rules cover send, receive,
+repeating-receive and distributor nodes uniformly: a repeating receiver
+unfolds exactly one step per transition, receiving a value and re-arming
+itself in parallel with the instantiated body, and a distributor behaves
+the same way with its body fixed to a row of forwarding sends.  The mode
+(`pi` for the base calculus, `extended` for the network language) is a
+language check, not a rule set: each public entry point checks its terms
+once, and since no rule introduces a construct of the other language,
+every state reached from a checked term is in the same language.
 
 Restriction is handled by opening the binder with one fresh channel,
 enumerating underneath, discarding transitions whose action mentions the
 fresh channel, and re-abstracting it in the targets.  Because transition
 enumeration is uniform in channel names, one fresh instantiation decides
 the quantified premise; tests cross-check this against multi-name probes.
+
+`step_order` is the one presentation order for steps (action, then
+target term); every listing, game move and exploration sorts by it.
+`reachable` is the breadth-first search behind explore and the CLI's LTS.
+The weak closure `_tau_reach` keeps its own loop: it runs tens of
+thousands of times per weak check, on graphs of a few states, and calling
+a successor function per state there made weak checks several percent
+slower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .errors import BoundExceeded, ModeViolation
 from .normalform import normal_process, term_key
@@ -147,30 +158,53 @@ def validate_mode(p: Process, mode: Mode) -> None:
         raise ModeViolation("receive prefixes are not part of the network language")
 
 
+def check_mode(mode: Mode | None, *terms: Process) -> None:
+    """Raise ModeViolation unless the terms all belong to `mode`'s
+    language, or, with mode None, to one common language."""
+    if mode is None:
+        infer_mode(*terms)
+    else:
+        for t in terms:
+            validate_mode(t, mode)
+
+
 # ---------------------------------------------------------------------------
 # Transition enumeration
 # ---------------------------------------------------------------------------
 
-_STEP_CACHE: dict[tuple[Process, Mode, Universe], frozenset[tuple[Action, Process]]] = {}
+Step = tuple[Action, Process]
+
+_STEP_CACHE: dict[tuple[Process, Universe], frozenset[Step]] = {}
 
 
 def transitions(p: Process, mode: Mode | None = None, universe: Universe = DEFAULT_UNIVERSE) -> frozenset[Transition]:
-    """All single-step transitions of a closed term under the given mode.
+    """All single-step transitions of a closed term.
 
-    With mode None the rule set is inferred from the term itself.
+    The term must belong to `mode`'s language; with mode None the
+    language is inferred from the term itself.
     """
-    mode = mode if mode is not None else infer_mode(p)
-    validate_mode(p, mode)
-    return frozenset(Transition(p, a, t) for a, t in _step(p, mode, universe))
+    check_mode(mode, p)
+    return frozenset(Transition(p, a, t) for a, t in _step(p, universe))
 
 
-def _step(p: Process, mode: Mode, universe: Universe) -> frozenset[tuple[Action, Process]]:
-    key = (p, mode, universe)
+def _step(p: Process, universe: Universe) -> frozenset[Step]:
+    key = (p, universe)
     hit = _STEP_CACHE.get(key)
     if hit is None:
-        hit = frozenset(_enumerate(p, mode, universe))
+        hit = frozenset(_enumerate(p, universe))
         _STEP_CACHE[key] = hit
     return hit
+
+
+def step_order(step: Step) -> tuple:
+    """The deterministic presentation order of steps: action, then target."""
+    action, target = step
+    return (action_key(action), term_key(target))
+
+
+def sorted_steps(p: Process, universe: Universe) -> list[Step]:
+    """The steps of `p` in `step_order`; the caller has checked its mode."""
+    return sorted(_step(p, universe), key=step_order)
 
 
 def _sender_row(targets: tuple, value: Atom) -> Process:
@@ -181,7 +215,7 @@ def _sender_row(targets: tuple, value: Atom) -> Process:
     return row
 
 
-def _enumerate(p: Process, mode: Mode, universe: Universe) -> Iterable[tuple[Action, Process]]:
+def _enumerate(p: Process, universe: Universe) -> Iterable[Step]:
     match p:
         case Stop():
             return
@@ -197,8 +231,8 @@ def _enumerate(p: Process, mode: Mode, universe: Universe) -> Iterable[tuple[Act
             for v in universe:
                 yield ReceiveAct(s, v), Parallel(_sender_row(ts, v), p)
         case Parallel(left=l, right=r):
-            lsteps = _step(l, mode, universe)
-            rsteps = _step(r, mode, universe)
+            lsteps = _step(l, universe)
+            rsteps = _step(r, universe)
             for a, t in lsteps:
                 yield a, Parallel(t, r)
             for a, t in rsteps:
@@ -210,7 +244,7 @@ def _enumerate(p: Process, mode: Mode, universe: Universe) -> Iterable[tuple[Act
         case Restrict(body=b):
             fresh = Name(fresh_channel_name(free_channel_names(b), base="_nu"))
             opened = instantiate_channel(b, fresh)
-            for a, t in _step(opened, mode, universe):
+            for a, t in _step(opened, universe):
                 if not isinstance(a, Tau) and a.channel == fresh:
                     continue
                 yield a, Restrict(abstract_channel(t, fresh))
@@ -232,19 +266,21 @@ def _complementary(a1: Action, a2: Action) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _tau_reach(p: Process, mode: Mode, universe: Universe, bound: int) -> tuple[frozenset[Process], bool]:
+def _tau_reach(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Process], bool]:
     """States reachable by at most `bound` internal steps, normalized.
 
     Returns the visited set and whether the frontier was still growing
     when the bound was hit.
     """
+    # an inline loop, not `reachable`: this runs tens of thousands of times
+    # per weak check, where a successor call per state cost several percent
     start = normal_process(p)
     visited = {start}
     frontier = [start]
     for _ in range(bound):
         nxt = []
         for s in frontier:
-            for a, t in _step(s, mode, universe):
+            for a, t in _step(s, universe):
                 if isinstance(a, Tau):
                     n = normal_process(t)
                     if n not in visited:
@@ -255,7 +291,7 @@ def _tau_reach(p: Process, mode: Mode, universe: Universe, bound: int) -> tuple[
         frontier = nxt
     truncated = False
     for s in frontier:
-        for a, t in _step(s, mode, universe):
+        for a, t in _step(s, universe):
             if isinstance(a, Tau) and normal_process(t) not in visited:
                 truncated = True
                 break
@@ -275,27 +311,24 @@ def tau_closure(
 
     With `exact` set, refuses to return a truncated answer.
     """
-    mode = mode if mode is not None else infer_mode(p)
-    validate_mode(p, mode)
-    states, truncated = _tau_reach(p, mode, universe, bound)
+    check_mode(mode, p)
+    states, truncated = _tau_reach(p, universe, bound)
     if exact and truncated:
         raise BoundExceeded(f"internal closure still growing after {bound} steps")
     return states
 
 
-def weak_steps(
-    p: Process, mode: Mode, universe: Universe, bound: int
-) -> tuple[frozenset[tuple[Action, Process]], bool]:
+def weak_steps(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Step], bool]:
     """Weak step relation as (action, normalized target) pairs plus a
     truncation flag.  The internal action includes the zero-step case.
     """
-    pre, truncated = _tau_reach(p, mode, universe, bound)
-    out: set[tuple[Action, Process]] = {(TAU, s) for s in pre}
+    pre, truncated = _tau_reach(p, universe, bound)
+    out: set[Step] = {(TAU, s) for s in pre}
     for s in pre:
-        for a, t in _step(s, mode, universe):
+        for a, t in _step(s, universe):
             if isinstance(a, Tau):
                 continue
-            post, trunc2 = _tau_reach(t, mode, universe, bound)
+            post, trunc2 = _tau_reach(t, universe, bound)
             truncated |= trunc2
             out |= {(a, u) for u in post}
     return frozenset(out), truncated
@@ -309,9 +342,8 @@ def weak_transitions(
     exact: bool = False,
 ) -> frozenset[Transition]:
     """Transitions of shape (internal*, visible, internal*) or internal*."""
-    mode = mode if mode is not None else infer_mode(p)
-    validate_mode(p, mode)
-    steps, truncated = weak_steps(p, mode, universe, bound)
+    check_mode(mode, p)
+    steps, truncated = weak_steps(p, universe, bound)
     if exact and truncated:
         raise BoundExceeded(f"internal closure still growing after {bound} steps")
     return frozenset(Transition(p, a, t) for a, t in steps)
@@ -348,5 +380,39 @@ def unfold_comm(p: Process) -> Process:
 
 
 def sorted_transitions(ts: Iterable[Transition]) -> list[Transition]:
-    """Deterministic presentation order for transition sets."""
-    return sorted(ts, key=lambda t: (action_key(t.action), term_key(t.target)))
+    """Transitions in `step_order`."""
+    return sorted(ts, key=lambda t: step_order((t.action, t.target)))
+
+
+# ---------------------------------------------------------------------------
+# Reachability
+# ---------------------------------------------------------------------------
+
+
+def reachable(
+    start: Process,
+    successors: Callable[[Process], Iterable[Process]],
+    max_states: int,
+    max_depth: int | None = None,
+) -> tuple[list[Process], bool]:
+    """Breadth-first search from `start`, expanding states fewer than
+    `max_depth` steps away (all of them when None).
+
+    Returns the states found, in discovery order, and whether a new state
+    was left out because `max_states` were already found.
+    """
+    depth = {start: 0}
+    order = [start]
+    cut = False
+    for s in order:  # grows while it is walked: a FIFO queue
+        if max_depth is not None and depth[s] >= max_depth:
+            break
+        for t in successors(s):
+            if t in depth:
+                continue
+            if len(order) >= max_states:
+                cut = True
+                continue
+            depth[t] = depth[s] + 1
+            order.append(t)
+    return order, cut

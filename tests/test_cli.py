@@ -61,6 +61,33 @@ def test_lts_dot_output(capsys):
     assert 'n0 [label="a!m0"];' in out
 
 
+def test_lts_state_bound_keeps_edges_among_kept_states(capsys):
+    code, out, _ = run_cli(capsys, "lts", "a!m0 | dup a", "--max-states", "3")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1] == "states: 3 (truncated)  mode: extended"
+    kept = {"a!m0 | a => [a, a]", "a!m0 | a!m0 | a => [a, a]", "a => [a, a]"}
+    for line in lines[2:]:
+        source, rest = line.strip().split("  --", 1)
+        assert source in kept and rest.split("-->  ", 1)[1] in kept
+
+
+def test_lts_lists_each_edge_once(capsys):
+    # two raw targets of `a!m0 | a!m0 | dup a` normalize to one state
+    code, out, _ = run_cli(capsys, "lts", "a!m0 | dup a", "--max-states", "3")
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        "  a!m0 | a => [a, a]  --tau-->  a!m0 | a!m0 | a => [a, a]",
+        "  a!m0 | a => [a, a]  --a!m0-->  a => [a, a]",
+        "  a!m0 | a!m0 | a => [a, a]  --a!m0-->  a!m0 | a => [a, a]",
+        "  a => [a, a]  --a?m0-->  a!m0 | a!m0 | a => [a, a]",
+    ]
+    code, out, _ = run_cli(capsys, "lts", "a!m0 | dup a", "--max-states", "3", "--dot")
+    assert code == 0
+    arrows = [line for line in out.splitlines() if " -> " in line]
+    assert len(arrows) == len(set(arrows)) == 4
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ def test_weak_proofs_withstand_plain_weak_attacker():
         l, r = parse(ls), parse(rs)
         mode = Mode.PI if "?*" in ls else Mode.EXTENDED
         assert check_weak(l, r, mode=mode).verdict is Verdict.PROVEN, (ls, rs)
-        attacker = _Attacker(mode, DEFAULT_UNIVERSE, weak=True, tau_bound=6,
+        attacker = _Attacker(DEFAULT_UNIVERSE, weak=True, tau_bound=6,
                              node_budget=4000, normalize_states=True)
         try:
             trace = attacker.search(l, r, 4)

@@ -9,6 +9,8 @@ from netproc import (
     DistinctnessError,
     ParseError,
     Distribute,
+    Mode,
+    ModeViolation,
     Name,
     NetworkSpec,
     Parallel,
@@ -195,6 +197,28 @@ def test_truncation_marks_report_partial():
         max_depth=2,
     )
     assert report.partial
+
+
+def test_state_bound_cuts_the_census():
+    report = explore(
+        parse("new t. (s -> t | duplose t | t -> r1 | t -> r2)"),
+        inputs=[("s", "m0")],
+        max_states=6,
+        max_depth=6,
+    )
+    assert report.states == 6
+    assert report.state_bound_hit and report.partial
+
+
+@pytest.mark.parametrize(
+    "term, mode",
+    [("a ? x. b!x", Mode.EXTENDED), ("a => [b] | a!m0", Mode.PI), ("a ? x. b!x | a => [b]", None)],
+)
+def test_explore_and_simulate_check_the_language(term, mode):
+    with pytest.raises(ModeViolation):
+        explore(parse(term), mode=mode)
+    with pytest.raises(ModeViolation):
+        simulate(parse(term), mode=mode)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netproc import (
     Atom,
@@ -41,13 +42,15 @@ from netproc import (
     normal_process,
     parse,
     pretty_action,
+    sorted_transitions,
     tau_closure,
     transitions,
     unfold_comm,
     validate_mode,
     weak_transitions,
 )
-from helpers import random_comm
+from netproc.semantics import sorted_steps
+from helpers import random_comm, random_pi
 
 UNI = make_universe("m0", "m1")
 
@@ -241,6 +244,25 @@ def test_validate_mode_rejects_foreign_constructs():
         validate_mode(parse("a => [b]"), Mode.PI)
     with pytest.raises(ModeViolation):
         transitions(parse("a => [b]"), Mode.PI, UNI)
+
+
+def test_step_relation_does_not_depend_on_the_mode():
+    p = parse("new t. (a!m0 | t!m1) | b!m0")
+    assert transitions(p, Mode.PI, UNI) == transitions(p, Mode.EXTENDED, UNI)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([random_pi, random_comm]),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([("m0",), ("m0", "m1"), ("m0", "m1", "m2")]),
+)
+def test_sorted_steps_follow_the_transition_order(gen, seed, depth, values):
+    p = gen(random.Random(seed), depth)
+    u = make_universe(*values)
+    expected = [(t.action, t.target) for t in sorted_transitions(transitions(p, universe=u))]
+    assert sorted_steps(p, u) == expected
 
 
 def test_effective_universe_adds_mentioned_values():
