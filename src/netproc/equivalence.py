@@ -45,10 +45,10 @@ from .semantics import (
     Action,
     Mode,
     Universe,
+    WeakClosure,
     check_mode,
     effective_universe,
     sorted_steps,
-    weak_steps,
     _step,
 )
 from .terms import (
@@ -175,7 +175,8 @@ class _Prover:
 
     Pairs are assumed while their obligations are checked; a failed
     defender branch rolls back everything it added, so the surviving set
-    is self-justifying and serves as the emitted witness.
+    is self-justifying and serves as the emitted witness.  The weak game
+    takes the defender's replies from `closure`; None plays the strong one.
     """
 
     def __init__(
@@ -183,21 +184,19 @@ class _Prover:
         universe: Universe,
         cfg: UpToConfig,
         max_pairs: int,
-        weak: bool,
-        tau_bound: int,
+        closure: WeakClosure | None,
     ) -> None:
         self.universe = universe
         self.cfg = cfg
         self.max_pairs = max_pairs
-        self.weak = weak
-        self.tau_bound = tau_bound
+        self.closure = closure
         self.assumed: set[Pair] = set()
         self.trail: list[Pair] = []
         self.explored = 0
 
     def _defender_steps(self, p: Process) -> dict[Action, list[Process]]:
-        if self.weak:
-            steps, _ = weak_steps(p, self.universe, self.tau_bound)
+        if self.closure is not None:
+            steps, _ = self.closure.steps(p)
         else:
             steps = _step(p, self.universe)
         grouped: dict[Action, list[Process]] = {}
@@ -271,7 +270,11 @@ class _Prover:
 
 
 class _Attacker:
-    """Iterative-deepening attacker for the plain (no up-to) game."""
+    """Iterative-deepening attacker for the plain (no up-to) game.
+
+    In the weak game the defender's replies come from `closure`; a reply
+    set cut short by the internal-step bound taints every verdict.
+    """
 
     def __init__(
         self,
@@ -280,10 +283,11 @@ class _Attacker:
         tau_bound: int,
         node_budget: int,
         normalize_states: bool = True,
+        closure: WeakClosure | None = None,
     ) -> None:
         self.universe = universe
         self.weak = weak
-        self.tau_bound = tau_bound
+        self.closure = closure if closure is not None else WeakClosure(universe, tau_bound)
         self.budget = node_budget
         self.normalize_states = normalize_states
         self.memo: dict[tuple[Process, Process, int], tuple[TraceStep, ...] | None] = {}
@@ -295,7 +299,7 @@ class _Attacker:
 
     def _replies(self, p: Process, a: Action) -> list[Process]:
         if self.weak:
-            steps, truncated = weak_steps(p, self.universe, self.tau_bound)
+            steps, truncated = self.closure.steps(p)
             self.tainted |= truncated
             opts = [t for sa, t in steps if sa == a]
         else:
@@ -412,7 +416,9 @@ def _check(
     max_trace_depth: int,
     node_budget: int,
 ) -> CheckResult:
-    prover = _Prover(uni, upto, max_pairs, weak, tau_bound)
+    # one weak closure for the whole check, shared by prover and attacker
+    closure = WeakClosure(uni, tau_bound) if weak else None
+    prover = _Prover(uni, upto, max_pairs, closure)
     bound_hit: str | None = None
     # proof search recurses once per candidate pair plus matching overhead
     depth_needed = 8 * max_pairs + 500
@@ -430,7 +436,7 @@ def _check(
     if proved:
         return CheckResult(Verdict.PROVEN, frozenset(prover.assumed), None, prover.explored, None)
 
-    attacker = _Attacker(uni, weak, tau_bound, node_budget)
+    attacker = _Attacker(uni, weak, tau_bound, node_budget, closure=closure)
     trace: tuple[TraceStep, ...] | None = None
     try:
         trace = attacker.search(p, q, max_trace_depth)
@@ -464,6 +470,7 @@ def audit_witness(
     proof search.  Returns the first offending pair, or None if the
     witness is closed and contains the reduced root."""
     uni = _prepare(p, q, universe, mode)
+    closure = WeakClosure(uni, tau_bound)
 
     def covered(l: Process, r: Process) -> bool:
         red = _reduce(l, r, upto)
@@ -475,7 +482,7 @@ def audit_witness(
         for forward in (True, False):
             chal, resp = (u, v) if forward else (v, u)
             if weak:
-                resp_steps, _ = weak_steps(resp, uni, tau_bound)
+                resp_steps, _ = closure.steps(resp)
             else:
                 resp_steps = _step(resp, uni)
             for a, t in _step(chal, uni):
@@ -522,6 +529,7 @@ def replay_trace(
     the final challenger action must have no reply from the other side.
     """
     uni = _prepare(p, q, universe, mode)
+    closure = WeakClosure(uni, tau_bound)
     state = {"left": normal_process(p), "right": normal_process(q)}
     for i, step in enumerate(trace):
         chal = state[step.side]
@@ -530,7 +538,7 @@ def replay_trace(
             return False
         other = "right" if step.side == "left" else "left"
         if weak:
-            resp_steps, _ = weak_steps(state[other], uni, tau_bound)
+            resp_steps, _ = closure.steps(state[other])
             replies = {t for a, t in resp_steps if a == step.action}
         else:
             replies = {

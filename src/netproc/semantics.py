@@ -10,19 +10,26 @@ language check, not a rule set: each public entry point checks its terms
 once, and since no rule introduces a construct of the other language,
 every state reached from a checked term is in the same language.
 
-Restriction is handled by opening the binder with one fresh channel,
-enumerating underneath, discarding transitions whose action mentions the
-fresh channel, and re-abstracting it in the targets.  Because transition
-enumeration is uniform in channel names, one fresh instantiation decides
-the quantified premise; tests cross-check this against multi-name probes.
+Restriction steps its body in place, under the binder, with no fresh
+names.  Inside the body the restricted channel is de Bruijn index 0: a
+visible action on `ChanVar(0)` is traffic on the hidden channel and is
+dropped, a visible action on `ChanVar(k)` names a channel bound further
+out and leaves as `ChanVar(k-1)`, and every target keeps the binder.
+This is the textbook rule (open the binder with a fresh name, step,
+re-abstract the name) without the renaming: stepping commutes with
+channel renaming and channels are never payloads, so each target is the
+same interned node the fresh-name round trip builds.  Tests cross-check
+the two rules against each other.
 
 `step_order` is the one presentation order for steps (action, then
 target term); every listing, game move and exploration sorts by it.
 `reachable` is the breadth-first search behind explore and the CLI's LTS.
-The weak closure `_tau_reach` keeps its own loop: it runs tens of
-thousands of times per weak check, on graphs of a few states, and calling
-a successor function per state there made weak checks several percent
-slower.
+The weak closure `_tau_reach` keeps its own loop: it runs thousands of
+times per weak check, on graphs of a few states, and calling a successor
+function per state there made weak checks several percent slower.  A
+`WeakClosure` remembers `_tau_reach` and `weak_steps` by state for one
+check (one universe, one bound); a check builds one and drops it when it
+returns, so nothing it remembers outlives the check.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ from .errors import BoundExceeded, ModeViolation
 from .normalform import normal_process, term_key
 from .terms import (
     Atom,
+    Channel,
+    ChanVar,
     Distribute,
-    Name,
     Parallel,
     Process,
     Receive,
@@ -46,12 +54,8 @@ from .terms import (
     STOP,
     Stop,
     ValVar,
-    abstract_channel,
     atoms_used,
     constructs_used,
-    free_channel_names,
-    fresh_channel_name,
-    instantiate_channel,
     instantiate_value,
 )
 
@@ -68,15 +72,19 @@ class Mode(str, Enum):
 # ---------------------------------------------------------------------------
 
 
+# The channel of a closed term's action is a Name; a body stepped under
+# its restriction binders also acts on the channels they bind (ChanVar).
+
+
 @dataclass(frozen=True)
 class SendAct:
-    channel: Name
+    channel: Channel
     payload: Atom
 
 
 @dataclass(frozen=True)
 class ReceiveAct:
-    channel: Name
+    channel: Channel
     payload: Atom
 
 
@@ -242,12 +250,15 @@ def _enumerate(p: Process, universe: Universe) -> Iterable[Step]:
                     if _complementary(a1, a2):
                         yield TAU, Parallel(t1, t2)
         case Restrict(body=b):
-            fresh = Name(fresh_channel_name(free_channel_names(b), base="_nu"))
-            opened = instantiate_channel(b, fresh)
-            for a, t in _step(opened, universe):
-                if not isinstance(a, Tau) and a.channel == fresh:
-                    continue
-                yield a, Restrict(abstract_channel(t, fresh))
+            # the body's steps under the binder: traffic on the bound
+            # channel (index 0) stays inside, outer bound channels move
+            # one binder out, and each target keeps the binder
+            for a, t in _step(b, universe):
+                if not isinstance(a, Tau) and isinstance(a.channel, ChanVar):
+                    if a.channel.index == 0:
+                        continue
+                    a = type(a)(ChanVar(a.channel.index - 1), a.payload)
+                yield a, Restrict(t)
         case _:
             raise TypeError(f"not a process: {p!r}")
 
@@ -272,8 +283,8 @@ def _tau_reach(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Pr
     Returns the visited set and whether the frontier was still growing
     when the bound was hit.
     """
-    # an inline loop, not `reachable`: this runs tens of thousands of times
-    # per weak check, where a successor call per state cost several percent
+    # an inline loop, not `reachable`: this runs thousands of times per
+    # weak check, where a successor call per state cost several percent
     start = normal_process(p)
     visited = {start}
     frontier = [start]
@@ -321,17 +332,58 @@ def tau_closure(
 def weak_steps(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Step], bool]:
     """Weak step relation as (action, normalized target) pairs plus a
     truncation flag.  The internal action includes the zero-step case.
+    Each call computes afresh; a check asks its `WeakClosure` instead.
     """
-    pre, truncated = _tau_reach(p, universe, bound)
-    out: set[Step] = {(TAU, s) for s in pre}
-    for s in pre:
-        for a, t in _step(s, universe):
-            if isinstance(a, Tau):
-                continue
-            post, trunc2 = _tau_reach(t, universe, bound)
-            truncated |= trunc2
-            out |= {(a, u) for u in post}
-    return frozenset(out), truncated
+    return WeakClosure(universe, bound).weak_steps(p)
+
+
+class WeakClosure:
+    """The weak closure for one check: one universe, one internal-step bound.
+
+    `reach` and `steps` remember each `_tau_reach` by start state and each
+    weak step set by state, truncation flags included, for as long as the
+    object lives.  A check builds one, shares it between its prover and
+    attacker, and drops it when it returns.
+    """
+
+    __slots__ = ("universe", "bound", "_reach", "_steps")
+
+    def __init__(self, universe: Universe, bound: int) -> None:
+        self.universe = universe
+        self.bound = bound
+        self._reach: dict[Process, tuple[frozenset[Process], bool]] = {}
+        self._steps: dict[Process, tuple[frozenset[Step], bool]] = {}
+
+    def reach(self, p: Process) -> tuple[frozenset[Process], bool]:
+        """`_tau_reach(p, ...)`, computed once per start state."""
+        hit = self._reach.get(p)
+        if hit is None:
+            hit = self._reach[p] = _tau_reach(p, self.universe, self.bound)
+        return hit
+
+    def steps(self, p: Process) -> tuple[frozenset[Step], bool]:
+        """`weak_steps(p, ...)`, computed once per state."""
+        hit = self._steps.get(p)
+        if hit is None:
+            hit = self._steps[p] = self.weak_steps(p)
+        return hit
+
+    def weak_steps(self, p: Process) -> tuple[frozenset[Step], bool]:
+        """Compute the weak steps of `p`, through the remembered closures.
+
+        Named like the module function, so that a profile counts every
+        weak step computation under one name.
+        """
+        pre, truncated = self.reach(p)
+        out: set[Step] = {(TAU, s) for s in pre}
+        for s in pre:
+            for a, t in _step(s, self.universe):
+                if isinstance(a, Tau):
+                    continue
+                post, trunc2 = self.reach(t)
+                truncated |= trunc2
+                out |= {(a, u) for u in post}
+        return frozenset(out), truncated
 
 
 def weak_transitions(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -190,6 +191,51 @@ def test_hidden_buffer_family_is_reported_as_bounded():
     res = check_weak(parse("new t. (a -> t | t -> b)"), parse("a -> b"), 6, 48)
     assert res.verdict is Verdict.INCONCLUSIVE
     assert res.bound_hit == "max-pairs"
+
+
+HIDDEN_RELAY = ("new t. (a -> t | t -> b)", "a -> b")
+
+
+def test_weak_check_computes_each_internal_closure_once(monkeypatch):
+    from netproc import semantics
+
+    starts = Counter()
+    compute = semantics._tau_reach
+
+    def counting(p, universe, bound):
+        starts[p] += 1
+        return compute(p, universe, bound)
+
+    monkeypatch.setattr(semantics, "_tau_reach", counting)
+    res = check_weak(*map(parse, HIDDEN_RELAY), 4, 48)
+    assert res.bound_hit == "max-pairs"
+    assert len(starts) > 100
+    assert max(starts.values()) == 1
+
+
+def _container_sizes(*modules) -> dict[str, int]:
+    return {
+        f"{m.__name__}.{name}": len(value)
+        for m in modules
+        for name, value in vars(m).items()
+        if isinstance(value, (dict, list, set))
+    }
+
+
+def test_weak_check_leaves_no_module_state_behind():
+    import gc
+
+    from netproc import equivalence, semantics
+
+    check_weak(*map(parse, HIDDEN_RELAY), 3, 16)  # fill the step and normal-form caches
+    before = _container_sizes(semantics, equivalence)
+    res = check_weak(*map(parse, HIDDEN_RELAY), 4, 48)
+    assert res.verdict is Verdict.INCONCLUSIVE
+    after = _container_sizes(semantics, equivalence)
+    grown = {k for k in after if after[k] != before.get(k)} - {"netproc.semantics._STEP_CACHE"}
+    assert grown == set()
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, semantics.WeakClosure)]
 
 
 def test_weak_proofs_withstand_plain_weak_attacker():

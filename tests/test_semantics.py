@@ -1,9 +1,12 @@
 """Transition rules, rule by rule, plus closures and mode discipline.
 
-The restriction rule decides its quantified premise with a single fresh
-instantiation; `restrict_steps_oracle` re-derives the step set with
-several distinct fresh names and checks they all agree, which is the
-uniformity property that justifies the shortcut.
+The restriction rule steps a body in place under its binder, reading the
+bound channel as de Bruijn index 0.  Two independent derivations check
+it: `restrict_steps_oracle` opens the binder with several distinct fresh
+names and re-abstracts each (the names must all agree), and
+`fresh_name_steps` is the whole step relation with the textbook
+fresh-name restriction rule, compared state by state on random terms.
+`WeakClosure` must answer as the uncached weak step relation does.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from netproc import (
     Atom,
     BoundExceeded,
+    ChanVar,
     Distribute,
     Mode,
     ModeViolation,
@@ -35,6 +39,7 @@ from netproc import (
     abstract_channel,
     effective_universe,
     free_channel_names,
+    fresh_channel_name,
     infer_mode,
     instantiate_channel,
     instantiate_value,
@@ -49,7 +54,7 @@ from netproc import (
     validate_mode,
     weak_transitions,
 )
-from netproc.semantics import sorted_steps
+from netproc.semantics import WeakClosure, _step, _tau_reach, reachable, sorted_steps, weak_steps
 from helpers import random_comm, random_pi
 
 UNI = make_universe("m0", "m1")
@@ -136,6 +141,59 @@ def restrict_steps_oracle(body, mode, universe, probes=("p0", "p1", "p2")):
     return outs[0]
 
 
+def fresh_name_steps(p, universe):
+    """Steps of a closed term with the textbook restriction rule: open the
+    binder with a fresh name, step, drop traffic on that name, re-abstract.
+    Prefixes and leaves do not step their bodies, so they come from `_step`."""
+    match p:
+        case Restrict(body=b):
+            fresh = Name(fresh_channel_name(free_channel_names(b), base="_nu"))
+            out = set()
+            for a, t in fresh_name_steps(instantiate_channel(b, fresh), universe):
+                if isinstance(a, Tau) or a.channel != fresh:
+                    out.add((a, Restrict(abstract_channel(t, fresh))))
+            return out
+        case Parallel(left=l, right=r):
+            lsteps, rsteps = fresh_name_steps(l, universe), fresh_name_steps(r, universe)
+            out = {(a, Parallel(t, r)) for a, t in lsteps} | {(a, Parallel(l, t)) for a, t in rsteps}
+            for a1, t1 in lsteps:
+                for a2, t2 in rsteps:
+                    kinds = {type(a1), type(a2)}
+                    if kinds == {SendAct, ReceiveAct} and (a1.channel, a1.payload) == (a2.channel, a2.payload):
+                        out.add((TAU, Parallel(t1, t2)))
+            return out
+    return set(_step(p, universe))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([random_pi, random_comm]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([("m0",), ("m0", "m1")]),
+)
+def test_index_rule_agrees_with_fresh_name_rule(gen, seed, depth, values):
+    p = gen(random.Random(seed), depth)
+    u = effective_universe(make_universe(*values), p)
+    states, _ = reachable(p, lambda s: [t for _, t in _step(s, u)], 20)
+    for s in states:
+        assert set(_step(s, u)) == fresh_name_steps(s, u)
+
+
+def test_index_rule_shifts_outer_binders():
+    # inside both binders t is index 1 and u index 0; between them u's send
+    # is hidden and t's is on index 0; outside, only a!m0 is left
+    p = parse("new t. new u. (t!m0 | u!m1 | a!m0)")
+    inside, between = p.body.body, p.body
+    m0, m1 = Atom("m0"), Atom("m1")
+    assert {a for a, _ in _step(inside, UNI)} == {
+        SendAct(ChanVar(1), m0), SendAct(ChanVar(0), m1), SendAct(Name("a"), m0)
+    }
+    assert {a for a, _ in _step(between, UNI)} == {SendAct(ChanVar(0), m0), SendAct(Name("a"), m0)}
+    assert {a for a, _ in _step(p, UNI)} == {SendAct(Name("a"), m0)}
+    assert set(_step(p, UNI)) == fresh_name_steps(p, UNI)
+
+
 def test_restriction_blocks_external_traffic():
     assert transitions(parse("new t. t!m0"), universe=UNI) == frozenset()
     assert transitions(parse("new t. lose t"), universe=UNI) == frozenset()
@@ -189,6 +247,39 @@ def test_weak_actions_include_padded_output():
 def test_weak_transitions_always_offer_the_empty_internal_move():
     acts = {t.action for t in weak_transitions(STOP, universe=UNI)}
     assert TAU in acts
+
+
+def reference_weak_steps(p, universe, bound):
+    """Weak steps straight from `_tau_reach`, remembering nothing."""
+    pre, truncated = _tau_reach(p, universe, bound)
+    out = {(TAU, s) for s in pre}
+    for s in pre:
+        for a, t in _step(s, universe):
+            if not isinstance(a, Tau):
+                post, cut = _tau_reach(t, universe, bound)
+                truncated |= cut
+                out |= {(a, u) for u in post}
+    return frozenset(out), truncated
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([random_pi, random_comm]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=3),
+)
+def test_weak_closure_answers_as_uncached_weak_steps(gen, seed, depth, bound):
+    p = gen(random.Random(seed), depth)
+    u = effective_universe(UNI, p)
+    closure = WeakClosure(u, bound)
+    states, _ = reachable(normal_process(p), lambda s: [normal_process(t) for _, t in _step(s, u)], 12)
+    for _ in range(2):  # the second pass answers from memory
+        for s in states:
+            want = reference_weak_steps(s, u, bound)
+            assert closure.steps(s) == want
+            assert weak_steps(s, u, bound) == want
+            assert closure.reach(s) == _tau_reach(s, u, bound)
 
 
 # ---------------------------------------------------------------------------
