@@ -112,7 +112,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    only = set(args.only.split(",")) if args.only else None
+    only = {part.strip() for part in args.only.split(",") if part.strip()} if args.only else None
     report = run_laws(only=only, universe=_universe_from(args), max_pairs=args.max_pairs)
     print(format_report(report))
     return 0 if report.passed else 1
@@ -182,8 +182,27 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 3, as every input error does."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
+def _budget(text: str) -> int:
+    """A bound given on the command line: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="netproc", description="process calculus workbench")
+    top = _Parser(prog="netproc", description="process calculus workbench")
     top.add_argument("--values", help="comma separated value universe (default m0,m1; env NETPROC_VALUES)")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -193,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lts", help="print the reachable transition system")
     p.add_argument("term")
-    p.add_argument("--max-states", type=int, default=256)
+    p.add_argument("--max-states", type=_budget, default=256)
     p.add_argument("--dot", action="store_true", help="emit graphviz instead of text")
     p.set_defaults(fn=_cmd_lts)
 
@@ -202,28 +221,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("right")
     p.add_argument("--weak", action="store_true", help="internal moves are unobservable")
     p.add_argument("--no-upto", action="store_true", help="disable proof-side reductions")
-    p.add_argument("--max-pairs", type=int, default=512)
-    p.add_argument("--tau-bound", type=int, default=8)
+    p.add_argument("--max-pairs", type=_budget, default=512)
+    p.add_argument("--tau-bound", type=_budget, default=8)
     p.add_argument("--emit-witness", metavar="FILE", help="write the proven pair set")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("laws", help="run the equational law suite")
     p.add_argument("--only", help="comma separated law ids")
-    p.add_argument("--max-pairs", type=int, default=512)
+    p.add_argument("--max-pairs", type=_budget, default=512)
     p.set_defaults(fn=_cmd_laws)
 
     p = sub.add_parser("explore", help="enumerate delivery behaviour of a network")
     p.add_argument("term")
     p.add_argument("--inject", action="append", metavar="CHANNEL=VALUE")
-    p.add_argument("--max-states", type=int, default=512)
-    p.add_argument("--max-depth", type=int, default=24)
+    p.add_argument("--max-states", type=_budget, default=512)
+    p.add_argument("--max-depth", type=_budget, default=24)
     p.add_argument("--query", help='e.g. "r1=1,total>=2" or "distinct>=2"')
     p.set_defaults(fn=_cmd_explore)
 
     p = sub.add_parser("simulate", help="follow one random run of a network")
     p.add_argument("term")
     p.add_argument("--inject", action="append", metavar="CHANNEL=VALUE")
-    p.add_argument("--steps", type=int, default=32)
+    p.add_argument("--steps", type=_budget, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_simulate)
     return top
@@ -234,7 +253,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except NetprocError as exc:
+    except BrokenPipeError:
+        # an OSError too, but run() turns a closed pipe into exit 141
+        raise
+    except (NetprocError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -19,6 +19,7 @@ from .equivalence import (
     check_strong,
     check_weak,
 )
+from .errors import NetprocError
 from .normalform import term_key
 from .semantics import DEFAULT_UNIVERSE, Mode, Universe
 from .terms import (
@@ -237,6 +238,16 @@ def _run_instance(inst: LawInstance, law: Law, universe: Universe, max_pairs: in
     return LawRow(law.law_id, inst.label, res.verdict, res.pairs_explored, res.verdict is Verdict.PROVEN)
 
 
+# ids of the rows run_laws derives from the proven pool, after the catalog
+_CONDITIONAL_IDS = (
+    "par-congruence",
+    "restrict-congruence",
+    "par-congruence-weak",
+    "restrict-congruence-weak",
+    "strong-implies-weak",
+)
+
+
 def run_laws(
     only: set[str] | None = None,
     universe: Universe = DEFAULT_UNIVERSE,
@@ -246,13 +257,20 @@ def run_laws(
     """Check every law instance; conditional laws consume the proven pool.
 
     The report row order is deterministic, as is the premise sampling.
+    `only` selects law ids; an id that names no law raises NetprocError,
+    so a misspelt id is never skipped silently.
     """
+    catalog = law_catalog(universe)
+    if only is not None:
+        unknown = set(only).difference(law.law_id for law in catalog).difference(_CONDITIONAL_IDS)
+        if unknown:
+            raise NetprocError(f"unknown law id(s): {', '.join(sorted(unknown))}")
     report = LawReport(rows=[], passed=True, universe=universe, proven=[])
 
     def wanted(law_id: str) -> bool:
         return only is None or law_id in only
 
-    for law in law_catalog(universe):
+    for law in catalog:
         if not wanted(law.law_id):
             continue
         for inst in law.instances:

@@ -234,16 +234,13 @@ def _norm_restrict(p: Restrict, log: list[str]) -> Process:
 
 
 def _run_usage(core: Process, k: int) -> list[int]:
-    """Ascending indices of run binders actually referenced in `core`."""
-    used: set[int] = set()
+    """Ascending indices of run binders actually referenced in `core`.
 
-    def f(c: Channel, d: int) -> Channel:
-        if isinstance(c, ChanVar) and 0 <= c.index - d < k:
-            used.add(c.index - d)
-        return c
-
-    _map_channels(core, f)
-    return sorted(used)
+    Read off the channel mask each node carries (bit i: `ChanVar(i)` is
+    free in the node), so the body is neither walked nor rebuilt.
+    """
+    mask = core._chan_mask
+    return [i for i in range(k) if mask >> i & 1]
 
 
 def _strengthen_run(core: Process, k: int, keep: list[int]) -> Process:

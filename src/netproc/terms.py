@@ -9,12 +9,15 @@ Process nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): building a node with the same constructor and the
 same fields as a live node returns that node, so structurally equal terms
 are the same object.  Equality is identity, and each node computes its
-structural hash once, from its children's stored hashes.  The intern
-table holds nodes weakly, so a term is dropped once nothing else refers
-to it.  Terms must be built through their constructors; copying and
-pickling go through them too.  The channel and value leaves are small
-frozen dataclasses with structural equality.  All operations here are
-pure.
+structural hash once, from its children's stored hashes.  Each node
+also carries a channel mask, set when it is built from its children's
+masks: bit i is set when the bound channel `ChanVar(i)` occurs free in
+the node, so which enclosing binders a term uses is read off its top
+node without a walk.  The intern table holds nodes weakly, so a term is
+dropped once nothing else refers to it.  Terms must be built through
+their constructors; copying and pickling go through them too.  The
+channel and value leaves are small frozen dataclasses with structural
+equality.  All operations here are pure.
 """
 
 from __future__ import annotations
@@ -78,11 +81,10 @@ class _Ref(weakref.ref):
 
 # (constructor, *fields) -> weak reference to the live node with that structure
 _TABLE: dict[tuple, _Ref] = {}
-# Held while an entry is checked and replaced, so that two threads cannot
-# both build a node for one key.  Re-entrant because a node freed while it
-# is held runs _drop in the same thread.
+# Held while an entry is inserted or replaced, so that of two threads that
+# built a node for one key, both return the one that went in.  Re-entrant
+# because a node freed while it is held runs _drop in the same thread.
 _LOCK = threading.RLock()
-_set = object.__setattr__
 
 
 def _drop(ref: _Ref, table: dict = _TABLE, lock=_LOCK) -> None:
@@ -94,39 +96,55 @@ def _drop(ref: _Ref, table: dict = _TABLE, lock=_LOCK) -> None:
 
 def _intern(key: tuple) -> "Process":
     """The live node for `key`, which is (constructor, *fields), built
-    if there is none."""
+    if there is none.  A miss hashes the key twice: in the lock-free get
+    and in the setdefault under the lock."""
     ref = _TABLE.get(key)
     node = None if ref is None else ref()
     if node is not None:
         return node
+    cls, fields = key[0], key[1:]
+    node = object.__new__(cls)
+    for put, value in zip(cls._put_fields, fields):
+        put(node, value)
+    # the same value the field-tuple hash of a plain dataclass would give
+    _put_hash(node, hash(fields))
+    _put_term_key(node, None)
+    _put_chan_mask(node, node._mask())
+    ref = _Ref(node, _drop)
+    ref.key = key
     with _LOCK:
-        ref = _TABLE.get(key)
-        node = None if ref is None else ref()
-        if node is None:
-            cls, fields = key[0], key[1:]
-            node = object.__new__(cls)
-            for name, value in zip(cls.__match_args__, fields):
-                _set(node, name, value)
-            # the same value the field-tuple hash of a plain dataclass would give
-            _set(node, "_hash", hash(fields))
-            _set(node, "_term_key", None)
-            ref = _Ref(node, _drop)
-            ref.key = key
+        # another thread may have built the same node since the get above
+        held = _TABLE.setdefault(key, ref)
+        if held is not ref:
+            live = held()
+            if live is not None:
+                return live
             _TABLE[key] = ref
     return node
+
+
+def _bit(c: Channel) -> int:
+    # a negative index refers to no binder (well_scoped rejects it)
+    return 1 << c.index if type(c) is ChanVar and c.index >= 0 else 0
 
 
 class _Node:
     """Base of the process constructors: interned, hashed once.
 
     `_term_key` is the node's sort key, filled in on first use by
-    `normalform.term_key`.
+    `normalform.term_key`.  `_chan_mask` is set when the node is built:
+    bit i is set when `ChanVar(i)` occurs free in the node, counting
+    binders from the node itself.  `_mask` computes it from the fields,
+    whose own masks are already set.
     """
 
-    __slots__ = ("_hash", "_term_key", "__weakref__")
+    __slots__ = ("_hash", "_term_key", "_chan_mask", "__weakref__")
 
     def __hash__(self) -> int:
         return self._hash
+
+    def _mask(self) -> int:
+        return 0
 
     def __reduce__(self) -> tuple:
         # copy, deepcopy and unpickling rebuild through the constructor,
@@ -134,9 +152,19 @@ class _Node:
         return type(self), tuple(getattr(self, f) for f in self.__match_args__)
 
 
-# identity equality comes from object; the generated __init__ is replaced
-# by each constructor's __new__, which returns the interned node
-_process = dataclass(frozen=True, slots=True, eq=False, init=False)
+# Slot setters, which write a frozen node's slots without the attribute
+# lookup of object.__setattr__ (half its cost)
+_put_hash = _Node._hash.__set__
+_put_term_key = _Node._term_key.__set__
+_put_chan_mask = _Node._chan_mask.__set__
+
+
+def _process(cls: type) -> type:
+    # identity equality comes from object; the generated __init__ is
+    # replaced by each constructor's __new__, which returns the interned node
+    cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
+    cls._put_fields = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +190,9 @@ class Send(_Node):
     def __new__(cls, channel: Channel, payload: Value) -> Send:
         return _intern((cls, channel, payload))
 
+    def _mask(self) -> int:
+        return _bit(self.channel)
+
 
 @_process
 class Receive(_Node):
@@ -172,6 +203,9 @@ class Receive(_Node):
 
     def __new__(cls, channel: Channel, body: Process) -> Receive:
         return _intern((cls, channel, body))
+
+    def _mask(self) -> int:
+        return _bit(self.channel) | self.body._chan_mask
 
 
 @_process
@@ -188,6 +222,9 @@ class RepeatReceive(_Node):
     def __new__(cls, channel: Channel, body: Process) -> RepeatReceive:
         return _intern((cls, channel, body))
 
+    def _mask(self) -> int:
+        return _bit(self.channel) | self.body._chan_mask
+
 
 @_process
 class Parallel(_Node):
@@ -199,6 +236,9 @@ class Parallel(_Node):
     def __new__(cls, left: Process, right: Process) -> Parallel:
         return _intern((cls, left, right))
 
+    def _mask(self) -> int:
+        return self.left._chan_mask | self.right._chan_mask
+
 
 @_process
 class Restrict(_Node):
@@ -208,6 +248,10 @@ class Restrict(_Node):
 
     def __new__(cls, body: Process) -> Restrict:
         return _intern((cls, body))
+
+    def _mask(self) -> int:
+        # the body's index 0 is this binder; its index i+1 is our index i
+        return self.body._chan_mask >> 1
 
 
 @_process
@@ -221,6 +265,12 @@ class Distribute(_Node):
 
     def __new__(cls, source: Channel, targets: Iterable[Channel]) -> Distribute:
         return _intern((cls, source, tuple(targets)))
+
+    def _mask(self) -> int:
+        mask = _bit(self.source)
+        for t in self.targets:
+            mask |= _bit(t)
+        return mask
 
 
 Process = Union[Stop, Send, Receive, RepeatReceive, Parallel, Restrict, Distribute]

@@ -216,7 +216,7 @@ def test_bad_inject_spec_exits_three(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
 
 
 # ---------------------------------------------------------------------------
@@ -246,3 +246,62 @@ def test_module_bad_term_exits_three():
     assert done.returncode == 3
     assert done.stdout == ""
     assert done.stderr.startswith("error: ParseError:")
+
+
+# ---------------------------------------------------------------------------
+# usage and input errors exit 3, in a fresh process
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "a!m0"],
+        ["explore", "a -> b", "--max-depth", "x"],
+        ["frobnicate"],
+        ["check", "a!m0", "a!m0", "--max-pairs", "-1"],
+        ["check", "a!m0", "a!m0", "--weak", "--tau-bound", "-1"],
+        ["lts", "a!m0", "--max-states", "-1"],
+        ["explore", "a -> b", "--inject", "a=m0", "--max-depth", "-1"],
+        ["explore", "a -> b", "--inject", "a=m0", "--max-states", "-2"],
+        ["simulate", "a -> b", "--inject", "a=m0", "--steps", "-1"],
+        ["laws", "--max-pairs", "-5"],
+    ],
+)
+def test_usage_errors_and_negative_budgets_exit_three(argv):
+    done = run_module("netproc", *argv)
+    assert done.returncode == 3, done.stdout
+    assert done.stdout == ""
+    errors = [line for line in done.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("netproc")
+
+
+def test_help_exits_zero():
+    done = run_module("netproc", "explore", "--help")
+    assert done.returncode == 0
+    assert "--max-depth" in done.stdout and done.stderr == ""
+
+
+def test_zero_budget_is_accepted():
+    done = run_module("netproc", "explore", "a -> b", "--inject", "a=m0", "--max-depth", "0")
+    assert done.returncode == 0, done.stderr
+    assert "paths: 0 complete, 1 truncated" in done.stdout
+
+
+def test_unwritable_witness_path_exits_three(tmp_path):
+    target = tmp_path / "missing" / "w"
+    done = run_module("netproc", "check", "a!m0", "a!m0", "--emit-witness", str(target))
+    assert done.returncode == 3
+    assert "verdict: proven-bisimilar" in done.stdout
+    assert done.stderr.splitlines() == [
+        f"error: FileNotFoundError: [Errno 2] No such file or directory: {str(target)!r}"
+    ]
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("only", ["nosuch", "par-comm,nosuch"])
+def test_unknown_law_id_exits_three(only):
+    done = run_module("netproc", "laws", "--only", only)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "error: NetprocError: unknown law id(s): nosuch\n"

@@ -2,7 +2,8 @@
 
 The reference sort key below is the recursive definition the stored
 `term_key` must reproduce exactly; it is kept here, independent of the
-per-node cache.
+per-node cache.  Likewise the reference channel mask walks the term with
+the substitution traversal, independent of the mask stored on each node.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import dataclasses
 import gc
 import pickle
 import random
+import sys
+import threading
 import weakref
 
 import pytest
@@ -172,6 +175,65 @@ def test_table_drops_terms_nobody_holds():
     assert terms._TABLE[key]() is again
 
 
+def test_lookup_that_loses_a_race_returns_the_node_in_the_table(monkeypatch):
+    # another thread inserts the node between the lock-free lookup and the
+    # insert: the insert must keep and return that node, not a twin
+    probe = Atom("race-lost-probe")
+    key = (Send, a, probe)
+    held = Send(a, probe)
+
+    class InsertedMeanwhile(dict):
+        def get(self, key, default=None):
+            return None
+
+    table = InsertedMeanwhile({key: terms._TABLE[key]})
+    monkeypatch.setattr(terms, "_TABLE", table)
+    assert Send(a, probe) is held
+    assert table[key]() is held and len(table) == 1
+
+
+def test_dead_entry_is_replaced_by_the_new_node():
+    key = (Send, a, Atom("dead-entry-probe"))
+    victim = Send(a, Atom("dead-entry-probe"))
+    dead = terms._Ref(victim)
+    del victim
+    gc.collect()
+    assert dead() is None and key not in terms._TABLE
+    terms._TABLE[key] = dead
+    fresh = Send(a, Atom("dead-entry-probe"))
+    assert terms._TABLE[key]() is fresh
+    assert Send(a, Atom("dead-entry-probe")) is fresh
+
+
+def test_threads_building_one_term_get_one_node():
+    threads_n = 8
+    interval = sys.getswitchinterval()
+    # switch threads as often as possible, so that builds interleave
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(20):
+            probe = Name(f"thread-probe-{round_}")
+            barrier = threading.Barrier(threads_n, timeout=10)
+            got = [None] * threads_n
+
+            def build(i: int) -> None:
+                barrier.wait()
+                got[i] = Restrict(Parallel(Send(ChanVar(0), m0), Receive(probe, Send(ChanVar(0), ValVar(0)))))
+
+            workers = [threading.Thread(target=build, args=(i,)) for i in range(threads_n)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+                assert not w.is_alive()
+            assert got[0] is not None and all(node is got[0] for node in got)
+            for sub in subterms(got[0]):
+                key = (type(sub), *(getattr(sub, f) for f in sub.__match_args__))
+                assert terms._TABLE[key]() is sub
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # ---------------------------------------------------------------------------
 # sort keys and equality against the reference key
 # ---------------------------------------------------------------------------
@@ -196,3 +258,46 @@ def test_stored_term_key_matches_reference_and_equality(kind, s1, d1, s2, d2):
     assert (p == q) is (reference_key(p) == reference_key(q))
     assert (p is q) is (p == q)
     assert _build(kind, s1, d1) is p
+
+
+# ---------------------------------------------------------------------------
+# channel masks against the substitution traversal
+# ---------------------------------------------------------------------------
+
+
+def reference_mask(p) -> int:
+    """Bound-channel indices dangling at the top of `p`, as a bitmask."""
+    used: set[int] = set()
+
+    def record(c, d):
+        if isinstance(c, ChanVar) and c.index - d >= 0:
+            used.add(c.index - d)
+        return c
+
+    terms._map_channels(p, record)
+    return sum(1 << i for i in used)
+
+
+# a wider seed and depth range than above: receives on a bound channel that
+# their body does not use are rare in small terms
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["pi", "comm"]), st.integers(min_value=0, max_value=10**6), st.integers(0, 4))
+def test_stored_channel_mask_matches_reference(kind, seed, depth):
+    # subterms include bodies under one or more restrictions, where bound
+    # channel indices dangle
+    for sub in subterms(_build(kind, seed, depth)):
+        assert sub._chan_mask == reference_mask(sub)
+
+
+def test_channel_mask_of_each_constructor():
+    c0, c1, c2 = ChanVar(0), ChanVar(1), ChanVar(2)
+    assert STOP._chan_mask == 0
+    assert Send(c2, ValVar(0))._chan_mask == 0b100
+    assert Send(a, m0)._chan_mask == 0
+    assert Receive(c1, Send(c0, ValVar(0)))._chan_mask == 0b11
+    assert RepeatReceive(a, Send(c2, m0))._chan_mask == 0b100
+    assert Parallel(Send(c0, m0), Send(c2, m0))._chan_mask == 0b101
+    assert Restrict(Parallel(Send(c0, m0), Send(c2, m0)))._chan_mask == 0b10
+    assert Restrict(Send(c0, m0))._chan_mask == 0
+    assert Distribute(c1, [a, c2, c1])._chan_mask == 0b110
+    assert Send(ChanVar(-1), m0)._chan_mask == 0

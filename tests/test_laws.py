@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from netproc import Mode, Verdict, format_report, law_catalog, run_laws
+from netproc import Mode, NetprocError, Verdict, format_report, law_catalog, run_laws
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +67,15 @@ def test_format_report_layout(report):
     assert lines[0].startswith("values: ")
     assert lines[-1].startswith("laws: PASS (")
     assert any(line.startswith("par-assoc") for line in lines)
+
+
+def test_only_rejects_ids_that_name_no_law():
+    with pytest.raises(NetprocError, match="unknown law id\\(s\\): nope, zz"):
+        run_laws(only={"par-comm", "zz", "nope"})
+
+
+def test_only_accepts_conditional_law_ids():
+    # no catalog law runs, so the pool stays empty and no row is derived
+    report = run_laws(only={"par-congruence", "strong-implies-weak"})
+    assert [row.law_id for row in report.rows] == ["strong-implies-weak"]
+    assert report.passed

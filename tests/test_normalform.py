@@ -6,6 +6,7 @@ import random
 
 from netproc import (
     Atom,
+    ChanVar,
     Name,
     Parallel,
     Restrict,
@@ -21,6 +22,7 @@ from netproc import (
     term_key,
     term_order,
 )
+from netproc import normalform
 from helpers import random_comm, random_pi
 
 # ---------------------------------------------------------------------------
@@ -68,6 +70,22 @@ def test_unused_binder_is_dropped_with_index_repair():
     p = parse("new t. new u. (t!m0 | c -> t)")
     nf = normal_process(p)
     assert pretty(nf) == "new t. t!m0 | c => [t]"
+
+
+def test_used_binder_is_kept_without_rebuilding_the_body(monkeypatch):
+    calls = []
+    real = normalform._map_channels
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(normalform, "_map_channels", counting)
+    monkeypatch.setattr(normalform, "_CACHE", {})
+    p = Restrict(Parallel(Send(Name("usage-probe"), Atom("m1")), Send(ChanVar(0), Atom("m0"))))
+    nf = normalize(p)
+    assert nf.process is p and nf.provenance == ()
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
