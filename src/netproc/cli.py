@@ -201,6 +201,14 @@ def _budget(text: str) -> int:
     return value
 
 
+def _state_budget(text: str) -> int:
+    """A state bound: a positive integer, as the start state always counts."""
+    value = _budget(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected at least 1 state, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="netproc", description="process calculus workbench")
     top.add_argument("--values", help="comma separated value universe (default m0,m1; env NETPROC_VALUES)")
@@ -212,7 +220,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lts", help="print the reachable transition system")
     p.add_argument("term")
-    p.add_argument("--max-states", type=_budget, default=256)
+    p.add_argument("--max-states", type=_state_budget, default=256)
     p.add_argument("--dot", action="store_true", help="emit graphviz instead of text")
     p.set_defaults(fn=_cmd_lts)
 
@@ -234,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="enumerate delivery behaviour of a network")
     p.add_argument("term")
     p.add_argument("--inject", action="append", metavar="CHANNEL=VALUE")
-    p.add_argument("--max-states", type=_budget, default=512)
+    p.add_argument("--max-states", type=_state_budget, default=512)
     p.add_argument("--max-depth", type=_budget, default=24)
     p.add_argument("--query", help='e.g. "r1=1,total>=2" or "distinct>=2"')
     p.set_defaults(fn=_cmd_explore)
@@ -256,7 +264,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # an OSError too, but run() turns a closed pipe into exit 141
         raise
-    except (NetprocError, OSError) as exc:
+    except (NetprocError, OSError, RecursionError) as exc:
+        # a RecursionError is a term nested too deeply for the recursive
+        # traversals: an input the program cannot take, not a verdict
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -8,7 +8,11 @@ The checker has two independent halves:
     before it is looked up or recorded;
 
   * a refutation search that plays the plain bounded game by iterative
-    deepening and reports a minimal-depth distinguishing trace.
+    deepening and reports a minimal-depth distinguishing trace.  It plays
+    from a move table built once per state: the state's challenges,
+    normalized and in step order, and its defender replies grouped by
+    action.  The table belongs to the attacker of one check and is
+    dropped with it when the check returns.
 
 Proofs are only ever produced by the first half and refutations only by
 the second, so neither inherits the other's approximations: cancelling
@@ -104,11 +108,20 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A verdict and its evidence.
+
+    `pairs_explored` is the work of both phases together: `prover_pairs`
+    candidate pairs opened by the proof search plus `attacker_nodes` game
+    positions expanded by the refutation search.
+    """
+
     verdict: Verdict
     witness: frozenset[Pair] | None
     trace: tuple[TraceStep, ...] | None
     pairs_explored: int
     bound_hit: str | None
+    prover_pairs: int = 0
+    attacker_nodes: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +287,19 @@ class _Attacker:
 
     In the weak game the defender's replies come from `closure`; a reply
     set cut short by the internal-step bound taints every verdict.
+
+    Iterative deepening meets the same states at every depth, so each
+    state's moves are worked out once, into a move table that lives as
+    long as the attacker, which is one check:
+
+      * `challenges[p]`: the steps of `p` in `step_order` of their raw
+        targets, each target passed through `_norm`;
+      * `replies[p]`: per action, the defender's distinct reply targets in
+        `term_key` order, and whether the weak closure truncated them.
+        The strong game groups the normalized challenges; the weak game
+        groups `closure.steps(p)`.
+
+    Every reply lookup, first or not, ORs the stored flag into `tainted`.
     """
 
     def __init__(
@@ -291,20 +317,36 @@ class _Attacker:
         self.budget = node_budget
         self.normalize_states = normalize_states
         self.memo: dict[tuple[Process, Process, int], tuple[TraceStep, ...] | None] = {}
+        self.challenges: dict[Process, list[tuple[Action, Process]]] = {}
+        self.replies: dict[Process, tuple[dict[Action, list[Process]], bool]] = {}
         self.nodes = 0
         self.tainted = False
 
     def _norm(self, p: Process) -> Process:
         return normal_process(p) if self.normalize_states else p
 
+    def _challenges(self, p: Process) -> list[tuple[Action, Process]]:
+        moves = self.challenges.get(p)
+        if moves is None:
+            moves = self.challenges[p] = [
+                (a, self._norm(t)) for a, t in sorted_steps(p, self.universe)
+            ]
+        return moves
+
     def _replies(self, p: Process, a: Action) -> list[Process]:
-        if self.weak:
-            steps, truncated = self.closure.steps(p)
-            self.tainted |= truncated
-            opts = [t for sa, t in steps if sa == a]
-        else:
-            opts = [self._norm(t) for sa, t in _step(p, self.universe) if sa == a]
-        return sorted(set(opts), key=term_key)
+        entry = self.replies.get(p)
+        if entry is None:
+            if self.weak:
+                steps, truncated = self.closure.steps(p)
+            else:
+                steps, truncated = self._challenges(p), False
+            grouped: dict[Action, set[Process]] = {}
+            for sa, t in steps:
+                grouped.setdefault(sa, set()).add(t)
+            by_action = {sa: sorted(ts, key=term_key) for sa, ts in grouped.items()}
+            entry = self.replies[p] = (by_action, truncated)
+        self.tainted |= entry[1]
+        return entry[0].get(a, [])
 
     def search(self, l: Process, r: Process, max_depth: int) -> tuple[TraceStep, ...] | None:
         l, r = self._norm(l), self._norm(r)
@@ -325,8 +367,7 @@ class _Attacker:
             raise _BoundHit("node-budget")
         result: tuple[TraceStep, ...] | None = None
         for side, chal, resp in (("left", l, r), ("right", r, l)):
-            for a, t in sorted_steps(chal, self.universe):
-                tn = self._norm(t)
+            for a, tn in self._challenges(chal):
                 replies = self._replies(resp, a)
                 if not replies:
                     result = (TraceStep(side, a, tn, None),)
@@ -434,7 +475,8 @@ def _check(
         if depth_needed > old_limit:
             sys.setrecursionlimit(old_limit)
     if proved:
-        return CheckResult(Verdict.PROVEN, frozenset(prover.assumed), None, prover.explored, None)
+        witness = frozenset(prover.assumed)
+        return CheckResult(Verdict.PROVEN, witness, None, prover.explored, None, prover_pairs=prover.explored)
 
     attacker = _Attacker(uni, weak, tau_bound, node_budget, closure=closure)
     trace: tuple[TraceStep, ...] | None = None
@@ -443,11 +485,12 @@ def _check(
     except _BoundHit as hit:
         bound_hit = bound_hit or hit.what
     explored = prover.explored + attacker.nodes
+    phases = {"prover_pairs": prover.explored, "attacker_nodes": attacker.nodes}
     if trace is not None and not attacker.tainted:
-        return CheckResult(Verdict.DISTINGUISHED, None, trace, explored, None)
+        return CheckResult(Verdict.DISTINGUISHED, None, trace, explored, None, **phases)
     if attacker.tainted:
         bound_hit = bound_hit or "tau-bound"
-    return CheckResult(Verdict.INCONCLUSIVE, None, None, explored, bound_hit or "trace-depth")
+    return CheckResult(Verdict.INCONCLUSIVE, None, None, explored, bound_hit or "trace-depth", **phases)
 
 
 # ---------------------------------------------------------------------------

@@ -253,7 +253,9 @@ def explore(
     A run is complete when no internal move or deliverable output remains.
     Deliveries are the outputs fired along the run.  Runs are enumerated up
     to (state, deliveries-so-far) equivalence; a run that revisits such a
-    configuration is divergent.
+    configuration is divergent.  `max_states` bounds the states counted by
+    `reachable`; the start state always counts, so at least one state is
+    found whatever the bound.
     """
     if not is_closed(p):
         raise ScopeError("explore needs a closed process")

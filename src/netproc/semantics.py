@@ -451,7 +451,9 @@ def reachable(
     `max_depth` steps away (all of them when None).
 
     Returns the states found, in discovery order, and whether a new state
-    was left out because `max_states` were already found.
+    was left out because `max_states` were already found.  The start state
+    is always found, so the search keeps at least one state whatever
+    `max_states` is.
     """
     depth = {start: 0}
     order = [start]

@@ -266,6 +266,8 @@ def test_module_bad_term_exits_three():
         ["explore", "a -> b", "--inject", "a=m0", "--max-states", "-2"],
         ["simulate", "a -> b", "--inject", "a=m0", "--steps", "-1"],
         ["laws", "--max-pairs", "-5"],
+        ["lts", "a!m0", "--max-states", "0"],
+        ["explore", "a -> b", "--inject", "a=m0", "--max-states", "0"],
     ],
 )
 def test_usage_errors_and_negative_budgets_exit_three(argv):
@@ -286,6 +288,23 @@ def test_zero_budget_is_accepted():
     done = run_module("netproc", "explore", "a -> b", "--inject", "a=m0", "--max-depth", "0")
     assert done.returncode == 0, done.stderr
     assert "paths: 0 complete, 1 truncated" in done.stdout
+
+
+def test_one_state_budget_is_accepted():
+    done = run_module("netproc", "lts", "a!m0", "--max-states", "1")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1] == "states: 1 (truncated)  mode: pi"
+
+
+def test_too_deep_term_is_an_input_error_not_a_verdict():
+    # the recursive term traversals run out of stack on this term; that
+    # must not end in exit 1, which reads as "distinguished"
+    wide = " | ".join(["a!m0"] * 2000)
+    done = run_module("netproc", "check", wide, "0")
+    assert done.returncode == 3
+    assert not [line for line in done.stdout.splitlines() if line.startswith("verdict:")]
+    errors = done.stderr.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: RecursionError: maximum recursion depth")
 
 
 def test_unwritable_witness_path_exits_three(tmp_path):

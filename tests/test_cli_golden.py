@@ -49,6 +49,7 @@ CASES: dict[str, list[str]] = {
     "laws-only": ["laws", "--only", "par-comm,restrict-swap"],
     "bad-parse": ["transitions", "a!m0 |"],
     "bad-mode": ["check", "a ? x. 0 | a -> b", "0"],
+    "bad-max-states": ["lts", "a!m0", "--max-states", "0"],
 }
 
 

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from netproc import (
     FULL_UPTO,
@@ -30,7 +31,10 @@ from netproc import (
     verify_witness,
 )
 from netproc import Name
-from helpers import random_comm
+from netproc.equivalence import _Attacker, _BoundHit
+from netproc.normalform import term_key
+from netproc.semantics import DEFAULT_UNIVERSE, Mode, sorted_steps, _step
+from helpers import random_comm, random_pi
 
 # ---------------------------------------------------------------------------
 # Pair reduction
@@ -241,9 +245,6 @@ def test_weak_check_leaves_no_module_state_behind():
 def test_weak_proofs_withstand_plain_weak_attacker():
     # the weak game reuses context cancellation, which the strong-game
     # theory does not automatically license; cross-examine its verdicts
-    from netproc.equivalence import _Attacker, _BoundHit
-    from netproc.semantics import DEFAULT_UNIVERSE, Mode
-
     pairs = [
         ("new t. (t!m0 | lose t)", "0"),
         ("a -> b | a -> b", "a -> b"),
@@ -304,3 +305,160 @@ def test_restriction_composition_of_proven_pair_stays_proven():
     wrapped_l = Restrict(abstract_channel(base_l, Name("a")))
     wrapped_r = Restrict(abstract_channel(base_r, Name("a")))
     assert check_strong(wrapped_l, wrapped_r).verdict is Verdict.PROVEN
+
+
+# ---------------------------------------------------------------------------
+# Refutation search: the attacker's move table
+# ---------------------------------------------------------------------------
+
+
+class _FilteringAttacker(_Attacker):
+    """Reference attacker: sorts and normalizes the challenger's steps at
+    every node and filters the responder's steps on every reply lookup,
+    with no table."""
+
+    def _replies(self, p, a):
+        if self.weak:
+            steps, truncated = self.closure.steps(p)
+            self.tainted |= truncated
+            opts = [t for sa, t in steps if sa == a]
+        else:
+            opts = [self._norm(t) for sa, t in _step(p, self.universe) if sa == a]
+        return sorted(set(opts), key=term_key)
+
+    def _attack(self, l, r, depth):
+        if depth == 0:
+            return None
+        key = (l, r, depth)
+        if key in self.memo:
+            return self.memo[key]
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise _BoundHit("node-budget")
+        result = None
+        for side, chal, resp in (("left", l, r), ("right", r, l)):
+            for a, t in sorted_steps(chal, self.universe):
+                tn = self._norm(t)
+                replies = self._replies(resp, a)
+                if not replies:
+                    result = (TraceStep(side, a, tn, None),)
+                    break
+                if depth == 1:
+                    continue
+                refutations = []
+                for opt in replies:
+                    pair = (tn, opt) if side == "left" else (opt, tn)
+                    sub = self._attack(*pair, depth - 1)
+                    if sub is None:
+                        refutations = None
+                        break
+                    refutations.append((opt, sub))
+                if refutations:
+                    opt, sub = refutations[0]
+                    result = (TraceStep(side, a, tn, opt),) + sub
+                    break
+            if result is not None:
+                break
+        self.memo[key] = result
+        return result
+
+
+def _play(cls, l, r, weak, tau_bound, normalize, max_depth, budget=300):
+    attacker = cls(DEFAULT_UNIVERSE, weak, tau_bound, budget, normalize_states=normalize)
+    try:
+        trace, hit = attacker.search(l, r, max_depth), None
+    except _BoundHit as exc:
+        trace, hit = None, exc.what
+    return attacker, (trace, hit, attacker.nodes, attacker.tainted)
+
+
+def _assert_table_matches_filtering(attacker):
+    for p, moves in attacker.challenges.items():
+        assert moves == [(a, attacker._norm(t)) for a, t in sorted_steps(p, DEFAULT_UNIVERSE)]
+    reference = _FilteringAttacker(DEFAULT_UNIVERSE, attacker.weak, attacker.closure.bound, 0,
+                                   normalize_states=attacker.normalize_states)
+    for p, (by_action, truncated) in attacker.replies.items():
+        steps = attacker.closure.steps(p) if attacker.weak else (_step(p, DEFAULT_UNIVERSE), False)
+        assert truncated == steps[1]
+        assert set(by_action) == {a for a, _ in steps[0]}
+        for a, replies in by_action.items():
+            assert replies == reference._replies(p, a)
+
+
+_GENERATORS = {"pi": random_pi, "comm": random_comm}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(_GENERATORS)),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(["fresh", "doubled", "extended"]),
+    st.sampled_from([(False, 0), (True, 2), (True, 3)]),
+    st.booleans(),
+    st.integers(min_value=1, max_value=4),
+)
+# a state whose steps on one action sort differently once normalized
+@example("comm", 1805, 1, "extended", (False, 0), True, 1)
+def test_move_table_plays_like_per_call_filtering(kind, seed, depth, shape, game, normalize, max_depth):
+    # a fresh right side is mostly told apart at once; a doubled or extended
+    # left side keeps the game going for several rounds
+    rng = random.Random(seed)
+    gen = _GENERATORS[kind]
+    l = gen(rng, depth)
+    r = {"fresh": lambda: gen(rng, depth), "doubled": lambda: Parallel(l, l),
+         "extended": lambda: Parallel(l, gen(rng, 1))}[shape]()
+    weak, tau_bound = game
+    attacker, outcome = _play(_Attacker, l, r, weak, tau_bound, normalize, max_depth)
+    _, expected = _play(_FilteringAttacker, l, r, weak, tau_bound, normalize, max_depth)
+    assert outcome == expected
+    _assert_table_matches_filtering(attacker)
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_move_table_builds_each_states_moves_once(monkeypatch, weak):
+    from netproc import equivalence
+
+    built = Counter()
+    compute = equivalence.sorted_steps
+
+    def counting(p, universe):
+        built[p] += 1
+        return compute(p, universe)
+
+    monkeypatch.setattr(equivalence, "sorted_steps", counting)
+    l, r = parse("dup a | dup a"), parse("dup a")
+    attacker, (trace, hit, nodes, _) = _play(_Attacker, l, r, weak, 2, True, 4, budget=2000)
+    assert trace is None and hit is None and nodes > 30
+    assert len(built) > 10
+    assert max(built.values()) == 1
+
+
+def test_replies_are_distinct_after_normalization():
+    # both receives leave `a?x.b!x | b!m0` once normalized
+    p = normal_process(parse("a?x.(0 | b!x) | a?y.(b!y | 0)"))
+    attacker = _Attacker(DEFAULT_UNIVERSE, False, 0, 10)
+    receive = next(a for a, _ in sorted_steps(p, DEFAULT_UNIVERSE))
+    assert attacker._replies(p, receive) == [normal_process(parse("a?x.b!x | b!m0"))]
+
+
+def test_every_reply_lookup_reports_truncation():
+    p = parse("dup a | a!m0")
+    attacker = _Attacker(DEFAULT_UNIVERSE, True, 1, 10)
+    assert attacker.closure.steps(p)[1]
+    action = next(a for a, _ in sorted_steps(p, DEFAULT_UNIVERSE))
+    attacker._replies(p, action)
+    assert attacker.tainted
+    attacker.tainted = False
+    attacker._replies(p, action)  # served from the table
+    assert attacker.tainted
+
+
+def test_check_result_counts_each_phase():
+    proven = check_strong(parse("a -> b | a -> b"), parse("a -> b"))
+    assert proven.attacker_nodes == 0
+    assert proven.pairs_explored == proven.prover_pairs > 0
+    bounded = check_strong(parse("dup a | dup a"), parse("dup a"), PLAIN, 4)
+    assert bounded.verdict is Verdict.INCONCLUSIVE
+    assert bounded.prover_pairs == 4 and bounded.attacker_nodes > 0
+    assert bounded.pairs_explored == bounded.prover_pairs + bounded.attacker_nodes
