@@ -8,6 +8,7 @@ echoes the value universe it ran with.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -84,11 +85,29 @@ def _cmd_lts(args) -> int:
     return 0
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OSError that writing `path` would raise, without creating
+    or truncating it."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(folder, os.W_OK | os.X_OK) or (os.path.exists(path) and not os.access(path, os.W_OK)):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _cmd_check(args) -> int:
     left = parse(args.left)
     right = parse(args.right)
     universe = effective_universe(_universe_from(args), left, right)
     upto = PLAIN if args.no_upto else FULL_UPTO
+    if args.emit_witness:
+        # fail before the check, not after a verdict is printed
+        _check_writable(args.emit_witness)
     if args.weak:
         result = check_weak(left, right, args.tau_bound, args.max_pairs, upto=upto, universe=universe)
     else:

@@ -59,6 +59,7 @@ from .terms import (
     Name,
     Process,
     Restrict,
+    STOP,
     Stop,
     free_channel_names,
     fresh_channel_name,
@@ -136,25 +137,44 @@ def _rewrite(p: Process, side: str, cfg: UpToConfig) -> Process:
 
 
 def _reduce(l: Process, r: Process, cfg: UpToConfig) -> Pair:
-    """Shrink a pair by the configured behaviour-safe reductions."""
+    """Shrink a pair by the configured behaviour-safe reductions.
+
+    Cancellation peels shared outer restrictions, then deletes the
+    parallel components that occur equally often on both sides, in one
+    pass.  Identical sides share every component, so they give
+    (STOP, STOP) at once; only an unrewritten side made of inert
+    components alone has nothing to delete and stays as it is.  After a
+    deletion every remaining component occurs a different number of
+    times on the two sides, and the rewritten leftovers have exactly
+    those components (a rewritten side is normal, and so is any subset
+    of its components), so a second deletion can only find something
+    new under restrictions peeled from both leftovers: the pass repeats
+    only then.  Identical restrictions are peeled like any others unless
+    both sides are rewritten, as one-sided rewriting can pull them apart.
+    """
     l, r = _rewrite(l, "left", cfg), _rewrite(r, "right", cfg)
     if not cfg.use_context_cancel:
         return l, r
+    both_normal = cfg.use_congruence_rewrite and cfg.rewrite_side == "both"
     while True:
-        before = (l, r)
-        while isinstance(l, Restrict) and isinstance(r, Restrict):
+        while isinstance(l, Restrict) and isinstance(r, Restrict) and not (both_normal and l is r):
             avoid = free_channel_names(l) | free_channel_names(r)
             c = Name(fresh_channel_name(avoid))
             l = _rewrite(instantiate_channel(l.body, c), "left", cfg)
             r = _rewrite(instantiate_channel(r.body, c), "right", cfg)
+        if l is r:
+            if not cfg.use_congruence_rewrite and all(isinstance(c, Stop) for c in parallel_components(l)):
+                return l, r
+            return STOP, STOP
         lc = [c for c in parallel_components(l) if not isinstance(c, Stop)]
         rc = [c for c in parallel_components(r) if not isinstance(c, Stop)]
         counts_l, counts_r = Counter(lc), Counter(rc)
         shared = {c for c, n in counts_l.items() if counts_r.get(c) == n}
-        if shared:
-            l = _rewrite(compose_parallel([c for c in lc if c not in shared]), "left", cfg)
-            r = _rewrite(compose_parallel([c for c in rc if c not in shared]), "right", cfg)
-        if (l, r) == before:
+        if not shared:
+            return l, r
+        l = _rewrite(compose_parallel([c for c in lc if c not in shared]), "left", cfg)
+        r = _rewrite(compose_parallel([c for c in rc if c not in shared]), "right", cfg)
+        if not (isinstance(l, Restrict) and isinstance(r, Restrict)):
             return l, r
 
 
@@ -261,15 +281,18 @@ class _Prover:
         return True
 
     def _match(self, chal_target: Process, options: list[Process], forward: bool) -> bool:
-        # Try replies whose reduced pair is already assumed before opening
-        # new subgoals; keeps witnesses small and deterministic.
-        ranked = []
+        # Replies whose reduced pair is equal or already assumed come first,
+        # then the rest, each group in the term_key order the options come
+        # in; this keeps witnesses small and deterministic.  A known reply
+        # closes with no side effect, so the first one ends the match, and
+        # the others are only opened when no reply is known.
+        opened = []
         for opt in options:
             red = _reduce(*((chal_target, opt) if forward else (opt, chal_target)), self.cfg)
-            known = red[0] == red[1] or _canon(red, self.cfg) in self.assumed
-            ranked.append(((0 if known else 1, term_key(opt)), red))
-        ranked.sort(key=lambda entry: entry[0])
-        for _, red in ranked:
+            if red[0] is red[1] or _canon(red, self.cfg) in self.assumed:
+                return True
+            opened.append(red)
+        for red in opened:
             mark = len(self.trail)
             if self.close(red):
                 return True

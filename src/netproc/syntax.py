@@ -249,7 +249,7 @@ def _pick(candidates: tuple[str, ...], taken: set[str]) -> str:
 
 def pretty(p: Process) -> str:
     """Canonical text for a term; parsing it back yields an equal term."""
-    taken = set(free_channel_names(p)) | set(atoms_used(p))
+    taken = free_channel_names(p) | atoms_used(p)
     return _pp(p, [], [], taken, group=True)
 
 

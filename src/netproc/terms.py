@@ -18,6 +18,18 @@ dropped once nothing else refers to it.  Terms must be built through
 their constructors; copying and pickling go through them too.  The
 channel and value leaves are small frozen dataclasses with structural
 equality.  All operations here are pure.
+
+The term facts that scope and language checks ask for (the value-side
+twin of the channel mask, whether any index is negative, the
+constructors, the atoms and the free channel names) are kept as one
+summary per node, built from the children's summaries the first time a
+query asks for it, so `well_scoped`, `free_channel_names`, `atoms_used`
+and `constructs_used` are reads after that.  Equal sets are shared
+between a node and its children.  The summary is not built when a node
+is interned: most nodes are step targets that no query ever reaches,
+and a term nested deeper than the recursion limit still fails at its
+first query, where a summary built at intern time would let it through
+to a check that runs for minutes.
 """
 
 from __future__ import annotations
@@ -128,6 +140,27 @@ def _bit(c: Channel) -> int:
     return 1 << c.index if type(c) is ChanVar and c.index >= 0 else 0
 
 
+def _negative(x: Channel | Value) -> bool:
+    return type(x) in (ChanVar, ValVar) and x.index < 0
+
+
+def _join(a: frozenset, b: frozenset) -> frozenset:
+    # share a set that already holds the other
+    return a if b <= a else b if a <= b else a | b
+
+
+_EMPTY: frozenset[str] = frozenset()
+
+
+def _prefix_facts(p: Receive | RepeatReceive) -> tuple:
+    # the body's value index 0 is this prefix's binder
+    mask, negative, constructs, atoms, names = _facts_of(p.body)
+    c = p.channel
+    if type(c) is Name and c.text not in names:
+        names = names | {c.text}
+    return (mask >> 1, negative or _negative(c), _join(constructs, p._tag), atoms, names)
+
+
 class _Node:
     """Base of the process constructors: interned, hashed once.
 
@@ -135,16 +168,23 @@ class _Node:
     `normalform.term_key`.  `_chan_mask` is set when the node is built:
     bit i is set when `ChanVar(i)` occurs free in the node, counting
     binders from the node itself.  `_mask` computes it from the fields,
-    whose own masks are already set.
+    whose own masks are already set.  `_facts` is left unset until
+    `_facts_of` first asks for it; `_summarize` computes it from the
+    fields' summaries as the tuple (value mask, negative index,
+    constructors, atoms, free channel names).  The value mask is the
+    value-side twin of the channel mask, counting receive binders.
     """
 
-    __slots__ = ("_hash", "_term_key", "_chan_mask", "__weakref__")
+    __slots__ = ("_hash", "_term_key", "_chan_mask", "_facts", "__weakref__")
 
     def __hash__(self) -> int:
         return self._hash
 
     def _mask(self) -> int:
         return 0
+
+    def _summarize(self) -> tuple:
+        return (0, False, self._tag, _EMPTY, _EMPTY)
 
     def __reduce__(self) -> tuple:
         # copy, deepcopy and unpickling rebuild through the constructor,
@@ -157,6 +197,7 @@ class _Node:
 _put_hash = _Node._hash.__set__
 _put_term_key = _Node._term_key.__set__
 _put_chan_mask = _Node._chan_mask.__set__
+_put_facts = _Node._facts.__set__
 
 
 def _process(cls: type) -> type:
@@ -164,6 +205,7 @@ def _process(cls: type) -> type:
     # replaced by each constructor's __new__, which returns the interned node
     cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
     cls._put_fields = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+    cls._tag = frozenset((cls.__name__,))
     return cls
 
 
@@ -193,6 +235,16 @@ class Send(_Node):
     def _mask(self) -> int:
         return _bit(self.channel)
 
+    def _summarize(self) -> tuple:
+        c, v = self.channel, self.payload
+        return (
+            1 << v.index if type(v) is ValVar and v.index >= 0 else 0,
+            _negative(c) or _negative(v),
+            self._tag,
+            frozenset((v.text,)) if type(v) is Atom else _EMPTY,
+            frozenset((c.text,)) if type(c) is Name else _EMPTY,
+        )
+
 
 @_process
 class Receive(_Node):
@@ -206,6 +258,8 @@ class Receive(_Node):
 
     def _mask(self) -> int:
         return _bit(self.channel) | self.body._chan_mask
+
+    _summarize = _prefix_facts
 
 
 @_process
@@ -225,6 +279,8 @@ class RepeatReceive(_Node):
     def _mask(self) -> int:
         return _bit(self.channel) | self.body._chan_mask
 
+    _summarize = _prefix_facts
+
 
 @_process
 class Parallel(_Node):
@@ -239,6 +295,11 @@ class Parallel(_Node):
     def _mask(self) -> int:
         return self.left._chan_mask | self.right._chan_mask
 
+    def _summarize(self) -> tuple:
+        lm, ln, lc, la, lf = _facts_of(self.left)
+        rm, rn, rc, ra, rf = _facts_of(self.right)
+        return (lm | rm, ln or rn, _join(_join(lc, rc), self._tag), _join(la, ra), _join(lf, rf))
+
 
 @_process
 class Restrict(_Node):
@@ -252,6 +313,10 @@ class Restrict(_Node):
     def _mask(self) -> int:
         # the body's index 0 is this binder; its index i+1 is our index i
         return self.body._chan_mask >> 1
+
+    def _summarize(self) -> tuple:
+        mask, negative, constructs, atoms, names = _facts_of(self.body)
+        return (mask, negative, _join(constructs, self._tag), atoms, names)
 
 
 @_process
@@ -272,6 +337,11 @@ class Distribute(_Node):
             mask |= _bit(t)
         return mask
 
+    def _summarize(self) -> tuple:
+        chans = (self.source, *self.targets)
+        names = frozenset(c.text for c in chans if type(c) is Name)
+        return (0, any(map(_negative, chans)), self._tag, _EMPTY, names)
+
 
 Process = Union[Stop, Send, Receive, RepeatReceive, Parallel, Restrict, Distribute]
 
@@ -283,27 +353,23 @@ STOP = Stop()
 # ---------------------------------------------------------------------------
 
 
+def _facts_of(p: Process) -> tuple:
+    """The node's summary (see `_Node`), computed on first use."""
+    try:
+        return p._facts
+    except AttributeError:
+        # a node's slot is unset until its first query
+        if not isinstance(p, _Node):
+            raise TypeError(f"not a process: {p!r}") from None
+    facts = p._summarize()
+    _put_facts(p, facts)
+    return facts
+
+
 def well_scoped(p: Process, chan_depth: int = 0, val_depth: int = 0) -> bool:
     """True when every bound index refers to an actual enclosing binder."""
-
-    def chan_ok(c: Channel) -> bool:
-        return isinstance(c, Name) or 0 <= c.index < chan_depth
-
-    match p:
-        case Stop():
-            return True
-        case Send(channel=c, payload=v):
-            val_ok = isinstance(v, Atom) or 0 <= v.index < val_depth
-            return chan_ok(c) and val_ok
-        case Receive(channel=c, body=b) | RepeatReceive(channel=c, body=b):
-            return chan_ok(c) and well_scoped(b, chan_depth, val_depth + 1)
-        case Parallel(left=l, right=r):
-            return well_scoped(l, chan_depth, val_depth) and well_scoped(r, chan_depth, val_depth)
-        case Restrict(body=b):
-            return well_scoped(b, chan_depth + 1, val_depth)
-        case Distribute(source=s, targets=ts):
-            return chan_ok(s) and all(chan_ok(t) for t in ts)
-    raise TypeError(f"not a process: {p!r}")
+    val_mask, negative = _facts_of(p)[:2]
+    return not (negative or p._chan_mask >> max(chan_depth, 0) or val_mask >> max(val_depth, 0))
 
 
 def is_closed(p: Process) -> bool:
@@ -313,72 +379,17 @@ def is_closed(p: Process) -> bool:
 
 def free_channel_names(p: Process) -> frozenset[str]:
     """Names of all free channels occurring anywhere in the term."""
-    out: set[str] = set()
-
-    def chan(c: Channel) -> None:
-        if isinstance(c, Name):
-            out.add(c.text)
-
-    def walk(q: Process) -> None:
-        match q:
-            case Stop():
-                pass
-            case Send(channel=c):
-                chan(c)
-            case Receive(channel=c, body=b) | RepeatReceive(channel=c, body=b):
-                chan(c)
-                walk(b)
-            case Parallel(left=l, right=r):
-                walk(l)
-                walk(r)
-            case Restrict(body=b):
-                walk(b)
-            case Distribute(source=s, targets=ts):
-                chan(s)
-                for t in ts:
-                    chan(t)
-
-    walk(p)
-    return frozenset(out)
+    return _facts_of(p)[4]
 
 
 def atoms_used(p: Process) -> frozenset[str]:
     """Atom names mentioned by send payloads anywhere in the term."""
-    out: set[str] = set()
-
-    def walk(q: Process) -> None:
-        match q:
-            case Send(payload=Atom(text=t)):
-                out.add(t)
-            case Receive(body=b) | RepeatReceive(body=b) | Restrict(body=b):
-                walk(b)
-            case Parallel(left=l, right=r):
-                walk(l)
-                walk(r)
-            case _:
-                pass
-
-    walk(p)
-    return frozenset(out)
+    return _facts_of(p)[3]
 
 
 def constructs_used(p: Process) -> frozenset[str]:
     """Constructor names occurring in the term, for language-level checks."""
-    out: set[str] = set()
-
-    def walk(q: Process) -> None:
-        out.add(type(q).__name__)
-        match q:
-            case Receive(body=b) | RepeatReceive(body=b) | Restrict(body=b):
-                walk(b)
-            case Parallel(left=l, right=r):
-                walk(l)
-                walk(r)
-            case _:
-                pass
-
-    walk(p)
-    return frozenset(out)
+    return _facts_of(p)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -311,11 +311,30 @@ def test_unwritable_witness_path_exits_three(tmp_path):
     target = tmp_path / "missing" / "w"
     done = run_module("netproc", "check", "a!m0", "a!m0", "--emit-witness", str(target))
     assert done.returncode == 3
-    assert "verdict: proven-bisimilar" in done.stdout
+    # the path is checked before the check runs: no verdict, nothing at all
+    assert done.stdout == ""
     assert done.stderr.splitlines() == [
         f"error: FileNotFoundError: [Errno 2] No such file or directory: {str(target)!r}"
     ]
     assert not target.exists()
+
+
+def test_witness_path_that_is_a_directory_exits_three(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "check", "a!m0", "a!m0", "--emit-witness", str(tmp_path))
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [f"error: IsADirectoryError: [Errno 21] Is a directory: {str(tmp_path)!r}"]
+
+
+def test_witness_file_is_only_touched_when_a_witness_is_written(capsys, tmp_path):
+    target = tmp_path / "w"
+    code, out, _ = run_cli(capsys, "check", "a!m0", "a!m1", "--emit-witness", str(target))
+    assert code == 1 and "witness:" not in out
+    assert not target.exists()
+    target.write_text("kept\n")
+    code, _, _ = run_cli(capsys, "check", "a!m0", "a!m1", "--emit-witness", str(target))
+    assert code == 1
+    assert target.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("only", ["nosuch", "par-comm,nosuch"])

@@ -30,9 +30,9 @@ from netproc import (
     replay_trace,
     verify_witness,
 )
-from netproc import Name
-from netproc.equivalence import _Attacker, _BoundHit
-from netproc.normalform import term_key
+from netproc import Name, Stop, equivalence, free_channel_names, fresh_channel_name, instantiate_channel, make_universe
+from netproc.equivalence import _Attacker, _BoundHit, _Prover, _canon, _reduce, _rewrite
+from netproc.normalform import compose_parallel, parallel_components, term_key
 from netproc.semantics import DEFAULT_UNIVERSE, Mode, sorted_steps, _step
 from helpers import random_comm, random_pi
 
@@ -68,6 +68,101 @@ def test_cancel_context_strips_shared_restrictions():
 def test_cancel_context_on_identical_terms_yields_trivial_pair():
     p = normalize(parse("a!m0 | lose b"))
     assert cancel_context(p, p) == (STOP, STOP)
+
+
+def fixpoint_reduce(l, r, cfg):
+    """Reference reduction: peel and cancel until a whole round changes
+    nothing, as the one-pass `_reduce` must agree with."""
+    l, r = _rewrite(l, "left", cfg), _rewrite(r, "right", cfg)
+    if not cfg.use_context_cancel:
+        return l, r
+    while True:
+        before = (l, r)
+        while isinstance(l, Restrict) and isinstance(r, Restrict):
+            c = Name(fresh_channel_name(free_channel_names(l) | free_channel_names(r)))
+            l = _rewrite(instantiate_channel(l.body, c), "left", cfg)
+            r = _rewrite(instantiate_channel(r.body, c), "right", cfg)
+        lc = [c for c in parallel_components(l) if not isinstance(c, Stop)]
+        rc = [c for c in parallel_components(r) if not isinstance(c, Stop)]
+        counts_l, counts_r = Counter(lc), Counter(rc)
+        shared = {c for c, n in counts_l.items() if counts_r.get(c) == n}
+        if shared:
+            l = _rewrite(compose_parallel([c for c in lc if c not in shared]), "left", cfg)
+            r = _rewrite(compose_parallel([c for c in rc if c not in shared]), "right", cfg)
+        if (l, r) == before:
+            return l, r
+
+
+_CONFIGS = {
+    "full": FULL_UPTO,
+    "plain": PLAIN,
+    "cancel-only": UpToConfig(use_congruence_rewrite=False),
+    "left": UpToConfig(rewrite_side="left"),
+    "right": UpToConfig(rewrite_side="right"),
+}
+
+
+def _hide(p):
+    return Restrict(abstract_channel(p, Name("a")))
+
+
+_PAIR_SHAPES = {
+    "fresh": lambda p, q, s: (p, q),
+    "same": lambda p, q, s: (p, p),
+    "context": lambda p, q, s: (Parallel(p, s), Parallel(s, q)),
+    "hidden": lambda p, q, s: (_hide(p), _hide(q)),
+    "hidden-same": lambda p, q, s: (_hide(Parallel(p, s)), _hide(Parallel(p, s))),
+    # the leftovers of the first cancellation are both restrictions
+    "hidden-in-context": lambda p, q, s: (Parallel(_hide(Parallel(p, s)), s), Parallel(s, _hide(Parallel(q, s)))),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["pi", "comm"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from(sorted(_PAIR_SHAPES)),
+    st.sampled_from(sorted(_CONFIGS)),
+)
+# identical sides made of inert components only, not rewritten
+@example("pi", 2, 0, "context", "cancel-only")
+def test_one_pass_reduction_matches_the_fixpoint(kind, seed, depth, shape, config):
+    rng = random.Random(seed)
+    gen = random_pi if kind == "pi" else random_comm
+    p, q, s = gen(rng, depth), gen(rng, depth), gen(rng, 1)
+    l, r = _PAIR_SHAPES[shape](p, q, s)
+    cfg = _CONFIGS[config]
+    assert _reduce(l, r, cfg) == fixpoint_reduce(l, r, cfg)
+
+
+def test_cancellation_repeats_under_restrictions_left_by_a_cancellation():
+    l, r = parse("(new t. (t!m0 | a!m0)) | b!m0"), parse("(new t. (t!m0 | a!m1)) | b!m0")
+    assert isinstance(l, Parallel) and isinstance(r, Parallel)
+    assert _reduce(l, r, FULL_UPTO) == (parse("a!m0"), parse("a!m1"))
+
+
+@pytest.mark.parametrize("config", sorted(_CONFIGS))
+def test_identical_sides_reduce_to_the_trivial_pair(config):
+    cfg = _CONFIGS[config]
+    for text in ("a!m0 | lose b", "new t. (t!m0 | a ? x. t!x)", "b!m0 | 0", "new t. new u. (t!m0 | u!m1)"):
+        p = parse(text)
+        assert _reduce(p, p, cfg) == fixpoint_reduce(p, p, cfg)
+        if config in ("full", "cancel-only"):
+            assert _reduce(p, p, cfg) == (STOP, STOP)
+    # with nothing to delete, inert components stay unless rewriting drops them
+    for p in (Parallel(STOP, STOP), Restrict(Parallel(STOP, STOP)), STOP):
+        assert _reduce(p, p, cfg) == fixpoint_reduce(p, p, cfg)
+
+
+def test_one_sided_rewriting_can_pull_identical_restrictions_apart():
+    # p is normal, but once its binder is opened with a name that sorts
+    # before z, only the rewritten side reorders the receive's body
+    p = parse("new t. a ? x. (z!x | t!x)")
+    cfg = UpToConfig(rewrite_side="left")
+    assert normal_process(p) is p
+    l, r = _reduce(p, p, cfg)
+    assert l is not r and (l, r) == fixpoint_reduce(p, p, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +400,90 @@ def test_restriction_composition_of_proven_pair_stays_proven():
     wrapped_l = Restrict(abstract_channel(base_l, Name("a")))
     wrapped_r = Restrict(abstract_channel(base_r, Name("a")))
     assert check_strong(wrapped_l, wrapped_r).verdict is Verdict.PROVEN
+
+
+# ---------------------------------------------------------------------------
+# Proof search: reply order
+# ---------------------------------------------------------------------------
+
+
+def ranked_match(self, chal_target, options, forward):
+    """Reference `_match`: reduces every reply, then tries them known
+    first, each group in term_key order."""
+    ranked = []
+    for opt in options:
+        red = equivalence._reduce(*((chal_target, opt) if forward else (opt, chal_target)), self.cfg)
+        known = red[0] == red[1] or _canon(red, self.cfg) in self.assumed
+        ranked.append(((0 if known else 1, term_key(opt)), red))
+    ranked.sort(key=lambda entry: entry[0])
+    for _, red in ranked:
+        mark = len(self.trail)
+        if self.close(red):
+            return True
+        self._rollback(mark)
+    return False
+
+
+def _outcome(res):
+    return res.verdict, res.witness, res.trace, res.pairs_explored, res.prover_pairs, res.bound_hit
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["pi", "comm"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(["fresh", "doubled", "extended"]),
+    st.booleans(),
+)
+def test_first_known_reply_proves_like_the_ranked_sort(kind, seed, depth, shape, weak):
+    rng = random.Random(seed)
+    gen = random_pi if kind == "pi" else random_comm
+    l = gen(rng, depth)
+    r = {"fresh": lambda: gen(rng, depth), "doubled": lambda: Parallel(l, l),
+         "extended": lambda: Parallel(l, gen(rng, 1))}[shape]()
+
+    def run():
+        if weak:
+            return check_weak(l, r, 2, 24, max_trace_depth=3, node_budget=300)
+        return check_strong(l, r, FULL_UPTO, 24, max_trace_depth=3, node_budget=300)
+
+    got = _outcome(run())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Prover, "_match", ranked_match)
+        assert got == _outcome(run())
+
+
+def test_a_known_reply_is_taken_before_an_earlier_unknown_one():
+    # a prover with no pair budget left: opening any pair raises
+    prover = _Prover(DEFAULT_UNIVERSE, FULL_UPTO, 0, None)
+    chal = parse("a!m0")
+    unknown, known = parse("a!m1"), parse("b!m0")
+    assert term_key(unknown) < term_key(known)
+    prover.assumed.add(_canon(_reduce(chal, known, FULL_UPTO), FULL_UPTO))
+    assert prover._match(chal, [unknown, known], True)
+    assert prover.explored == 0 and not prover.trail
+
+
+def test_first_known_reply_saves_reductions(monkeypatch):
+    calls = []
+    reduce = equivalence._reduce
+
+    def counting(l, r, cfg):
+        calls.append((l, r))
+        return reduce(l, r, cfg)
+
+    monkeypatch.setattr(equivalence, "_reduce", counting)
+    pair = parse("c => [c, c] | c => [c, c]"), parse("c => [c, c]")
+    universe = make_universe("m0", "m1", "m2", "m3")
+    first_known = check_weak(*pair, 6, universe=universe)
+    fewer = len(calls)
+    calls.clear()
+    monkeypatch.setattr(_Prover, "_match", ranked_match)
+    ranked = check_weak(*pair, 6, universe=universe)
+    assert first_known.verdict is Verdict.PROVEN
+    assert _outcome(first_known) == _outcome(ranked)
+    assert fewer < len(calls)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from netproc import (
     Atom,
@@ -24,6 +25,7 @@ from netproc import (
     Restrict,
     STOP,
     Send,
+    Stop,
     ValVar,
     abstract_channel,
     atoms_used,
@@ -36,6 +38,10 @@ from netproc import (
     rename_free_channel,
     well_scoped,
 )
+from netproc.semantics import infer_mode
+from netproc.terms import constructs_used
+
+from helpers import random_comm, random_pi
 
 # ---------------------------------------------------------------------------
 # Named-term oracle
@@ -277,3 +283,140 @@ def test_atoms_used():
 def test_distribute_targets_are_coerced_to_tuple():
     d = Distribute(Name("a"), [Name("b"), Name("c")])
     assert isinstance(d.targets, tuple)
+
+
+# ---------------------------------------------------------------------------
+# Per-node term facts against the recursive walkers they replace
+# ---------------------------------------------------------------------------
+
+
+def walk_well_scoped(p, chan_depth=0, val_depth=0):
+    def chan_ok(c):
+        return isinstance(c, Name) or 0 <= c.index < chan_depth
+
+    match p:
+        case Stop():
+            return True
+        case Send(channel=c, payload=v):
+            return chan_ok(c) and (isinstance(v, Atom) or 0 <= v.index < val_depth)
+        case Receive(channel=c, body=b) | RepeatReceive(channel=c, body=b):
+            return chan_ok(c) and walk_well_scoped(b, chan_depth, val_depth + 1)
+        case Parallel(left=l, right=r):
+            return walk_well_scoped(l, chan_depth, val_depth) and walk_well_scoped(r, chan_depth, val_depth)
+        case Restrict(body=b):
+            return walk_well_scoped(b, chan_depth + 1, val_depth)
+        case Distribute(source=s, targets=ts):
+            return chan_ok(s) and all(chan_ok(t) for t in ts)
+    raise AssertionError(p)
+
+
+def walk_free_channel_names(p):
+    match p:
+        case Send(channel=c):
+            chans, kids = [c], []
+        case Receive(channel=c, body=b) | RepeatReceive(channel=c, body=b):
+            chans, kids = [c], [b]
+        case Parallel(left=l, right=r):
+            chans, kids = [], [l, r]
+        case Restrict(body=b):
+            chans, kids = [], [b]
+        case Distribute(source=s, targets=ts):
+            chans, kids = [s, *ts], []
+        case _:
+            chans, kids = [], []
+    out = {c.text for c in chans if isinstance(c, Name)}
+    for k in kids:
+        out |= walk_free_channel_names(k)
+    return out
+
+
+def walk_atoms_used(p):
+    match p:
+        case Send(payload=Atom(text=t)):
+            return {t}
+        case Receive(body=b) | RepeatReceive(body=b) | Restrict(body=b):
+            return walk_atoms_used(b)
+        case Parallel(left=l, right=r):
+            return walk_atoms_used(l) | walk_atoms_used(r)
+    return set()
+
+
+def walk_constructs_used(p):
+    out = {type(p).__name__}
+    match p:
+        case Receive(body=b) | RepeatReceive(body=b) | Restrict(body=b):
+            out |= walk_constructs_used(b)
+        case Parallel(left=l, right=r):
+            out |= walk_constructs_used(l) | walk_constructs_used(r)
+    return out
+
+
+def random_open(rng, depth):
+    """Any-constructor term whose indices may dangle or be negative."""
+
+    def chan():
+        return rng.choice([Name("a"), Name("b"), ChanVar(rng.randrange(-1, 4))])
+
+    def val():
+        return rng.choice([Atom("m0"), Atom("m1"), ValVar(rng.randrange(-1, 4))])
+
+    kinds = ["stop", "send", "dist"] + (["recv", "bang", "par", "nu"] if depth > 0 else [])
+    kind = rng.choice(kinds)
+    if kind == "stop":
+        return STOP
+    if kind == "send":
+        return Send(chan(), val())
+    if kind == "dist":
+        return Distribute(chan(), [chan() for _ in range(rng.randrange(3))])
+    if kind == "recv":
+        return Receive(chan(), random_open(rng, depth - 1))
+    if kind == "bang":
+        return RepeatReceive(chan(), random_open(rng, depth - 1))
+    if kind == "par":
+        return Parallel(random_open(rng, depth - 1), random_open(rng, depth - 1))
+    return Restrict(random_open(rng, depth - 1))
+
+
+def all_subterms(p):
+    yield p
+    for child in (getattr(p, f) for f in p.__match_args__):
+        if isinstance(child, (Stop, Send, Receive, RepeatReceive, Parallel, Restrict, Distribute)):
+            yield from all_subterms(child)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["pi", "comm", "open"]), st.integers(0, 10**6), st.integers(0, 4))
+def test_term_facts_match_the_recursive_walkers(kind, seed, depth):
+    rng = random.Random(seed)
+    if kind == "open":
+        term = random_open(rng, depth)
+    else:
+        term = (random_pi if kind == "pi" else random_comm)(rng, depth)
+    for sub in all_subterms(term):
+        for chan_depth in range(4):
+            for val_depth in range(4):
+                assert well_scoped(sub, chan_depth, val_depth) == walk_well_scoped(sub, chan_depth, val_depth)
+        assert is_closed(sub) == walk_well_scoped(sub)
+        assert free_channel_names(sub) == walk_free_channel_names(sub)
+        assert atoms_used(sub) == walk_atoms_used(sub)
+        assert constructs_used(sub) == walk_constructs_used(sub)
+
+
+def test_negative_indices_are_never_in_scope():
+    assert not well_scoped(Restrict(Send(ChanVar(-1), Atom("m0"))), 3, 3)
+    assert not well_scoped(Receive(Name("a"), Send(Name("b"), ValVar(-1))), 3, 3)
+    assert not well_scoped(Distribute(Name("a"), [Name("b"), ChanVar(-2)]), 3, 3)
+    assert well_scoped(Send(ChanVar(2), ValVar(2)), 3, 3)
+
+
+def test_equal_fact_sets_are_shared_with_children():
+    leaf = parse("a!m0 | b!m1")
+    assert free_channel_names(Parallel(leaf, parse("a!m1"))) is free_channel_names(leaf)
+    assert atoms_used(Restrict(leaf)) is atoms_used(leaf)
+
+
+@pytest.mark.parametrize("query", [free_channel_names, atoms_used, constructs_used, well_scoped, is_closed, infer_mode])
+@pytest.mark.parametrize("thing", [42, "x", None, Name("a"), Atom("m0"), ChanVar(0)], ids=repr)
+def test_term_queries_reject_non_processes(query, thing):
+    with pytest.raises(TypeError, match="not a process"):
+        query(thing)
