@@ -16,7 +16,7 @@ from .equivalence import FULL_UPTO, PLAIN, Verdict, check_strong, check_weak
 from .errors import NetprocError, ParseError
 from .laws import format_report, run_laws
 from .netlang import TraceEvent, explore, simulate
-from .normalform import normal_process
+from .normalform import normalize
 from .semantics import (
     DEFAULT_UNIVERSE,
     effective_universe,
@@ -60,10 +60,10 @@ def _cmd_lts(args) -> int:
     mode = infer_mode(p)
 
     def normal_steps(s):
-        return [(a, normal_process(t)) for a, t in sorted_steps(s, universe)]
+        return [(a, normalize(t)) for a, t in sorted_steps(s, universe)]
 
     order, truncated = reachable(
-        normal_process(p), lambda s: [t for _, t in normal_steps(s)], args.max_states
+        normalize(p), lambda s: [t for _, t in normal_steps(s)], args.max_states
     )
     ids = {s: i for i, s in enumerate(order)}
     # one edge per (state, action, state), in first-seen order: distinct raw
@@ -284,8 +284,8 @@ def main(argv: list[str] | None = None) -> int:
         # an OSError too, but run() turns a closed pipe into exit 141
         raise
     except (NetprocError, OSError, RecursionError) as exc:
-        # a RecursionError is a term nested too deeply for the recursive
-        # traversals: an input the program cannot take, not a verdict
+        # a RecursionError (the prover and the attacker recurse once per
+        # pair or ply) is an input the program cannot take, not a verdict
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

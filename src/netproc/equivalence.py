@@ -39,9 +39,8 @@ from enum import Enum
 
 from .errors import ScopeError
 from .normalform import (
-    NormalForm,
     compose_parallel,
-    normal_process,
+    normalize,
     parallel_components,
     term_key,
 )
@@ -132,7 +131,7 @@ class CheckResult:
 
 def _rewrite(p: Process, side: str, cfg: UpToConfig) -> Process:
     if cfg.use_congruence_rewrite and cfg.rewrite_side in (side, "both"):
-        return normal_process(p)
+        return normalize(p)
     return p
 
 
@@ -158,7 +157,8 @@ def _reduce(l: Process, r: Process, cfg: UpToConfig) -> Pair:
     both_normal = cfg.use_congruence_rewrite and cfg.rewrite_side == "both"
     while True:
         while isinstance(l, Restrict) and isinstance(r, Restrict) and not (both_normal and l is r):
-            avoid = free_channel_names(l) | free_channel_names(r)
+            # the bodies' sets, which instantiate_channel reads next
+            avoid = free_channel_names(l.body) | free_channel_names(r.body)
             c = Name(fresh_channel_name(avoid))
             l = _rewrite(instantiate_channel(l.body, c), "left", cfg)
             r = _rewrite(instantiate_channel(r.body, c), "right", cfg)
@@ -178,10 +178,10 @@ def _reduce(l: Process, r: Process, cfg: UpToConfig) -> Pair:
             return l, r
 
 
-def cancel_context(p: NormalForm, q: NormalForm) -> Pair:
+def cancel_context(p: Process, q: Process) -> Pair:
     """Delete shared parallel components and shared outer restrictions
-    from a normalized pair, re-normalizing the leftovers."""
-    return _reduce(p.process, q.process, FULL_UPTO)
+    from a pair of normal forms, re-normalizing the leftovers."""
+    return _reduce(p, q, FULL_UPTO)
 
 
 def _canon(pair: Pair, cfg: UpToConfig) -> Pair:
@@ -346,7 +346,7 @@ class _Attacker:
         self.tainted = False
 
     def _norm(self, p: Process) -> Process:
-        return normal_process(p) if self.normalize_states else p
+        return normalize(p) if self.normalize_states else p
 
     def _challenges(self, p: Process) -> list[tuple[Action, Process]]:
         moves = self.challenges.get(p)
@@ -596,10 +596,10 @@ def replay_trace(
     """
     uni = _prepare(p, q, universe, mode)
     closure = WeakClosure(uni, tau_bound)
-    state = {"left": normal_process(p), "right": normal_process(q)}
+    state = {"left": normalize(p), "right": normalize(q)}
     for i, step in enumerate(trace):
         chal = state[step.side]
-        moves = {(a, normal_process(t)) for a, t in _step(chal, uni)}
+        moves = {(a, normalize(t)) for a, t in _step(chal, uni)}
         if (step.action, step.challenger_target) not in moves:
             return False
         other = "right" if step.side == "left" else "left"
@@ -608,7 +608,7 @@ def replay_trace(
             replies = {t for a, t in resp_steps if a == step.action}
         else:
             replies = {
-                normal_process(t) for a, t in _step(state[other], uni) if a == step.action
+                normalize(t) for a, t in _step(state[other], uni) if a == step.action
             }
         last = i == len(trace) - 1
         if last:

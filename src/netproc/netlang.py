@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ArityError, DistinctnessError, ParseError, ScopeError
-from .normalform import normal_process
+from .normalform import normalize
 from .semantics import (
     Action,
     Mode,
@@ -171,7 +171,7 @@ class TraceEvent:
 
 
 def state_digest(p: Process) -> str:
-    return hashlib.sha256(pretty(normal_process(p)).encode()).hexdigest()[:12]
+    return hashlib.sha256(pretty(normalize(p)).encode()).hexdigest()[:12]
 
 
 Delivery = tuple[str, str]
@@ -262,11 +262,11 @@ def explore(
     start_raw, pairs, suppressed = _inject(p, inputs)
     check_mode(mode, start_raw)
     universe = effective_universe(universe, start_raw)
-    start = normal_process(start_raw)
+    start = normalize(start_raw)
     conds = _parse_query(query) if query else None
 
     def successors(s: Process) -> list[Process]:
-        return [normal_process(t) for _, t in _observable_steps(s, universe, suppressed)]
+        return [normalize(t) for _, t in _observable_steps(s, universe, suppressed)]
 
     seen, state_bound_hit = reachable(start, successors, max_states, max_depth)
     report = ExploreReport(
@@ -320,7 +320,7 @@ def explore(
             return
         on_path.add(key)
         for action, target in steps:
-            tn = normal_process(target)
+            tn = normalize(target)
             fired = [(action.channel.text, action.payload.text)] if isinstance(action, SendAct) else []
             deliveries.extend(fired)
             trail.append((action, tn))
@@ -354,13 +354,13 @@ def simulate(
     check_mode(mode, start_raw)
     universe = effective_universe(universe, start_raw)
     rng = random.Random(seed)
-    state = normal_process(start_raw)
+    state = normalize(start_raw)
     events: list[TraceEvent] = []
     for i in range(steps):
         taus = [t for a, t in sorted_steps(state, universe) if isinstance(a, Tau)]
         if not taus:
             break
-        state = normal_process(taus[rng.randrange(len(taus))])
+        state = normalize(taus[rng.randrange(len(taus))])
         events.append(TraceEvent(i, TAU, state_digest(state)))
     return tuple(events)
 

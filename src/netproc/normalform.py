@@ -13,30 +13,35 @@ Restrictions never move past parallel composition (no scope extrusion),
 so two terms that differ only in restriction placement may have distinct
 normal forms.  Normalization is idempotent and commutativity-complete:
 any two permutations of the same parallel components normalize equally.
+
+`normalize` returns the normal process alone, with no record of the
+rewrites that fired.  It works on units, children first, by
+`terms.post_order`: a parallel spine's leaves, the core under a whole
+run of restrictions, or a receive prefix's body.  `_CACHE` maps every unit and term normalized
+to its normal form and every normal form to itself, so a step target
+built from parts of normal forms costs only its new units.  A run's
+candidate orders are normalized by nested calls, which nest only where
+an order changes a run inside it, multiplying the work at each level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 
 from .terms import (
-    Atom,
+    CHAN,
     ChanVar,
     Channel,
-    Distribute,
-    Name,
     Parallel,
     Process,
-    Receive,
-    RepeatReceive,
     Restrict,
-    Send,
     STOP,
     Stop,
-    ValVar,
-    Value,
-    _map_channels,
+    _LEAVES,
+    _map,
+    children,
+    post_order,
+    rebuild,
 )
 
 # Runs of adjacent restrictions longer than this keep their binder order;
@@ -49,48 +54,17 @@ _MAX_SORTED_RUN = 5
 # ---------------------------------------------------------------------------
 
 
-def _chan_key(c: Channel) -> tuple:
-    return (0, c.text) if isinstance(c, Name) else (1, c.index)
-
-
-def _val_key(v: Value) -> tuple:
-    return (0, v.text) if isinstance(v, Atom) else (1, v.index)
-
-
 def term_key(p: Process) -> tuple:
     """Sort key realizing a total, deterministic order on terms.
 
     Constructor tag first, then child keys lexicographically.  Keys built
     from the same constructor always have the same shape, so comparisons
-    never mix types.  Computed once per node and kept on it.
+    never mix types.  Stored on each node when it is interned.
     """
     try:
-        key = p._term_key
+        return p._term_key
     except AttributeError:
         raise TypeError(f"not a process: {p!r}") from None
-    if key is None:
-        key = _compute_key(p)
-        object.__setattr__(p, "_term_key", key)
-    return key
-
-
-def _compute_key(p: Process) -> tuple:
-    match p:
-        case Stop():
-            return (0,)
-        case Send(channel=c, payload=v):
-            return (1, _chan_key(c), _val_key(v))
-        case Receive(channel=c, body=b):
-            return (2, _chan_key(c), term_key(b))
-        case RepeatReceive(channel=c, body=b):
-            return (3, _chan_key(c), term_key(b))
-        case Distribute(source=s, targets=ts):
-            return (4, _chan_key(s), tuple(_chan_key(t) for t in ts))
-        case Parallel(left=l, right=r):
-            return (5, term_key(l), term_key(r))
-        case Restrict(body=b):
-            return (6, term_key(b))
-    raise TypeError(f"not a process: {p!r}")
 
 
 def term_order(p: Process, q: Process) -> int:
@@ -106,9 +80,16 @@ def term_order(p: Process, q: Process) -> int:
 
 def parallel_components(p: Process) -> list[Process]:
     """Non-parallel leaves of the parallel spine, left to right."""
-    if isinstance(p, Parallel):
-        return parallel_components(p.left) + parallel_components(p.right)
-    return [p]
+    out: list[Process] = []
+    rights: list[Process] = []
+    while True:
+        while type(p) is Parallel:
+            rights.append(p.right)
+            p = p.left
+        out.append(p)
+        if not rights:
+            return out
+        p = rights.pop()
 
 
 def compose_parallel(components: list[Process]) -> Process:
@@ -126,148 +107,95 @@ def compose_parallel(components: list[Process]) -> Process:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    """A normalized process together with the rewrite rules that fired."""
-
-    process: Process
-    provenance: tuple[str, ...]
+# every unit normalized, and every normal form found, to its normal form
+_CACHE: dict[Process, Process] = {}
 
 
-_CACHE: dict[Process, NormalForm] = {}
-
-
-def normalize(p: Process) -> NormalForm:
+def normalize(p: Process) -> Process:
     """Canonical form of `p` under the rewrite system above.
 
-    The result is strongly bisimilar to the input, and re-normalizing the
-    result is the identity with empty provenance.
+    The result is strongly bisimilar to the input, and normalizing the
+    result returns it unchanged.
     """
-    hit = _CACHE.get(p)
-    if hit is None:
-        log: list[str] = []
-        hit = NormalForm(_norm(p, log), tuple(log))
-        _CACHE[p] = hit
-    return hit
+    return _known(p) or post_order(p, _known, _units, _normal_unit)
 
 
-def normal_process(p: Process) -> Process:
-    """Shorthand for normalize(p).process."""
-    return normalize(p).process
+def _known(p: Process) -> Process | None:
+    return p if type(p) in _LEAVES else _CACHE.get(p)
 
 
-def _norm(p: Process, log: list[str]) -> Process:
-    match p:
-        case Stop() | Send() | Distribute():
-            return p
-        case Receive(channel=c, body=b):
-            return Receive(c, _norm(b, log))
-        case RepeatReceive(channel=c, body=b):
-            return RepeatReceive(c, _norm(b, log))
-        case Parallel():
-            return _norm_parallel(p, log)
-        case Restrict():
-            return _norm_restrict(p, log)
-    raise TypeError(f"not a process: {p!r}")
+def _units(p: Process) -> list[Process] | tuple:
+    if type(p) is Parallel:
+        return parallel_components(p)
+    if type(p) is Restrict:
+        while type(p) is Restrict:
+            p = p.body
+        return (p,)
+    # a receive prefix's body; `children` rejects a non-process
+    return children(p)
 
 
-def _had_left_nesting(p: Process) -> bool:
-    while isinstance(p, Parallel):
-        if isinstance(p.left, Parallel):
-            return True
-        p = p.right
-    return False
-
-
-def _norm_parallel(p: Parallel, log: list[str]) -> Process:
-    if _had_left_nesting(p):
-        log.append("assoc")
-    flat: list[Process] = []
-    for leaf in parallel_components(p):
-        normed = _norm(leaf, log)
-        # collapsing a restriction or unit may surface new parallel structure
-        flat.extend(parallel_components(normed))
-    kept = [c for c in flat if not isinstance(c, Stop)]
-    log.extend(["unit"] * (len(flat) - len(kept)))
-    ordered = sorted(kept, key=term_key)
-    if ordered != kept:
-        log.append("comm")
-    return compose_parallel(ordered)
-
-
-def _norm_restrict(p: Restrict, log: list[str]) -> Process:
-    # Peel the whole run of adjacent binders, normalizing underneath.
-    k = 0
-    cur: Process = p
-    while isinstance(cur, Restrict):
-        k += 1
-        cur = cur.body
-    core = _norm(cur, log)
-    while isinstance(core, Restrict):
-        k += 1
-        core = core.body
-
-    used = _run_usage(core, k)
-    if len(used) < k:
-        for _ in range(k - len(used)):
-            log.append("nu-drop")
-        core = _strengthen_run(core, k, used)
-        k = len(used)
-    if k == 0:
-        return core
-    if 1 < k <= _MAX_SORTED_RUN:
-        best = core
-        best_key = term_key(core)
-        best_perm = tuple(range(k))
-        for perm in permutations(range(k)):
-            candidate = _norm(_permute_run(core, k, perm), [])
-            key = term_key(candidate)
-            if key < best_key:
-                best, best_key, best_perm = candidate, key, perm
-        if best_perm != tuple(range(k)):
-            log.append("nu-swap")
-        core = best
-    out: Process = core
-    for _ in range(k):
-        out = Restrict(out)
+def _normal_unit(p: Process, units: list[Process]) -> Process:
+    kind = type(p)
+    if kind is Parallel:
+        kept: list[Process] = []
+        for n in units:
+            # a unit's normal form may itself be a parallel composition
+            if type(n) is Parallel:
+                kept += parallel_components(n)
+            elif type(n) is not Stop:
+                kept.append(n)
+        kept.sort(key=term_key)
+        out = compose_parallel(kept)
+    elif kind is Restrict:
+        out = _normal_run(p, units[0])
+    else:
+        out = rebuild(p, units)
+    _CACHE[p] = out
+    if out is not p:
+        _CACHE[out] = out
     return out
 
 
-def _run_usage(core: Process, k: int) -> list[int]:
-    """Ascending indices of run binders actually referenced in `core`.
+def _normal_run(p: Restrict, core: Process) -> Process:
+    """Normal form of a run of restrictions whose core normalizes to `core`."""
+    k = 0
+    while type(p) is Restrict:
+        k += 1
+        p = p.body
+    while type(core) is Restrict:
+        k += 1
+        core = core.body
+    # the binders the core uses, read off its channel mask without a walk
+    used = [i for i in range(k) if core._chan_mask >> i & 1]
+    if len(used) < k:
+        core = _renumber_run(core, k, {old: new for new, old in enumerate(used)})
+        k = len(used)
+    if 1 < k <= _MAX_SORTED_RUN:
+        best, best_key = core, term_key(core)
+        # the first permutation is the identity, which gives `core` back
+        for perm in islice(permutations(range(k)), 1, None):
+            permuted = _renumber_run(core, k, dict(enumerate(perm)))
+            candidate = _known(permuted) or post_order(permuted, _known, _units, _normal_unit)
+            key = term_key(candidate)
+            if key < best_key:
+                best, best_key = candidate, key
+        core = best
+    for _ in range(k):
+        core = Restrict(core)
+    return core
 
-    Read off the channel mask each node carries (bit i: `ChanVar(i)` is
-    free in the node), so the body is neither walked nor rebuilt.
-    """
-    mask = core._chan_mask
-    return [i for i in range(k) if mask >> i & 1]
 
-
-def _strengthen_run(core: Process, k: int, keep: list[int]) -> Process:
-    """Remove unused binders of a k-run, renumbering the survivors."""
-    new_index = {old: new for new, old in enumerate(keep)}
-    dropped = k - len(keep)
+def _renumber_run(core: Process, k: int, new: dict[int, int]) -> Process:
+    """Renumber the binders of a k-run over `core`: binder j becomes
+    new[j], and the binders outside the run move in over the ones `new`
+    drops."""
+    dropped = k - len(new)
 
     def f(c: Channel, d: int) -> Channel:
-        if isinstance(c, ChanVar):
+        if isinstance(c, ChanVar) and c.index >= d:
             j = c.index - d
-            if 0 <= j < k:
-                return ChanVar(new_index[j] + d)
-            if j >= k:
-                return ChanVar(c.index - dropped)
+            return ChanVar((new[j] if j < k else j - dropped) + d)
         return c
 
-    return _map_channels(core, f)
-
-
-def _permute_run(core: Process, k: int, perm: tuple[int, ...]) -> Process:
-    """Apply a permutation to the binder indices of a k-run."""
-
-    def f(c: Channel, d: int) -> Channel:
-        if isinstance(c, ChanVar):
-            j = c.index - d
-            if 0 <= j < k:
-                return ChanVar(perm[j] + d)
-        return c
-
-    return _map_channels(core, f)
+    return _map(core, CHAN, f)

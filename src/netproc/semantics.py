@@ -39,7 +39,7 @@ from enum import Enum
 from typing import Callable, Iterable, Union
 
 from .errors import BoundExceeded, ModeViolation
-from .normalform import normal_process, term_key
+from .normalform import normalize, term_key
 from .terms import (
     Atom,
     Channel,
@@ -55,8 +55,11 @@ from .terms import (
     Stop,
     ValVar,
     atoms_used,
+    children,
     constructs_used,
     instantiate_value,
+    post_order,
+    rebuild,
 )
 
 
@@ -199,9 +202,23 @@ def _step(p: Process, universe: Universe) -> frozenset[Step]:
     key = (p, universe)
     hit = _STEP_CACHE.get(key)
     if hit is None:
-        hit = frozenset(_enumerate(p, universe))
-        _STEP_CACHE[key] = hit
+        # fill the table for every missing part a step of `p` is made of
+        hit = post_order(key, _STEP_CACHE.get, _step_parts, _step_entry)
     return hit
+
+
+def _step_parts(key: tuple[Process, Universe]) -> tuple:
+    # a prefix's body steps only once instantiated, so it is no part
+    p, universe = key
+    kind = type(p)
+    if kind is Parallel:
+        return ((p.left, universe), (p.right, universe))
+    return ((p.body, universe),) if kind is Restrict else ()
+
+
+def _step_entry(key: tuple[Process, Universe], parts: list[frozenset[Step]]) -> frozenset[Step]:
+    out = _STEP_CACHE[key] = frozenset(_enumerate(*key, parts))
+    return out
 
 
 def step_order(step: Step) -> tuple:
@@ -215,7 +232,7 @@ def sorted_steps(p: Process, universe: Universe) -> list[Step]:
     return sorted(_step(p, universe), key=step_order)
 
 
-def _sender_row(targets: tuple, value: Atom) -> Process:
+def _sender_row(targets: tuple, value: Atom | ValVar) -> Process:
     """Forwarding row fired by a distributor: one send per target, then 0."""
     row: Process = STOP
     for t in reversed(targets):
@@ -223,7 +240,8 @@ def _sender_row(targets: tuple, value: Atom) -> Process:
     return row
 
 
-def _enumerate(p: Process, universe: Universe) -> Iterable[Step]:
+def _enumerate(p: Process, universe: Universe, parts: list[frozenset[Step]]) -> Iterable[Step]:
+    """The steps of `p`, given the steps of its `_step_parts`."""
     match p:
         case Stop():
             return
@@ -239,8 +257,7 @@ def _enumerate(p: Process, universe: Universe) -> Iterable[Step]:
             for v in universe:
                 yield ReceiveAct(s, v), Parallel(_sender_row(ts, v), p)
         case Parallel(left=l, right=r):
-            lsteps = _step(l, universe)
-            rsteps = _step(r, universe)
+            lsteps, rsteps = parts
             for a, t in lsteps:
                 yield a, Parallel(t, r)
             for a, t in rsteps:
@@ -249,11 +266,11 @@ def _enumerate(p: Process, universe: Universe) -> Iterable[Step]:
                 for a2, t2 in rsteps:
                     if _complementary(a1, a2):
                         yield TAU, Parallel(t1, t2)
-        case Restrict(body=b):
+        case Restrict():
             # the body's steps under the binder: traffic on the bound
             # channel (index 0) stays inside, outer bound channels move
             # one binder out, and each target keeps the binder
-            for a, t in _step(b, universe):
+            for a, t in parts[0]:
                 if not isinstance(a, Tau) and isinstance(a.channel, ChanVar):
                     if a.channel.index == 0:
                         continue
@@ -285,7 +302,7 @@ def _tau_reach(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Pr
     """
     # an inline loop, not `reachable`: this runs thousands of times per
     # weak check, where a successor call per state cost several percent
-    start = normal_process(p)
+    start = normalize(p)
     visited = {start}
     frontier = [start]
     for _ in range(bound):
@@ -293,7 +310,7 @@ def _tau_reach(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Pr
         for s in frontier:
             for a, t in _step(s, universe):
                 if isinstance(a, Tau):
-                    n = normal_process(t)
+                    n = normalize(t)
                     if n not in visited:
                         visited.add(n)
                         nxt.append(n)
@@ -303,7 +320,7 @@ def _tau_reach(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Pr
     truncated = False
     for s in frontier:
         for a, t in _step(s, universe):
-            if isinstance(a, Tau) and normal_process(t) not in visited:
+            if isinstance(a, Tau) and normalize(t) not in visited:
                 truncated = True
                 break
         if truncated:
@@ -412,23 +429,17 @@ def unfold_comm(p: Process) -> Process:
     The expansion receives a value and fires one send per target, ending
     in the inert process; the result uses base-mode constructs only.
     """
-    match p:
-        case Stop() | Send():
-            return p
-        case Receive(channel=c, body=b):
-            return Receive(c, unfold_comm(b))
-        case RepeatReceive(channel=c, body=b):
-            return RepeatReceive(c, unfold_comm(b))
-        case Parallel(left=l, right=r):
-            return Parallel(unfold_comm(l), unfold_comm(r))
-        case Restrict(body=b):
-            return Restrict(unfold_comm(b))
-        case Distribute(source=s, targets=ts):
-            row: Process = STOP
-            for t in reversed(ts):
-                row = Parallel(Send(t, ValVar(0)), row)
-            return RepeatReceive(s, row)
-    raise TypeError(f"not a process: {p!r}")
+    done: dict[Process, Process] = {}
+
+    def compute(x: Process, kids: list[Process]) -> Process:
+        if type(x) is Distribute:
+            out = RepeatReceive(x.source, _sender_row(x.targets, ValVar(0)))
+        else:
+            out = rebuild(x, kids)
+        done[x] = out
+        return out
+
+    return post_order(p, done.get, children, compute)
 
 
 def sorted_transitions(ts: Iterable[Transition]) -> list[Transition]:

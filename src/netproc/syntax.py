@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, ScopeError
+from .normalform import compose_parallel
 from .semantics import Action, ReceiveAct, SendAct, Tau
 from .terms import (
     Atom,
@@ -99,12 +100,18 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
+# How deeply parentheses and receive prefixes may nest; `|` lists and
+# chains of `new` are read in a loop, at any length
+_MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.chan_binders: list[str] = []
         self.val_binders: list[str] = []
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -144,33 +151,44 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
 
     def process(self) -> Process:
-        parts = [self.unit()]
-        while self.peek().kind == "|":
-            self.next()
-            parts.append(self.unit())
-        out = parts[-1]
-        for part in reversed(parts[:-1]):
-            out = Parallel(part, out)
+        # A restriction's body runs to the end of the group, so a chain of
+        # `new`s is read in this loop, each `new` setting aside the list
+        # read before it.
+        outer: list[list[Process]] = []
+        parts: list[Process] = []
+        while True:
+            if self.peek().kind == "new":
+                self.next()
+                self.chan_binders.append(self.expect("ident").text)
+                self.expect(".")
+                outer.append(parts)
+                parts = []
+            else:
+                parts.append(self.factor())
+                if self.peek().kind != "|":
+                    break
+                self.next()
+        out = compose_parallel(parts)
+        while outer:
+            # occurrences were resolved against the stacked binder already
+            self.chan_binders.pop()
+            out = compose_parallel(outer.pop() + [Restrict(out)])
         return out
 
-    def unit(self) -> Process:
-        if self.peek().kind == "new":
-            self.next()
-            binder = self.expect("ident")
-            self.expect(".")
-            self.chan_binders.append(binder.text)
-            body = self.process()
-            self.chan_binders.pop()
-            # occurrences were resolved against the stacked binder already
-            return Restrict(body)
-        return self.factor()
+    def nest(self, tok: _Token, delta: int) -> None:
+        # parentheses and receive prefixes are read by recursion
+        self.depth += delta
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"nested deeper than {_MAX_NESTING} parentheses and prefixes", tok.line, tok.col)
 
     def factor(self) -> Process:
         tok = self.next()
         match tok.kind:
             case "(":
+                self.nest(tok, 1)
                 inner = self.process()
                 self.expect(")")
+                self.nest(tok, -1)
                 return inner
             case "zero":
                 return STOP
@@ -195,9 +213,12 @@ class _Parser:
                 binder = self.expect("ident")
                 self.expect(".")
                 chan = self.channel(tok)
+                self.nest(op, 1)
                 self.val_binders.append(binder.text)
-                body = self.unit()
+                # the body is a unit: a chain of `new`s, or one factor
+                body = self.process() if self.peek().kind == "new" else self.factor()
                 self.val_binders.pop()
+                self.nest(op, -1)
                 cls = Receive if op.kind == "?" else RepeatReceive
                 return cls(chan, body)
             case "arrow":
@@ -237,65 +258,75 @@ _VALUE_NAMES = ("x", "y", "z", "w")
 _CHANNEL_NAMES = ("t", "u", "s", "r")
 
 
-def _pick(candidates: tuple[str, ...], taken: set[str]) -> str:
-    for c in candidates:
-        if c not in taken:
-            return c
-    i = 1
-    while f"{candidates[0]}{i}" in taken:
-        i += 1
-    return f"{candidates[0]}{i}"
+def _bind(candidates: tuple[str, ...], used: set[str], low: dict[str, int]) -> str:
+    """Name a binder: its first candidate not in `used` (the free names
+    and atoms, and the binders around it), else the first free base1,
+    base2, ... of its first candidate, a one-letter base; every numbered
+    name below `low[base]` is used, so a nest needs no rescan."""
+    name = next((c for c in candidates if c not in used), None)
+    if name is None:
+        base = candidates[0]
+        i = low.get(base, 1)
+        while f"{base}{i}" in used:
+            i += 1
+        low[base] = i + 1
+        name = f"{base}{i}"
+    used.add(name)
+    return name
 
 
 def pretty(p: Process) -> str:
     """Canonical text for a term; parsing it back yields an equal term."""
-    taken = free_channel_names(p) | atoms_used(p)
-    return _pp(p, [], [], taken, group=True)
-
-
-def _pp(p: Process, chans: list[str], vals: list[str], taken: set[str], group: bool) -> str:
-    match p:
-        case Stop():
-            return "0"
-        case Send(channel=c, payload=v):
-            return f"{_pc(c, chans)}!{_pv(v, vals)}"
-        case Receive(channel=c, body=b) | RepeatReceive(channel=c, body=b):
-            op = "?" if isinstance(p, Receive) else "?*"
-            name = _pick(_VALUE_NAMES, taken | set(vals) | set(chans))
-            vals.append(name)
-            parens = isinstance(b, (Parallel, Restrict))
-            inner = _pp(b, chans, vals, taken, group=parens)
-            vals.pop()
-            if parens:
-                inner = f"({inner})"
-            return f"{_pc(c, chans)}{op}{name}. {inner}"
-        case Distribute(source=s, targets=ts):
-            inner = ", ".join(_pc(t, chans) for t in ts)
-            return f"{_pc(s, chans)} => [{inner}]"
-        case Parallel():
-            parts: list[str] = []
-            cur: Process = p
-            while isinstance(cur, Parallel):
-                parts.append(_component(cur.left, chans, vals, taken, last=False))
-                cur = cur.right
-            parts.append(_component(cur, chans, vals, taken, last=True))
-            text = " | ".join(parts)
-            return text if group else f"({text})"
-        case Restrict(body=b):
-            name = _pick(_CHANNEL_NAMES, taken | set(chans) | set(vals))
+    used = set(free_channel_names(p) | atoms_used(p))
+    low: dict[str, int] = {}
+    chans: list[str] = []
+    vals: list[str] = []
+    out: list[str] = []
+    # The text is written left to right from a stack of pending items: a
+    # term and whether it is alone in its group (if not, a composition or
+    # restriction takes parentheses), a piece of text, or a binder list
+    # to pop.
+    todo: list[tuple] = [(p, True)]
+    while todo:
+        x, group = todo.pop()
+        kind = type(x)
+        if kind is str:
+            out.append(x)
+        elif kind is list:
+            name = x.pop()
+            used.discard(name)
+            if name[1:].isdigit():
+                low[name[0]] = min(low[name[0]], int(name[1:]))
+        elif kind is Parallel:
+            items = []
+            while type(x) is Parallel:
+                items += [(x.left, False), (" | ", None)]
+                x = x.right
+            # a trailing restriction may stay bare: its body runs to the group end
+            items += [(x, True), ("" if group else ")", None)]
+            out.append("" if group else "(")
+            todo += reversed(items)
+        elif kind is Restrict:
+            name = _bind(_CHANNEL_NAMES, used, low)
+            out.append(f"new {name}. " if group else f"(new {name}. ")
             chans.append(name)
-            inner = _pp(b, chans, vals, taken, group=True)
-            chans.pop()
-            text = f"new {name}. {inner}"
-            return text if group else f"({text})"
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _component(p: Process, chans: list[str], vals: list[str], taken: set[str], last: bool) -> str:
-    # a trailing restriction may stay bare: its body runs to the group end
-    if isinstance(p, Restrict) and last:
-        return _pp(p, chans, vals, taken, group=True)
-    return _pp(p, chans, vals, taken, group=False)
+            todo += [("" if group else ")", None), (chans, None), (x.body, True)]
+        elif kind is Receive or kind is RepeatReceive:
+            name = _bind(_VALUE_NAMES, used, low)
+            b = x.body
+            parens = type(b) is Parallel or type(b) is Restrict
+            out.append(f"{_pc(x.channel, chans)}{'?' if kind is Receive else '?*'}{name}. {'(' if parens else ''}")
+            vals.append(name)
+            todo += [(vals, None), (")" if parens else "", None), (b, parens)]
+        elif kind is Send:
+            out.append(f"{_pc(x.channel, chans)}!{_pv(x.payload, vals)}")
+        elif kind is Distribute:
+            out.append(f"{_pc(x.source, chans)} => [{', '.join([_pc(t, chans) for t in x.targets])}]")
+        elif kind is Stop:
+            out.append("0")
+        else:
+            raise TypeError(f"not a process: {x!r}")
+    return "".join(out)
 
 
 def _pc(c: Channel, chans: list[str]) -> str:

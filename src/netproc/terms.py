@@ -8,28 +8,23 @@ receive binder leaves channel indices untouched and vice versa.
 Process nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006): building a node with the same constructor and the
 same fields as a live node returns that node, so structurally equal terms
-are the same object.  Equality is identity, and each node computes its
-structural hash once, from its children's stored hashes.  Each node
-also carries a channel mask, set when it is built from its children's
-masks: bit i is set when the bound channel `ChanVar(i)` occurs free in
-the node, so which enclosing binders a term uses is read off its top
-node without a walk.  The intern table holds nodes weakly, so a term is
-dropped once nothing else refers to it.  Terms must be built through
-their constructors; copying and pickling go through them too.  The
-channel and value leaves are small frozen dataclasses with structural
-equality.  All operations here are pure.
+are the same object.  Equality is identity.  An interned node stores, from
+its fields and its children's stored values, its structural hash, its sort
+key `term_key` and its channel mask (bit i set when the bound channel
+`ChanVar(i)` occurs free in it).  The intern table holds nodes weakly, so
+a term is dropped once nothing else refers to it.  Terms must be built
+through their constructors; copying and pickling go through them too.
+All operations here are pure.
 
-The term facts that scope and language checks ask for (the value-side
-twin of the channel mask, whether any index is negative, the
-constructors, the atoms and the free channel names) are kept as one
-summary per node, built from the children's summaries the first time a
-query asks for it, so `well_scoped`, `free_channel_names`, `atoms_used`
-and `constructs_used` are reads after that.  Equal sets are shared
-between a node and its children.  The summary is not built when a node
-is interned: most nodes are step targets that no query ever reaches,
-and a term nested deeper than the recursion limit still fails at its
-first query, where a summary built at intern time would let it through
-to a check that runs for minutes.
+Each constructor declares the kind of each field and the sort its binder
+binds.  The traversals read those declarations rather than match on
+constructors, and none recurses: `post_order` computes a value per node
+on an explicit stack, so a term's depth is bounded by memory, not by the
+recursion limit.  The facts scope and language checks ask for (the value
+twin of the channel mask, a negative-index flag, the constructors) take
+O(1) space per node and are computed on the first query, since most nodes
+are step targets no query reaches.  The atom and free-name sets grow with
+the term, so they are kept only on the nodes a query asked about.
 """
 
 from __future__ import annotations
@@ -37,6 +32,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Union
 
 from .errors import FreshnessViolation
@@ -79,6 +75,13 @@ class ValVar:
 
 Value = Union[Atom, ValVar]
 
+# The kinds of constructor fields, and the sorts binders bind (CHAN, VAL)
+CHAN, VAL, CHANS, PROC = "chan", "val", "chans", "proc"
+
+
+def _chan_key(c: Channel) -> tuple:
+    return (0, c.text) if type(c) is Name else (1, c.index)
+
 
 # ---------------------------------------------------------------------------
 # Hash-consing
@@ -120,8 +123,9 @@ def _intern(key: tuple) -> "Process":
         put(node, value)
     # the same value the field-tuple hash of a plain dataclass would give
     _put_hash(node, hash(fields))
-    _put_term_key(node, None)
-    _put_chan_mask(node, node._mask())
+    term_key, chan_mask = node._derive()
+    _put_term_key(node, term_key)
+    _put_chan_mask(node, chan_mask)
     ref = _Ref(node, _drop)
     ref.key = key
     with _LOCK:
@@ -140,10 +144,6 @@ def _bit(c: Channel) -> int:
     return 1 << c.index if type(c) is ChanVar and c.index >= 0 else 0
 
 
-def _negative(x: Channel | Value) -> bool:
-    return type(x) in (ChanVar, ValVar) and x.index < 0
-
-
 def _join(a: frozenset, b: frozenset) -> frozenset:
     # share a set that already holds the other
     return a if b <= a else b if a <= b else a | b
@@ -152,44 +152,29 @@ def _join(a: frozenset, b: frozenset) -> frozenset:
 _EMPTY: frozenset[str] = frozenset()
 
 
-def _prefix_facts(p: Receive | RepeatReceive) -> tuple:
-    # the body's value index 0 is this prefix's binder
-    mask, negative, constructs, atoms, names = _facts_of(p.body)
-    c = p.channel
-    if type(c) is Name and c.text not in names:
-        names = names | {c.text}
-    return (mask >> 1, negative or _negative(c), _join(constructs, p._tag), atoms, names)
-
-
 class _Node:
     """Base of the process constructors: interned, hashed once.
 
-    `_term_key` is the node's sort key, filled in on first use by
-    `normalform.term_key`.  `_chan_mask` is set when the node is built:
-    bit i is set when `ChanVar(i)` occurs free in the node, counting
-    binders from the node itself.  `_mask` computes it from the fields,
-    whose own masks are already set.  `_facts` is left unset until
-    `_facts_of` first asks for it; `_summarize` computes it from the
-    fields' summaries as the tuple (value mask, negative index,
-    constructors, atoms, free channel names).  The value mask is the
-    value-side twin of the channel mask, counting receive binders.
+    A constructor declares `_kinds`, the kind of each field in
+    `__match_args__` order, and `_binds`, the sort its binder binds.
+    `_derive` gives the sort key and the channel mask from the fields.
+    `_facts`, unset until `_facts_of` first asks, is the tuple (value
+    mask, negative index, constructors), extended by (atoms, free
+    channel names) on a node `_sets_of` was asked about.
     """
 
     __slots__ = ("_hash", "_term_key", "_chan_mask", "_facts", "__weakref__")
 
+    _kinds: tuple[str, ...] = ()
+    _binds: str | None = None
+
     def __hash__(self) -> int:
         return self._hash
-
-    def _mask(self) -> int:
-        return 0
-
-    def _summarize(self) -> tuple:
-        return (0, False, self._tag, _EMPTY, _EMPTY)
 
     def __reduce__(self) -> tuple:
         # copy, deepcopy and unpickling rebuild through the constructor,
         # so they return the interned node rather than a twin
-        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+        return type(self), self._values(self)
 
 
 # Slot setters, which write a frozen node's slots without the attribute
@@ -200,12 +185,23 @@ _put_chan_mask = _Node._chan_mask.__set__
 _put_facts = _Node._facts.__set__
 
 
+def _getter(names: list[str]) -> Callable:
+    # a function from a node to the tuple of the named fields
+    if len(names) == 1:
+        return lambda p, get=attrgetter(names[0]): (get(p),)
+    return attrgetter(*names) if names else lambda p: ()
+
+
 def _process(cls: type) -> type:
     # identity equality comes from object; the generated __init__ is
     # replaced by each constructor's __new__, which returns the interned node
     cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
-    cls._put_fields = tuple(getattr(cls, name).__set__ for name in cls.__match_args__)
+    names = cls.__match_args__
+    cls._put_fields = tuple(getattr(cls, name).__set__ for name in names)
     cls._tag = frozenset((cls.__name__,))
+    # the tuples of all fields and of the process fields
+    cls._values = staticmethod(_getter(names))
+    cls._children = staticmethod(_getter([n for n, kind in zip(names, cls._kinds) if kind is PROC]))
     return cls
 
 
@@ -221,6 +217,9 @@ class Stop(_Node):
     def __new__(cls) -> Stop:
         return _intern((cls,))
 
+    def _derive(self) -> tuple[tuple, int]:
+        return (0,), 0
+
 
 @_process
 class Send(_Node):
@@ -228,42 +227,43 @@ class Send(_Node):
 
     channel: Channel
     payload: Value
+    _kinds = (CHAN, VAL)
 
     def __new__(cls, channel: Channel, payload: Value) -> Send:
         return _intern((cls, channel, payload))
 
-    def _mask(self) -> int:
-        return _bit(self.channel)
-
-    def _summarize(self) -> tuple:
+    def _derive(self) -> tuple[tuple, int]:
         c, v = self.channel, self.payload
-        return (
-            1 << v.index if type(v) is ValVar and v.index >= 0 else 0,
-            _negative(c) or _negative(v),
-            self._tag,
-            frozenset((v.text,)) if type(v) is Atom else _EMPTY,
-            frozenset((c.text,)) if type(c) is Name else _EMPTY,
-        )
+        val = (0, v.text) if type(v) is Atom else (1, v.index)
+        return (1, (0, c.text) if type(c) is Name else (1, c.index), val), _bit(c)
+
+
+class _Prefix(_Node):
+    """An input prefix; the body has one bound value (index 0)."""
+
+    __slots__ = ()
+    _kinds = (CHAN, PROC)
+    _binds = VAL
+
+    def __new__(cls, channel: Channel, body: Process) -> _Prefix:
+        return _intern((cls, channel, body))
+
+    def _derive(self) -> tuple[tuple, int]:
+        b = self.body
+        return (self._order, _chan_key(self.channel), b._term_key), _bit(self.channel) | b._chan_mask
 
 
 @_process
-class Receive(_Node):
+class Receive(_Prefix):
     """One-shot input prefix; the body has one bound value (index 0)."""
 
     channel: Channel
     body: "Process"
-
-    def __new__(cls, channel: Channel, body: Process) -> Receive:
-        return _intern((cls, channel, body))
-
-    def _mask(self) -> int:
-        return _bit(self.channel) | self.body._chan_mask
-
-    _summarize = _prefix_facts
+    _order = 2
 
 
 @_process
-class RepeatReceive(_Node):
+class RepeatReceive(_Prefix):
     """Input prefix that re-arms itself after every receipt.
 
     Kept folded as a first-class node; it only unfolds one step at a time
@@ -272,14 +272,7 @@ class RepeatReceive(_Node):
 
     channel: Channel
     body: "Process"
-
-    def __new__(cls, channel: Channel, body: Process) -> RepeatReceive:
-        return _intern((cls, channel, body))
-
-    def _mask(self) -> int:
-        return _bit(self.channel) | self.body._chan_mask
-
-    _summarize = _prefix_facts
+    _order = 3
 
 
 @_process
@@ -288,17 +281,14 @@ class Parallel(_Node):
 
     left: "Process"
     right: "Process"
+    _kinds = (PROC, PROC)
 
     def __new__(cls, left: Process, right: Process) -> Parallel:
         return _intern((cls, left, right))
 
-    def _mask(self) -> int:
-        return self.left._chan_mask | self.right._chan_mask
-
-    def _summarize(self) -> tuple:
-        lm, ln, lc, la, lf = _facts_of(self.left)
-        rm, rn, rc, ra, rf = _facts_of(self.right)
-        return (lm | rm, ln or rn, _join(_join(lc, rc), self._tag), _join(la, ra), _join(lf, rf))
+    def _derive(self) -> tuple[tuple, int]:
+        l, r = self.left, self.right
+        return (5, l._term_key, r._term_key), l._chan_mask | r._chan_mask
 
 
 @_process
@@ -306,17 +296,15 @@ class Restrict(_Node):
     """Channel restriction; the body has one bound channel (index 0)."""
 
     body: "Process"
+    _kinds = (PROC,)
+    _binds = CHAN
 
     def __new__(cls, body: Process) -> Restrict:
         return _intern((cls, body))
 
-    def _mask(self) -> int:
+    def _derive(self) -> tuple[tuple, int]:
         # the body's index 0 is this binder; its index i+1 is our index i
-        return self.body._chan_mask >> 1
-
-    def _summarize(self) -> tuple:
-        mask, negative, constructs, atoms, names = _facts_of(self.body)
-        return (mask, negative, _join(constructs, self._tag), atoms, names)
+        return (6, self.body._term_key), self.body._chan_mask >> 1
 
 
 @_process
@@ -327,25 +315,71 @@ class Distribute(_Node):
 
     source: Channel
     targets: tuple[Channel, ...]
+    _kinds = (CHAN, CHANS)
 
     def __new__(cls, source: Channel, targets: Iterable[Channel]) -> Distribute:
         return _intern((cls, source, tuple(targets)))
 
-    def _mask(self) -> int:
+    def _derive(self) -> tuple[tuple, int]:
         mask = _bit(self.source)
         for t in self.targets:
             mask |= _bit(t)
-        return mask
-
-    def _summarize(self) -> tuple:
-        chans = (self.source, *self.targets)
-        names = frozenset(c.text for c in chans if type(c) is Name)
-        return (0, any(map(_negative, chans)), self._tag, _EMPTY, names)
+        return (4, _chan_key(self.source), tuple(map(_chan_key, self.targets))), mask
 
 
 Process = Union[Stop, Send, Receive, RepeatReceive, Parallel, Restrict, Distribute]
+_LEAVES = (Stop, Send, Distribute)
 
 STOP = Stop()
+
+
+# ---------------------------------------------------------------------------
+# Traversal
+# ---------------------------------------------------------------------------
+
+
+def children(p: Process) -> tuple:
+    """The process fields of a node, in field order."""
+    if isinstance(p, _Node):
+        return p._children(p)
+    raise TypeError(f"not a process: {p!r}")
+
+
+def rebuild(p: Process, kids: Iterable[Process]) -> Process:
+    """The node with `p`'s constructor and leaf fields and `kids` as its
+    process fields, in `children` order."""
+    kids = iter(kids)
+    return type(p)(*[next(kids) if kind is PROC else x for x, kind in zip(p._values(p), p._kinds)])
+
+
+def post_order(root, value_of: Callable, children_of: Callable, compute: Callable):
+    """The value of `root`, which has none yet, computing first every
+    missing value it needs.
+
+    `value_of(x)` is the value kept for item x, or None while there is
+    none; `children_of(x)` lists the items x's value depends on;
+    `compute(x, values)` is given their values in that order, keeps x's
+    value and returns it.  Items are computed on an explicit stack, each
+    once and after its children: at once when no child's value is
+    missing, else after the missing ones.
+    """
+    stack = [(root, None)]
+    while stack:
+        x, kids = stack.pop()
+        if kids is None:
+            if x is not root and value_of(x) is not None:
+                # reached twice before it was computed the first time
+                continue
+            kids = children_of(x)
+            values = list(map(value_of, kids))
+            if None in values:
+                stack.append((x, kids))
+                stack += [(k, None) for k, v in zip(kids, values) if v is None]
+                continue
+        else:
+            values = list(map(value_of, kids))
+        value = compute(x, values)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -353,17 +387,75 @@ STOP = Stop()
 # ---------------------------------------------------------------------------
 
 
+def _summarize(p: Process, kids: list[tuple]) -> tuple:
+    mask, negative, constructs = 0, False, p._tag
+    for facts in kids:
+        mask |= facts[0]
+        negative = negative or facts[1]
+        constructs = _join(constructs, facts[2])
+    if p._binds is VAL:
+        # the children's value index 0 is this prefix's binder
+        mask >>= 1
+    for value, kind in zip(p._values(p), p._kinds):
+        for x in value if kind is CHANS else () if kind is PROC else (value,):
+            if type(x) in (ChanVar, ValVar) and x.index < 0:
+                negative = True
+            elif type(x) is ValVar:
+                mask |= 1 << x.index
+    _put_facts(p, (mask, negative, constructs))
+    return p._facts
+
+
 def _facts_of(p: Process) -> tuple:
-    """The node's summary (see `_Node`), computed on first use."""
+    """The node's facts (see `_Node`), computed on first use."""
     try:
         return p._facts
     except AttributeError:
         # a node's slot is unset until its first query
         if not isinstance(p, _Node):
             raise TypeError(f"not a process: {p!r}") from None
-    facts = p._summarize()
-    _put_facts(p, facts)
-    return facts
+    return post_order(p, lambda x: getattr(x, "_facts", None), children, _summarize)
+
+
+def _sets_of(p: Process) -> tuple[frozenset[str], frozenset[str]]:
+    """The atoms and free channel names of `p`, kept on `p` alone.
+
+    One walk over the distinct nodes below `p` reads the names in their
+    fields and the sets kept on nodes queried before, so a spine of
+    distinct channels keeps one set, not one per level.  A kept set that
+    already holds everything is shared.
+    """
+    facts = _facts_of(p)
+    if len(facts) > 3:
+        return facts[3:]
+    atoms: set[str] = set()
+    names: set[str] = set()
+    kept_atoms = kept_names = _EMPTY
+    seen = {p}
+    todo = [p]
+    while todo:
+        x = todo.pop()
+        if len(x._facts) > 3:
+            _, _, _, a, n = x._facts
+            atoms |= a
+            names |= n
+            kept_atoms, kept_names = max(kept_atoms, a, key=len), max(kept_names, n, key=len)
+            continue
+        for y, kind in zip(x._values(x), x._kinds):
+            if kind is PROC:
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+            elif kind is CHANS:
+                names.update([c.text for c in y if type(c) is Name])
+            elif type(y) is Name:
+                names.add(y.text)
+            elif type(y) is Atom:
+                atoms.add(y.text)
+    # a kept set as large as the union is the union
+    sets = tuple(k if len(k) == len(s) else frozenset(s) for k, s in ((kept_atoms, atoms), (kept_names, names)))
+    _put_facts(p, facts + sets)
+    return sets
 
 
 def well_scoped(p: Process, chan_depth: int = 0, val_depth: int = 0) -> bool:
@@ -379,12 +471,12 @@ def is_closed(p: Process) -> bool:
 
 def free_channel_names(p: Process) -> frozenset[str]:
     """Names of all free channels occurring anywhere in the term."""
-    return _facts_of(p)[4]
+    return _sets_of(p)[1]
 
 
 def atoms_used(p: Process) -> frozenset[str]:
     """Atom names mentioned by send payloads anywhere in the term."""
-    return _facts_of(p)[3]
+    return _sets_of(p)[0]
 
 
 def constructs_used(p: Process) -> frozenset[str]:
@@ -394,68 +486,73 @@ def constructs_used(p: Process) -> frozenset[str]:
 
 # ---------------------------------------------------------------------------
 # Substitution machinery
-#
-# Each operation is a structure-preserving map over either channel or value
-# occurrences.  The mapping function receives the occurrence together with
-# the binder depth of its own sort at that point.
 # ---------------------------------------------------------------------------
 
 
-def _map_channels(p: Process, f: Callable[[Channel, int], Channel], d: int = 0) -> Process:
-    match p:
-        case Stop():
-            return p
-        case Send(channel=c, payload=v):
-            return Send(f(c, d), v)
-        case Receive(channel=c, body=b):
-            return Receive(f(c, d), _map_channels(b, f, d))
-        case RepeatReceive(channel=c, body=b):
-            return RepeatReceive(f(c, d), _map_channels(b, f, d))
-        case Parallel(left=l, right=r):
-            return Parallel(_map_channels(l, f, d), _map_channels(r, f, d))
-        case Restrict(body=b):
-            return Restrict(_map_channels(b, f, d + 1))
-        case Distribute(source=s, targets=ts):
-            return Distribute(f(s, d), tuple(f(t, d) for t in ts))
-    raise TypeError(f"not a process: {p!r}")
+def _map(p: Process, sort: str, f: Callable, names: bool = False) -> Process:
+    """Rebuild `p` with every occurrence x of `sort` (CHAN or VAL)
+    replaced by f(x, d), where d counts the binders of that sort above x.
+    Unless `names` is set, f changes no free name and no index below d,
+    so a subterm whose mask shows no index of the sort at d or above is
+    kept as it is."""
+    if not isinstance(p, _Node):
+        raise TypeError(f"not a process: {p!r}")
+    if sort is CHAN:
+        mask_of = attrgetter("_chan_mask")
+    else:
+        _facts_of(p)  # and so of every node below
+        mask_of = lambda node: node._facts[0]  # noqa: E731
+    done: dict[tuple[Process, int], Process] = {}
+
+    def known(item: tuple[Process, int]) -> Process | None:
+        node, d = item
+        if not names and not mask_of(node) >> d:
+            return node
+        # a leaf is mapped at once, not kept
+        return build(item, ()) if type(node) in _LEAVES else done.get(item)
+
+    def kids(item: tuple[Process, int]) -> list[tuple[Process, int]]:
+        node, d = item
+        d += node._binds is sort
+        return [(k, d) for k in node._children(node)]
+
+    def build(item: tuple[Process, int], values: Iterable[Process]) -> Process:
+        node, d = item
+        values = iter(values)
+        return type(node)(*[
+            next(values) if kind is PROC
+            else f(x, d) if kind is sort
+            else tuple(f(c, d) for c in x) if kind is CHANS and sort is CHAN
+            else x
+            for x, kind in zip(node._values(node), node._kinds)
+        ])
+
+    def keep(item: tuple[Process, int], values: list[Process]) -> Process:
+        out = done[item] = build(item, values)
+        return out
+
+    return known((p, 0)) or post_order((p, 0), known, kids, keep)
 
 
-def _map_values(p: Process, f: Callable[[Value, int], Value], d: int = 0) -> Process:
-    match p:
-        case Stop() | Distribute():
-            return p
-        case Send(channel=c, payload=v):
-            return Send(c, f(v, d))
-        case Receive(channel=c, body=b):
-            return Receive(c, _map_values(b, f, d + 1))
-        case RepeatReceive(channel=c, body=b):
-            return RepeatReceive(c, _map_values(b, f, d + 1))
-        case Parallel(left=l, right=r):
-            return Parallel(_map_values(l, f, d), _map_values(r, f, d))
-        case Restrict(body=b):
-            return Restrict(_map_values(b, f, d))
-    raise TypeError(f"not a process: {p!r}")
+def _instantiate(body: Process, sort: str, x: Channel | Value) -> Process:
+    # substitute x for the body's index 0 of `sort`, shifting the
+    # dangling indices above it down to stay aligned
+    var = ChanVar if sort is CHAN else ValVar
+
+    def f(v: Channel | Value, d: int) -> Channel | Value:
+        if type(v) is var and v.index >= d:
+            return x if v.index == d else var(v.index - 1)
+        return v
+
+    return _map(body, sort, f)
 
 
 def instantiate_value(body: Process, value: Atom) -> Process:
-    """Substitute `value` for the body's outermost bound value slot.
-
-    `body` is the body of a receive prefix, so value index 0 at its top
-    level refers to the eliminated binder; deeper dangling indices shift
-    down to stay aligned.
-    """
+    """Substitute `value` for the outermost bound value slot of `body`,
+    the body of a receive prefix."""
     if not isinstance(value, Atom):
         raise TypeError("receive prefixes can only be instantiated with atoms")
-
-    def f(v: Value, d: int) -> Value:
-        if isinstance(v, ValVar):
-            if v.index == d:
-                return value
-            if v.index > d:
-                return ValVar(v.index - 1)
-        return v
-
-    return _map_values(body, f)
+    return _instantiate(body, VAL, value)
 
 
 def instantiate_channel(body: Process, channel: Name) -> Process:
@@ -466,16 +563,7 @@ def instantiate_channel(body: Process, channel: Name) -> Process:
     """
     if channel.text in free_channel_names(body):
         raise FreshnessViolation(f"channel {channel.text!r} already occurs free")
-
-    def f(c: Channel, d: int) -> Channel:
-        if isinstance(c, ChanVar):
-            if c.index == d:
-                return channel
-            if c.index > d:
-                return ChanVar(c.index - 1)
-        return c
-
-    return _map_channels(body, f)
+    return _instantiate(body, CHAN, channel)
 
 
 def abstract_channel(p: Process, channel: Name) -> Process:
@@ -490,18 +578,16 @@ def abstract_channel(p: Process, channel: Name) -> Process:
             return ChanVar(c.index + 1)
         return c
 
-    return _map_channels(p, f)
+    return _map(p, CHAN, f, names=True)
 
 
 def rename_free_channel(p: Process, old: str, new: str) -> Process:
     """Rename one free channel; bound channels are nameless so no capture."""
 
     def f(c: Channel, d: int) -> Channel:
-        if isinstance(c, Name) and c.text == old:
-            return Name(new)
-        return c
+        return Name(new) if isinstance(c, Name) and c.text == old else c
 
-    return _map_channels(p, f)
+    return _map(p, CHAN, f, names=True)
 
 
 def fresh_channel_name(avoid: frozenset[str] | set[str], base: str = "nu") -> str:

@@ -6,6 +6,7 @@ import random
 
 from netproc import (
     Atom,
+    ChanVar,
     Distribute,
     Name,
     Parallel,
@@ -64,3 +65,29 @@ def random_pi(rng: random.Random, depth: int, scope: list[Name] | None = None, v
     hole = Name(f"h{depth}")
     body = random_pi(rng, depth - 1, scope + [hole], vals)
     return Restrict(abstract_channel(body, hole))
+
+
+def random_open(rng, depth):
+    """Any-constructor term whose indices may dangle or be negative."""
+
+    def chan():
+        return rng.choice([Name("a"), Name("b"), ChanVar(rng.randrange(-1, 4))])
+
+    def val():
+        return rng.choice([Atom("m0"), Atom("m1"), ValVar(rng.randrange(-1, 4))])
+
+    kinds = ["stop", "send", "dist"] + (["recv", "bang", "par", "nu"] if depth > 0 else [])
+    kind = rng.choice(kinds)
+    if kind == "stop":
+        return STOP
+    if kind == "send":
+        return Send(chan(), val())
+    if kind == "dist":
+        return Distribute(chan(), [chan() for _ in range(rng.randrange(3))])
+    if kind == "recv":
+        return Receive(chan(), random_open(rng, depth - 1))
+    if kind == "bang":
+        return RepeatReceive(chan(), random_open(rng, depth - 1))
+    if kind == "par":
+        return Parallel(random_open(rng, depth - 1), random_open(rng, depth - 1))
+    return Restrict(random_open(rng, depth - 1))

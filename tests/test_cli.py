@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import netproc
+import netproc.cli
 from netproc.cli import main
 
 
@@ -296,15 +297,43 @@ def test_one_state_budget_is_accepted():
     assert done.stdout.splitlines()[1] == "states: 1 (truncated)  mode: pi"
 
 
-def test_too_deep_term_is_an_input_error_not_a_verdict():
-    # the recursive term traversals run out of stack on this term; that
-    # must not end in exit 1, which reads as "distinguished"
-    wide = " | ".join(["a!m0"] * 2000)
-    done = run_module("netproc", "check", wide, "0")
-    assert done.returncode == 3
-    assert not [line for line in done.stdout.splitlines() if line.startswith("verdict:")]
-    errors = done.stderr.splitlines()
-    assert len(errors) == 1 and errors[0].startswith("error: RecursionError: maximum recursion depth")
+def wide_and_deep(shape):
+    """A pair too wide or too deep for a recursive traversal: a spine of
+    10,000 distinct sends against its reverse, or a nest of 2,000
+    restrictions, in its printed form, against the one send it can make."""
+    if shape == "wide":
+        sends = [f"a{i}!m0" for i in range(10_000)]
+        return " | ".join(sends), " | ".join(reversed(sends))
+    deep = netproc.parse("a!m0")
+    for _ in range(2_000):
+        deep = netproc.Restrict(netproc.Parallel(netproc.Send(netproc.ChanVar(0), netproc.Atom("m0")), deep))
+    return netproc.pretty(deep), "a!m0"
+
+
+@pytest.mark.parametrize("game", [[], ["--weak"]], ids=["strong", "weak"])
+@pytest.mark.parametrize("shape", ["wide", "deep"])
+def test_wide_and_deep_terms_get_a_verdict(shape, game):
+    left, right = wide_and_deep(shape)
+    done = run_module("netproc", "check", left, right, *game)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.splitlines()[1:3] == ["verdict: proven-bisimilar", "pairs explored: 0" if shape == "wide" else "pairs explored: 2"]
+
+
+def test_recursion_error_in_a_command_is_an_input_error(capsys, monkeypatch):
+    # the prover and the attacker still recurse once per pair or ply
+    def too_deep(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(netproc.cli, "_cmd_check", too_deep)
+    code, out, err = run_cli(capsys, "check", "a!m0", "0")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: RecursionError: maximum recursion depth exceeded"]
+
+
+def test_too_deeply_nested_input_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "check", "(" * 201 + "a!m0" + ")" * 201, "0")
+    assert code == 3 and out == ""
+    assert err.splitlines() == ["error: ParseError: line 1 col 201: nested deeper than 200 parentheses and prefixes"]
 
 
 def test_unwritable_witness_path_exits_three(tmp_path):

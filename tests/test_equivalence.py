@@ -23,7 +23,6 @@ from netproc import (
     cancel_context,
     check_strong,
     check_weak,
-    normal_process,
     normalize,
     parse,
     pretty,
@@ -47,14 +46,14 @@ def test_cancel_context_removes_equal_multiplicity_components():
     l, r = cancel_context(left, right)
     # only the payload cancels: the replicated receiver occurs twice on the
     # left and once on the right, and unequal counts must stay
-    assert l == normal_process(parse("a ?* x. b!x | a ?* x. b!x"))
-    assert r == normal_process(parse("a ?* x. b!x"))
+    assert l == normalize(parse("a ?* x. b!x | a ?* x. b!x"))
+    assert r == normalize(parse("a ?* x. b!x"))
 
 
 def test_cancel_context_never_collapses_unequal_counts_to_nothing():
     l, r = cancel_context(normalize(parse("a -> b | a -> b")), normalize(parse("a -> b")))
-    assert l == normal_process(parse("a -> b | a -> b"))
-    assert r == normal_process(parse("a -> b"))
+    assert l == normalize(parse("a -> b | a -> b"))
+    assert r == normalize(parse("a -> b"))
 
 
 def test_cancel_context_strips_shared_restrictions():
@@ -160,7 +159,7 @@ def test_one_sided_rewriting_can_pull_identical_restrictions_apart():
     # before z, only the rewritten side reorders the receive's body
     p = parse("new t. a ? x. (z!x | t!x)")
     cfg = UpToConfig(rewrite_side="left")
-    assert normal_process(p) is p
+    assert normalize(p) is p
     l, r = _reduce(p, p, cfg)
     assert l is not r and (l, r) == fixpoint_reduce(p, p, cfg)
 
@@ -391,7 +390,7 @@ def test_empty_witness_fails_audit_when_root_is_not_trivial():
 def test_foreign_pairs_in_witness_are_caught():
     l, r = parse("dup a | dup a"), parse("dup a")
     res = check_strong(l, r)
-    bogus = res.witness | {(normal_process(parse("a!m0")), normal_process(parse("b!m0")))}
+    bogus = res.witness | {(normalize(parse("a!m0")), normalize(parse("b!m0")))}
     assert audit_witness(l, r, bogus, FULL_UPTO, weak=False) is not None
 
 
@@ -615,10 +614,10 @@ def test_move_table_builds_each_states_moves_once(monkeypatch, weak):
 
 def test_replies_are_distinct_after_normalization():
     # both receives leave `a?x.b!x | b!m0` once normalized
-    p = normal_process(parse("a?x.(0 | b!x) | a?y.(b!y | 0)"))
+    p = normalize(parse("a?x.(0 | b!x) | a?y.(b!y | 0)"))
     attacker = _Attacker(DEFAULT_UNIVERSE, False, 0, 10)
     receive = next(a for a, _ in sorted_steps(p, DEFAULT_UNIVERSE))
-    assert attacker._replies(p, receive) == [normal_process(parse("a?x.b!x | b!m0"))]
+    assert attacker._replies(p, receive) == [normalize(parse("a?x.b!x | b!m0"))]
 
 
 def test_every_reply_lookup_reports_truncation():

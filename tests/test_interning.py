@@ -274,7 +274,7 @@ def reference_mask(p) -> int:
             used.add(c.index - d)
         return c
 
-    terms._map_channels(p, record)
+    terms._map(p, terms.CHAN, record)
     return sum(1 << i for i in used)
 
 

@@ -44,7 +44,7 @@ from netproc import (
     instantiate_channel,
     instantiate_value,
     make_universe,
-    normal_process,
+    normalize,
     parse,
     pretty_action,
     sorted_transitions,
@@ -204,7 +204,7 @@ def test_restriction_allows_internal_delivery():
     got = transitions(p, universe=UNI)
     assert {t.action for t in got} == {TAU}
     (step,) = got
-    assert normal_process(step.target) == normal_process(parse("new t. (b!m0 | t -> b)"))
+    assert normalize(step.target) == normalize(parse("new t. (b!m0 | t -> b)"))
 
 
 def test_restriction_agrees_with_multi_probe_oracle():
@@ -228,7 +228,7 @@ def test_tau_closure_collects_normalized_states():
     p = parse("a!m0 | a -> b")
     states = tau_closure(p, universe=UNI, bound=8)
     assert states == frozenset(
-        {normal_process(p), normal_process(parse("b!m0 | a -> b"))}
+        {normalize(p), normalize(parse("b!m0 | a -> b"))}
     )
 
 
@@ -273,7 +273,7 @@ def test_weak_closure_answers_as_uncached_weak_steps(gen, seed, depth, bound):
     p = gen(random.Random(seed), depth)
     u = effective_universe(UNI, p)
     closure = WeakClosure(u, bound)
-    states, _ = reachable(normal_process(p), lambda s: [normal_process(t) for _, t in _step(s, u)], 12)
+    states, _ = reachable(normalize(p), lambda s: [normalize(t) for _, t in _step(s, u)], 12)
     for _ in range(2):  # the second pass answers from memory
         for s in states:
             want = reference_weak_steps(s, u, bound)
@@ -310,8 +310,8 @@ def test_unfolding_preserves_transitions_up_to_normal_form():
     for _ in range(60):
         p = random_comm(rng, 3)
         uni = effective_universe(UNI, p)
-        ext = {(t.action, normal_process(unfold_comm(t.target))) for t in transitions(p, Mode.EXTENDED, uni)}
-        pi = {(t.action, normal_process(t.target)) for t in transitions(unfold_comm(p), Mode.PI, uni)}
+        ext = {(t.action, normalize(unfold_comm(t.target))) for t in transitions(p, Mode.EXTENDED, uni)}
+        pi = {(t.action, normalize(t.target)) for t in transitions(unfold_comm(p), Mode.PI, uni)}
         assert ext == pi
 
 

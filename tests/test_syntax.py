@@ -149,3 +149,15 @@ def test_keywords_are_not_identifiers():
         parse("new!m0")
     with pytest.raises(ParseError):
         parse("lose")
+
+
+def test_nesting_limit_counts_parentheses_and_receive_prefixes():
+    # `|` lists and chains of `new` are read in a loop at any length
+    assert parse("(" * 200 + "a!m0" + ")" * 200) == parse("a!m0")
+    chain = "a?x. " * 100 + "(" * 100 + "b!x" + ")" * 100
+    assert parse(chain) == parse("a?x. " * 100 + "b!x")
+    for text in ("(" * 201 + "a!m0" + ")" * 201, "a?x. " * 201 + "0", "a?x. (" * 101 + "0" + ")" * 101):
+        with pytest.raises(ParseError, match="nested deeper than 200"):
+            parse(text)
+    nest = " | ".join(f"new t{i}. t{i}!m0" for i in range(3000))
+    assert pretty(parse(nest)).count("new ") == 3000

@@ -41,7 +41,7 @@ from netproc import (
 from netproc.semantics import infer_mode
 from netproc.terms import constructs_used
 
-from helpers import random_comm, random_pi
+from helpers import random_comm, random_open, random_pi
 
 # ---------------------------------------------------------------------------
 # Named-term oracle
@@ -351,32 +351,6 @@ def walk_constructs_used(p):
     return out
 
 
-def random_open(rng, depth):
-    """Any-constructor term whose indices may dangle or be negative."""
-
-    def chan():
-        return rng.choice([Name("a"), Name("b"), ChanVar(rng.randrange(-1, 4))])
-
-    def val():
-        return rng.choice([Atom("m0"), Atom("m1"), ValVar(rng.randrange(-1, 4))])
-
-    kinds = ["stop", "send", "dist"] + (["recv", "bang", "par", "nu"] if depth > 0 else [])
-    kind = rng.choice(kinds)
-    if kind == "stop":
-        return STOP
-    if kind == "send":
-        return Send(chan(), val())
-    if kind == "dist":
-        return Distribute(chan(), [chan() for _ in range(rng.randrange(3))])
-    if kind == "recv":
-        return Receive(chan(), random_open(rng, depth - 1))
-    if kind == "bang":
-        return RepeatReceive(chan(), random_open(rng, depth - 1))
-    if kind == "par":
-        return Parallel(random_open(rng, depth - 1), random_open(rng, depth - 1))
-    return Restrict(random_open(rng, depth - 1))
-
-
 def all_subterms(p):
     yield p
     for child in (getattr(p, f) for f in p.__match_args__):
@@ -410,9 +384,12 @@ def test_negative_indices_are_never_in_scope():
 
 
 def test_equal_fact_sets_are_shared_with_children():
+    # sets are kept on the nodes queried; a parent queried later shares
+    # a kept set that already holds all of its own
     leaf = parse("a!m0 | b!m1")
-    assert free_channel_names(Parallel(leaf, parse("a!m1"))) is free_channel_names(leaf)
-    assert atoms_used(Restrict(leaf)) is atoms_used(leaf)
+    names, atoms = free_channel_names(leaf), atoms_used(leaf)
+    assert free_channel_names(Parallel(leaf, parse("a!m1"))) is names
+    assert atoms_used(Restrict(leaf)) is atoms
 
 
 @pytest.mark.parametrize("query", [free_channel_names, atoms_used, constructs_used, well_scoped, is_closed, infer_mode])
