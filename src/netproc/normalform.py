@@ -17,9 +17,9 @@ any two permutations of the same parallel components normalize equally.
 `normalize` returns the normal process alone, with no record of the
 rewrites that fired.  It works on units, children first, by
 `terms.post_order`: a parallel spine's leaves, the core under a whole
-run of restrictions, or a receive prefix's body.  `_CACHE` maps every unit and term normalized
-to its normal form and every normal form to itself, so a step target
-built from parts of normal forms costs only its new units.  A run's
+run of restrictions, or a receive prefix's body.  `_CACHE` maps every
+term and unit normalized to its normal form, so a step target built
+from parts of terms normalized before costs only its new units.  A run's
 candidate orders are normalized by nested calls, which nest only where
 an order changes a run inside it, multiplying the work at each level.
 """
@@ -107,7 +107,7 @@ def compose_parallel(components: list[Process]) -> Process:
 # ---------------------------------------------------------------------------
 
 
-# every unit normalized, and every normal form found, to its normal form
+# every term and unit normalized, to its normal form
 _CACHE: dict[Process, Process] = {}
 
 
@@ -152,8 +152,6 @@ def _normal_unit(p: Process, units: list[Process]) -> Process:
     else:
         out = rebuild(p, units)
     _CACHE[p] = out
-    if out is not p:
-        _CACHE[out] = out
     return out
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, count
 
 from .errors import ParseError, ScopeError
 from .normalform import compose_parallel
@@ -100,18 +101,14 @@ def _tokenize(text: str) -> list[_Token]:
     return out
 
 
-# How deeply parentheses and receive prefixes may nest; `|` lists and
-# chains of `new` are read in a loop, at any length
-_MAX_NESTING = 200
-
-
 class _Parser:
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.chan_binders: list[str] = []
         self.val_binders: list[str] = []
-        self.depth = 0
+        # groups and prefixes being read; see `process`
+        self.stack: list = [[None, []]]
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -151,45 +148,48 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
 
     def process(self) -> Process:
-        # A restriction's body runs to the end of the group, so a chain of
-        # `new`s is read in this loop, each `new` setting aside the list
-        # read before it.
-        outer: list[list[Process]] = []
-        parts: list[Process] = []
+        # Read on an explicit stack, so nesting is bounded by memory, not
+        # by the recursion limit.  A group, [opening token or None, the
+        # `|` list read so far], ends at ")" if a parenthesis opened it,
+        # else where the group around it ends.  A binder, (its names
+        # list, constructor, fields before the body), waits for its body:
+        # a restriction's is a group, a receive prefix's is one unit.
+        stack = self.stack
         while True:
             if self.peek().kind == "new":
                 self.next()
                 self.chan_binders.append(self.expect("ident").text)
                 self.expect(".")
-                outer.append(parts)
-                parts = []
-            else:
-                parts.append(self.factor())
-                if self.peek().kind != "|":
+                stack += [(self.chan_binders, Restrict), [None, []]]
+                continue
+            unit = self.factor()
+            while unit is not None:
+                top = stack.pop()
+                if type(top) is tuple:
+                    # occurrences were resolved against the stacked binder already
+                    top[0].pop()
+                    unit = top[1](*top[2:], unit)
+                    continue
+                opener, parts = top
+                parts.append(unit)
+                if self.peek().kind == "|":
+                    self.next()
+                    stack.append(top)
                     break
-                self.next()
-        out = compose_parallel(parts)
-        while outer:
-            # occurrences were resolved against the stacked binder already
-            self.chan_binders.pop()
-            out = compose_parallel(outer.pop() + [Restrict(out)])
-        return out
+                unit = compose_parallel(parts)
+                if opener is not None:
+                    self.expect(")")
+                elif not stack:
+                    return unit
 
-    def nest(self, tok: _Token, delta: int) -> None:
-        # parentheses and receive prefixes are read by recursion
-        self.depth += delta
-        if self.depth > _MAX_NESTING:
-            raise ParseError(f"nested deeper than {_MAX_NESTING} parentheses and prefixes", tok.line, tok.col)
-
-    def factor(self) -> Process:
+    def factor(self) -> Process | None:
+        """A leaf, or None after the opening of a group or a prefix,
+        which `process` then reads."""
         tok = self.next()
         match tok.kind:
             case "(":
-                self.nest(tok, 1)
-                inner = self.process()
-                self.expect(")")
-                self.nest(tok, -1)
-                return inner
+                self.stack.append([tok, []])
+                return None
             case "zero":
                 return STOP
             case "lose":
@@ -204,7 +204,7 @@ class _Parser:
                 return self.after_channel(tok)
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.col)
 
-    def after_channel(self, tok: _Token) -> Process:
+    def after_channel(self, tok: _Token) -> Process | None:
         op = self.next()
         match op.kind:
             case "!":
@@ -213,14 +213,9 @@ class _Parser:
                 binder = self.expect("ident")
                 self.expect(".")
                 chan = self.channel(tok)
-                self.nest(op, 1)
                 self.val_binders.append(binder.text)
-                # the body is a unit: a chain of `new`s, or one factor
-                body = self.process() if self.peek().kind == "new" else self.factor()
-                self.val_binders.pop()
-                self.nest(op, -1)
-                cls = Receive if op.kind == "?" else RepeatReceive
-                return cls(chan, body)
+                self.stack.append((self.val_binders, Receive if op.kind == "?" else RepeatReceive, chan))
+                return None
             case "arrow":
                 return Distribute(self.channel(tok), (self.channel(self.expect("ident")),))
             case "biarrow":
@@ -258,45 +253,38 @@ _VALUE_NAMES = ("x", "y", "z", "w")
 _CHANNEL_NAMES = ("t", "u", "s", "r")
 
 
-def _bind(candidates: tuple[str, ...], used: set[str], low: dict[str, int]) -> str:
+def _bind(candidates: tuple[str, ...], used: set[str], root: Process) -> str:
     """Name a binder: its first candidate not in `used` (the free names
-    and atoms, and the binders around it), else the first free base1,
-    base2, ... of its first candidate, a one-letter base; every numbered
-    name below `low[base]` is used, so a nest needs no rescan."""
-    name = next((c for c in candidates if c not in used), None)
-    if name is None:
-        base = candidates[0]
-        i = low.get(base, 1)
-        while f"{base}{i}" in used:
-            i += 1
-        low[base] = i + 1
-        name = f"{base}{i}"
+    and atoms of the `root` being printed, read at its first binder, and
+    the binders around it), else the first free base1, base2, ... of its
+    first candidate."""
+    if not used:
+        used |= free_channel_names(root) | atoms_used(root)
+    numbered = (f"{candidates[0]}{i}" for i in count(1))
+    name = next(n for n in chain(candidates, numbered) if n not in used)
     used.add(name)
     return name
 
 
 def pretty(p: Process) -> str:
     """Canonical text for a term; parsing it back yields an equal term."""
-    used = set(free_channel_names(p) | atoms_used(p))
-    low: dict[str, int] = {}
+    used: set[str] = set()
     chans: list[str] = []
     vals: list[str] = []
     out: list[str] = []
     # The text is written left to right from a stack of pending items: a
     # term and whether it is alone in its group (if not, a composition or
-    # restriction takes parentheses), a piece of text, or a binder list
-    # to pop.
+    # restriction takes parentheses), or, with None in its place, a piece
+    # of text or a binder list to pop.
     todo: list[tuple] = [(p, True)]
     while todo:
         x, group = todo.pop()
         kind = type(x)
-        if kind is str:
-            out.append(x)
-        elif kind is list:
-            name = x.pop()
-            used.discard(name)
-            if name[1:].isdigit():
-                low[name[0]] = min(low[name[0]], int(name[1:]))
+        if group is None:
+            if kind is str:
+                out.append(x)
+            else:
+                used.discard(x.pop())
         elif kind is Parallel:
             items = []
             while type(x) is Parallel:
@@ -307,12 +295,12 @@ def pretty(p: Process) -> str:
             out.append("" if group else "(")
             todo += reversed(items)
         elif kind is Restrict:
-            name = _bind(_CHANNEL_NAMES, used, low)
+            name = _bind(_CHANNEL_NAMES, used, p)
             out.append(f"new {name}. " if group else f"(new {name}. ")
             chans.append(name)
             todo += [("" if group else ")", None), (chans, None), (x.body, True)]
         elif kind is Receive or kind is RepeatReceive:
-            name = _bind(_VALUE_NAMES, used, low)
+            name = _bind(_VALUE_NAMES, used, p)
             b = x.body
             parens = type(b) is Parallel or type(b) is Restrict
             out.append(f"{_pc(x.channel, chans)}{'?' if kind is Receive else '?*'}{name}. {'(' if parens else ''}")

@@ -508,28 +508,24 @@ def _map(p: Process, sort: str, f: Callable, names: bool = False) -> Process:
         node, d = item
         if not names and not mask_of(node) >> d:
             return node
-        # a leaf is mapped at once, not kept
-        return build(item, ()) if type(node) in _LEAVES else done.get(item)
+        # a leaf is mapped at once
+        return keep(item, ()) if type(node) in _LEAVES else done.get(item)
 
     def kids(item: tuple[Process, int]) -> list[tuple[Process, int]]:
         node, d = item
         d += node._binds is sort
         return [(k, d) for k in node._children(node)]
 
-    def build(item: tuple[Process, int], values: Iterable[Process]) -> Process:
+    def keep(item: tuple[Process, int], values: Iterable[Process]) -> Process:
         node, d = item
         values = iter(values)
-        return type(node)(*[
+        return done.setdefault(item, type(node)(*[
             next(values) if kind is PROC
             else f(x, d) if kind is sort
             else tuple(f(c, d) for c in x) if kind is CHANS and sort is CHAN
             else x
             for x, kind in zip(node._values(node), node._kinds)
-        ])
-
-    def keep(item: tuple[Process, int], values: list[Process]) -> Process:
-        out = done[item] = build(item, values)
-        return out
+        ]))
 
     return known((p, 0)) or post_order((p, 0), known, kids, keep)
 

@@ -274,7 +274,8 @@ def reference_mask(p) -> int:
             used.add(c.index - d)
         return c
 
-    terms._map(p, terms.CHAN, record)
+    # names=True visits every occurrence, so the stored masks are not consulted
+    terms._map(p, terms.CHAN, record, names=True)
     return sum(1 << i for i in used)
 
 

@@ -151,13 +151,21 @@ def test_keywords_are_not_identifiers():
         parse("lose")
 
 
-def test_nesting_limit_counts_parentheses_and_receive_prefixes():
-    # `|` lists and chains of `new` are read in a loop at any length
-    assert parse("(" * 200 + "a!m0" + ")" * 200) == parse("a!m0")
+def test_deep_nesting_parses_and_round_trips():
+    # groups, receive prefixes and `new` chains are read on an explicit stack
+    assert parse("(" * 5000 + "a!m0" + ")" * 5000) == parse("a!m0")
     chain = "a?x. " * 100 + "(" * 100 + "b!x" + ")" * 100
     assert parse(chain) == parse("a?x. " * 100 + "b!x")
-    for text in ("(" * 201 + "a!m0" + ")" * 201, "a?x. " * 201 + "0", "a?x. (" * 101 + "0" + ")" * 101):
-        with pytest.raises(ParseError, match="nested deeper than 200"):
-            parse(text)
-    nest = " | ".join(f"new t{i}. t{i}!m0" for i in range(3000))
-    assert pretty(parse(nest)).count("new ") == 3000
+    # a prefix body that starts with `new` runs to the end of its group
+    assert parse("(a?x. new t. t!x | b!x) | c!m0") == Parallel(
+        Receive(Name("a"), Restrict(Parallel(Send(ChanVar(0), ValVar(0)), Send(Name("b"), ValVar(0))))),
+        Send(Name("c"), Atom("m0")),
+    )
+    receives = groups = Send(Name("b"), ValVar(0))
+    for _ in range(1500):
+        receives = Receive(Name("a"), receives)
+        groups = RepeatReceive(Name("a"), Parallel(Send(Name("c"), ValVar(0)), groups))
+    for p in (receives, groups):
+        assert parse(pretty(p)) is p
+    nest = " | ".join(f"new t{i}. t{i}!m0" for i in range(1500))
+    assert pretty(parse(nest)).count("new ") == 1500

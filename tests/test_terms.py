@@ -35,6 +35,7 @@ from netproc import (
     instantiate_value,
     is_closed,
     parse,
+    pretty,
     rename_free_channel,
     well_scoped,
 )
@@ -392,7 +393,7 @@ def test_equal_fact_sets_are_shared_with_children():
     assert atoms_used(Restrict(leaf)) is atoms
 
 
-@pytest.mark.parametrize("query", [free_channel_names, atoms_used, constructs_used, well_scoped, is_closed, infer_mode])
+@pytest.mark.parametrize("query", [free_channel_names, atoms_used, constructs_used, well_scoped, is_closed, infer_mode, pretty])
 @pytest.mark.parametrize("thing", [42, "x", None, Name("a"), Atom("m0"), ChanVar(0)], ids=repr)
 def test_term_queries_reject_non_processes(query, thing):
     with pytest.raises(TypeError, match="not a process"):
