@@ -27,12 +27,21 @@ from .semantics import (
     sorted_transitions,
     transitions,
 )
-from .syntax import parse, pretty, pretty_action
+from .syntax import is_identifier, parse, pretty, pretty_action
 
 
 def _universe_from(args) -> tuple:
+    """The declared value universe; every name must parse back as a value."""
     text = args.values or os.environ.get("NETPROC_VALUES") or ""
-    names = [part.strip() for part in text.split(",") if part.strip()]
+    names, offset = [], 0
+    for part in text.split(","):
+        name = part.strip()
+        if name:
+            if not is_identifier(name):
+                col = offset + len(part) - len(part.lstrip()) + 1
+                raise ParseError(f"bad value name {name!r}, expected an identifier that is not a keyword", 1, col)
+            names.append(name)
+        offset += len(part) + 1
     return make_universe(*names) if names else DEFAULT_UNIVERSE
 
 

@@ -73,24 +73,11 @@ class Verdict(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class UpToConfig:
-    """Which reductions shrink successor pairs before lookup/insertion.
-
-    `use_congruence_rewrite` normalizes targets with the canonical-form
-    rewrite system; `use_context_cancel` deletes shared parallel
-    components (equal multiplicity on both sides) and shared outer
-    restrictions.  `rewrite_side` limits normalization to one side, for
-    the asymmetric variant; cancellation is inherently two-sided.
-    """
-
-    use_congruence_rewrite: bool = True
-    use_context_cancel: bool = True
-    rewrite_side: str = "both"  # "left" | "right" | "both"
-
-
-FULL_UPTO = UpToConfig()
-PLAIN = UpToConfig(use_congruence_rewrite=False, use_context_cancel=False)
+# The two up-to modes: FULL_UPTO shrinks successor pairs by rewriting both
+# sides to normal form and cancelling shared context; PLAIN plays the game
+# on the pairs as they are.
+FULL_UPTO = True
+PLAIN = False
 
 Pair = tuple[Process, Process]
 
@@ -129,42 +116,31 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _rewrite(p: Process, side: str, cfg: UpToConfig) -> Process:
-    if cfg.use_congruence_rewrite and cfg.rewrite_side in (side, "both"):
-        return normalize(p)
-    return p
+def _reduce(l: Process, r: Process, upto: bool) -> Pair:
+    """Shrink a pair by the behaviour-safe reductions, under FULL_UPTO.
 
-
-def _reduce(l: Process, r: Process, cfg: UpToConfig) -> Pair:
-    """Shrink a pair by the configured behaviour-safe reductions.
-
-    Cancellation peels shared outer restrictions, then deletes the
-    parallel components that occur equally often on both sides, in one
-    pass.  Identical sides share every component, so they give
-    (STOP, STOP) at once; only an unrewritten side made of inert
-    components alone has nothing to delete and stays as it is.  After a
-    deletion every remaining component occurs a different number of
-    times on the two sides, and the rewritten leftovers have exactly
-    those components (a rewritten side is normal, and so is any subset
-    of its components), so a second deletion can only find something
-    new under restrictions peeled from both leftovers: the pass repeats
-    only then.  Identical restrictions are peeled like any others unless
-    both sides are rewritten, as one-sided rewriting can pull them apart.
+    Both sides are rewritten to normal form.  Cancellation peels shared
+    outer restrictions, then deletes the parallel components that occur
+    equally often on both sides, in one pass.  Identical sides share every
+    component, so they give (STOP, STOP) at once, and identical
+    restrictions are not peeled.  After a deletion every remaining
+    component occurs a different number of times on the two sides, and
+    the leftovers have exactly those components (a subset of a normal
+    form's components is normal), so a second deletion can only find
+    something new under restrictions peeled from both leftovers: the pass
+    repeats only then.
     """
-    l, r = _rewrite(l, "left", cfg), _rewrite(r, "right", cfg)
-    if not cfg.use_context_cancel:
+    if not upto:
         return l, r
-    both_normal = cfg.use_congruence_rewrite and cfg.rewrite_side == "both"
+    l, r = normalize(l), normalize(r)
     while True:
-        while isinstance(l, Restrict) and isinstance(r, Restrict) and not (both_normal and l is r):
+        while isinstance(l, Restrict) and isinstance(r, Restrict) and l is not r:
             # the bodies' sets, which instantiate_channel reads next
             avoid = free_channel_names(l.body) | free_channel_names(r.body)
             c = Name(fresh_channel_name(avoid))
-            l = _rewrite(instantiate_channel(l.body, c), "left", cfg)
-            r = _rewrite(instantiate_channel(r.body, c), "right", cfg)
+            l = normalize(instantiate_channel(l.body, c))
+            r = normalize(instantiate_channel(r.body, c))
         if l is r:
-            if not cfg.use_congruence_rewrite and all(isinstance(c, Stop) for c in parallel_components(l)):
-                return l, r
             return STOP, STOP
         lc = [c for c in parallel_components(l) if not isinstance(c, Stop)]
         rc = [c for c in parallel_components(r) if not isinstance(c, Stop)]
@@ -172,8 +148,8 @@ def _reduce(l: Process, r: Process, cfg: UpToConfig) -> Pair:
         shared = {c for c, n in counts_l.items() if counts_r.get(c) == n}
         if not shared:
             return l, r
-        l = _rewrite(compose_parallel([c for c in lc if c not in shared]), "left", cfg)
-        r = _rewrite(compose_parallel([c for c in rc if c not in shared]), "right", cfg)
+        l = normalize(compose_parallel([c for c in lc if c not in shared]))
+        r = normalize(compose_parallel([c for c in rc if c not in shared]))
         if not (isinstance(l, Restrict) and isinstance(r, Restrict)):
             return l, r
 
@@ -184,12 +160,19 @@ def cancel_context(p: Process, q: Process) -> Pair:
     return _reduce(p, q, FULL_UPTO)
 
 
-def _canon(pair: Pair, cfg: UpToConfig) -> Pair:
-    """Orientation-free key for symmetric configurations."""
-    if cfg.rewrite_side != "both":
-        return pair
+def _canon(pair: Pair) -> Pair:
+    """Orientation-free key of a pair: its sides in term_key order."""
     l, r = pair
     return pair if term_key(l) <= term_key(r) else (r, l)
+
+
+def _by_action(steps) -> dict[Action, list[Process]]:
+    """Group steps by action: each action's distinct targets in term_key
+    order, the order in which the defender's replies are tried."""
+    grouped: dict[Action, set[Process]] = {}
+    for a, t in steps:
+        grouped.setdefault(a, set()).add(t)
+    return {a: sorted(ts, key=term_key) for a, ts in grouped.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +198,12 @@ class _Prover:
     def __init__(
         self,
         universe: Universe,
-        cfg: UpToConfig,
+        upto: bool,
         max_pairs: int,
         closure: WeakClosure | None,
     ) -> None:
         self.universe = universe
-        self.cfg = cfg
+        self.upto = upto
         self.max_pairs = max_pairs
         self.closure = closure
         self.assumed: set[Pair] = set()
@@ -228,16 +211,8 @@ class _Prover:
         self.explored = 0
 
     def _defender_steps(self, p: Process) -> dict[Action, list[Process]]:
-        if self.closure is not None:
-            steps, _ = self.closure.steps(p)
-        else:
-            steps = _step(p, self.universe)
-        grouped: dict[Action, list[Process]] = {}
-        for a, t in steps:
-            grouped.setdefault(a, []).append(t)
-        for opts in grouped.values():
-            opts.sort(key=term_key)
-        return grouped
+        steps = self.closure.steps(p)[0] if self.closure is not None else _step(p, self.universe)
+        return _by_action(steps)
 
     def _rollback(self, mark: int) -> None:
         while len(self.trail) > mark:
@@ -247,7 +222,7 @@ class _Prover:
         """Try to close an already reduced pair under the game."""
         if red[0] == red[1]:
             return True
-        key = _canon(red, self.cfg)
+        key = _canon(red)
         if key in self.assumed:
             return True
         if self.explored >= self.max_pairs:
@@ -288,8 +263,8 @@ class _Prover:
         # the others are only opened when no reply is known.
         opened = []
         for opt in options:
-            red = _reduce(*((chal_target, opt) if forward else (opt, chal_target)), self.cfg)
-            if red[0] is red[1] or _canon(red, self.cfg) in self.assumed:
+            red = _reduce(*((chal_target, opt) if forward else (opt, chal_target)), self.upto)
+            if red[0] is red[1] or _canon(red) in self.assumed:
                 return True
             opened.append(red)
         for red in opened:
@@ -308,8 +283,9 @@ class _Prover:
 class _Attacker:
     """Iterative-deepening attacker for the plain (no up-to) game.
 
-    In the weak game the defender's replies come from `closure`; a reply
-    set cut short by the internal-step bound taints every verdict.
+    The weak game takes the defender's replies from `closure`, and a reply
+    set cut short by the internal-step bound taints every verdict; None
+    plays the strong game.
 
     Iterative deepening meets the same states at every depth, so each
     state's moves are worked out once, into a move table that lives as
@@ -328,15 +304,12 @@ class _Attacker:
     def __init__(
         self,
         universe: Universe,
-        weak: bool,
-        tau_bound: int,
+        closure: WeakClosure | None,
         node_budget: int,
         normalize_states: bool = True,
-        closure: WeakClosure | None = None,
     ) -> None:
         self.universe = universe
-        self.weak = weak
-        self.closure = closure if closure is not None else WeakClosure(universe, tau_bound)
+        self.closure = closure
         self.budget = node_budget
         self.normalize_states = normalize_states
         self.memo: dict[tuple[Process, Process, int], tuple[TraceStep, ...] | None] = {}
@@ -359,15 +332,11 @@ class _Attacker:
     def _replies(self, p: Process, a: Action) -> list[Process]:
         entry = self.replies.get(p)
         if entry is None:
-            if self.weak:
+            if self.closure is not None:
                 steps, truncated = self.closure.steps(p)
             else:
                 steps, truncated = self._challenges(p), False
-            grouped: dict[Action, set[Process]] = {}
-            for sa, t in steps:
-                grouped.setdefault(sa, set()).add(t)
-            by_action = {sa: sorted(ts, key=term_key) for sa, ts in grouped.items()}
-            entry = self.replies[p] = (by_action, truncated)
+            entry = self.replies[p] = (_by_action(steps), truncated)
         self.tainted |= entry[1]
         return entry[0].get(a, [])
 
@@ -431,7 +400,7 @@ def _prepare(p: Process, q: Process, universe: Universe | None, mode: Mode | Non
 def check_strong(
     p: Process,
     q: Process,
-    upto: UpToConfig = FULL_UPTO,
+    upto: bool = FULL_UPTO,
     max_pairs: int = 512,
     *,
     universe: Universe | None = None,
@@ -447,7 +416,7 @@ def check_strong(
     the bound that was hit.
     """
     uni = _prepare(p, q, universe, mode)
-    return _check(p, q, upto, max_pairs, uni, False, 0, max_trace_depth, node_budget)
+    return _check(p, q, upto, max_pairs, uni, None, max_trace_depth, node_budget)
 
 
 def check_weak(
@@ -456,7 +425,7 @@ def check_weak(
     tau_bound: int = 8,
     max_pairs: int = 512,
     *,
-    upto: UpToConfig = FULL_UPTO,
+    upto: bool = FULL_UPTO,
     universe: Universe | None = None,
     mode: Mode | None = None,
     max_trace_depth: int = 6,
@@ -466,22 +435,20 @@ def check_weak(
     defender may pad its reply with up to `tau_bound` internal steps on
     each side of the visible action."""
     uni = _prepare(p, q, universe, mode)
-    return _check(p, q, upto, max_pairs, uni, True, tau_bound, max_trace_depth, node_budget)
+    return _check(p, q, upto, max_pairs, uni, WeakClosure(uni, tau_bound), max_trace_depth, node_budget)
 
 
 def _check(
     p: Process,
     q: Process,
-    upto: UpToConfig,
+    upto: bool,
     max_pairs: int,
     uni: Universe,
-    weak: bool,
-    tau_bound: int,
+    closure: WeakClosure | None,
     max_trace_depth: int,
     node_budget: int,
 ) -> CheckResult:
-    # one weak closure for the whole check, shared by prover and attacker
-    closure = WeakClosure(uni, tau_bound) if weak else None
+    # the weak game's closure is shared by prover and attacker; None is strong
     prover = _Prover(uni, upto, max_pairs, closure)
     bound_hit: str | None = None
     # proof search recurses once per candidate pair plus matching overhead
@@ -501,7 +468,7 @@ def _check(
         witness = frozenset(prover.assumed)
         return CheckResult(Verdict.PROVEN, witness, None, prover.explored, None, prover_pairs=prover.explored)
 
-    attacker = _Attacker(uni, weak, tau_bound, node_budget, closure=closure)
+    attacker = _Attacker(uni, closure, node_budget)
     trace: tuple[TraceStep, ...] | None = None
     try:
         trace = attacker.search(p, q, max_trace_depth)
@@ -525,7 +492,7 @@ def audit_witness(
     p: Process,
     q: Process,
     witness: frozenset[Pair],
-    upto: UpToConfig = FULL_UPTO,
+    upto: bool = FULL_UPTO,
     *,
     weak: bool = False,
     tau_bound: int = 8,
@@ -536,21 +503,18 @@ def audit_witness(
     proof search.  Returns the first offending pair, or None if the
     witness is closed and contains the reduced root."""
     uni = _prepare(p, q, universe, mode)
-    closure = WeakClosure(uni, tau_bound)
+    closure = WeakClosure(uni, tau_bound) if weak else None
 
     def covered(l: Process, r: Process) -> bool:
         red = _reduce(l, r, upto)
-        return red[0] == red[1] or _canon(red, upto) in witness
+        return red[0] == red[1] or _canon(red) in witness
 
     if not covered(p, q):
         return (p, q)
     for u, v in witness:
         for forward in (True, False):
             chal, resp = (u, v) if forward else (v, u)
-            if weak:
-                resp_steps, _ = closure.steps(resp)
-            else:
-                resp_steps = _step(resp, uni)
+            resp_steps = closure.steps(resp)[0] if closure is not None else _step(resp, uni)
             for a, t in _step(chal, uni):
                 ok = any(
                     covered(*((t, d) if forward else (d, t)))
@@ -566,7 +530,7 @@ def verify_witness(
     p: Process,
     q: Process,
     witness: frozenset[Pair],
-    upto: UpToConfig = FULL_UPTO,
+    upto: bool = FULL_UPTO,
     **kwargs,
 ) -> bool:
     """True when the witness is closed under both game directions and
@@ -595,7 +559,7 @@ def replay_trace(
     the final challenger action must have no reply from the other side.
     """
     uni = _prepare(p, q, universe, mode)
-    closure = WeakClosure(uni, tau_bound)
+    closure = WeakClosure(uni, tau_bound) if weak else None
     state = {"left": normalize(p), "right": normalize(q)}
     for i, step in enumerate(trace):
         chal = state[step.side]
@@ -603,7 +567,7 @@ def replay_trace(
         if (step.action, step.challenger_target) not in moves:
             return False
         other = "right" if step.side == "left" else "left"
-        if weak:
+        if closure is not None:
             resp_steps, _ = closure.steps(state[other])
             replies = {t for a, t in resp_steps if a == step.action}
         else:

@@ -45,7 +45,6 @@ class LawInstance:
     label: str
     left: Process
     right: Process
-    premises: tuple[tuple[Process, Process], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -291,12 +290,8 @@ def run_laws(
 
     if wanted("par-congruence"):
         for (p1, p2, m), (q1, q2, _) in sample_pairs(25):
-            inst = LawInstance(
-                _label(Parallel(p1, q1), Parallel(p2, q2)),
-                Parallel(p1, q1),
-                Parallel(p2, q2),
-                premises=((p1, p2), (q1, q2)),
-            )
+            left, right = Parallel(p1, q1), Parallel(p2, q2)
+            inst = LawInstance(_label(left, right), left, right)
             res = check_strong(inst.left, inst.right, FULL_UPTO, max_pairs, universe=universe, mode=m)
             ok = res.verdict is Verdict.PROVEN
             report.rows.append(LawRow("par-congruence", inst.label, res.verdict, res.pairs_explored, ok))

@@ -263,7 +263,7 @@ def explore(
     check_mode(mode, start_raw)
     universe = effective_universe(universe, start_raw)
     start = normalize(start_raw)
-    conds = _parse_query(query) if query else None
+    conds = _parse_query(query) if query is not None else None
 
     def successors(s: Process) -> list[Process]:
         return [normalize(t) for _, t in _observable_steps(s, universe, suppressed)]

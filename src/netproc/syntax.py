@@ -67,6 +67,12 @@ _TOKEN_RE = re.compile(
 )
 
 
+def is_identifier(text: str) -> bool:
+    """Whether `text` reads back as one identifier, such as a value name."""
+    m = _TOKEN_RE.fullmatch(text)
+    return m is not None and m.lastgroup == "ident" and text not in _KEYWORDS
+
+
 @dataclass(frozen=True)
 class _Token:
     kind: str

@@ -191,8 +191,7 @@ def _plain_attack_refutes(l, r, mode) -> tuple[bool, int]:
     a larger budget); a found trace must also replay to count."""
     exhausted = 0
     for norm, depth, budget in ((False, 3, 800), (True, 6, 20_000)):
-        attacker = _Attacker(DEFAULT_UNIVERSE, weak=False, tau_bound=0,
-                             node_budget=budget, normalize_states=norm)
+        attacker = _Attacker(DEFAULT_UNIVERSE, None, budget, normalize_states=norm)
         try:
             trace = attacker.search(l, r, depth)
         except _BoundHit:

@@ -47,6 +47,15 @@ def test_values_env_variable(capsys, monkeypatch):
     assert out.splitlines()[0] == "values: v"
 
 
+@pytest.mark.parametrize("values", ["m0,1x,a b", "new", "m0, lose", "x-y"])
+def test_values_that_do_not_parse_back_exit_3(capsys, monkeypatch, values):
+    code, out, err = run_cli(capsys, "--values", values, "transitions", "c ? x. d!x")
+    assert code == 3 and out == "" and "bad value name" in err
+    monkeypatch.setenv("NETPROC_VALUES", values)
+    code, out, err = run_cli(capsys, "transitions", "c ? x. d!x")
+    assert code == 3 and out == "" and "bad value name" in err
+
+
 def test_lts_text_output(capsys):
     code, out, _ = run_cli(capsys, "lts", "a!m0 | a -> b")
     assert code == 0

@@ -50,6 +50,8 @@ CASES: dict[str, list[str]] = {
     "bad-parse": ["transitions", "a!m0 |"],
     "bad-mode": ["check", "a ? x. 0 | a -> b", "0"],
     "bad-max-states": ["lts", "a!m0", "--max-states", "0"],
+    "bad-values": ["--values", "m0,1x,a b", "transitions", "c ? x. d!x"],
+    "bad-query-empty": ["explore", RELAY, "--inject", "s=m0", "--query", ""],
 }
 
 

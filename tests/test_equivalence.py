@@ -16,7 +16,6 @@ from netproc import (
     STOP,
     ScopeError,
     TraceStep,
-    UpToConfig,
     Verdict,
     abstract_channel,
     audit_witness,
@@ -30,9 +29,9 @@ from netproc import (
     verify_witness,
 )
 from netproc import Name, Stop, equivalence, free_channel_names, fresh_channel_name, instantiate_channel, make_universe
-from netproc.equivalence import _Attacker, _BoundHit, _Prover, _canon, _reduce, _rewrite
+from netproc.equivalence import _Attacker, _BoundHit, _Prover, _canon, _reduce
 from netproc.normalform import compose_parallel, parallel_components, term_key
-from netproc.semantics import DEFAULT_UNIVERSE, Mode, sorted_steps, _step
+from netproc.semantics import DEFAULT_UNIVERSE, Mode, WeakClosure, sorted_steps, _step
 from helpers import random_comm, random_pi
 
 # ---------------------------------------------------------------------------
@@ -69,36 +68,30 @@ def test_cancel_context_on_identical_terms_yields_trivial_pair():
     assert cancel_context(p, p) == (STOP, STOP)
 
 
-def fixpoint_reduce(l, r, cfg):
+def fixpoint_reduce(l, r, upto):
     """Reference reduction: peel and cancel until a whole round changes
     nothing, as the one-pass `_reduce` must agree with."""
-    l, r = _rewrite(l, "left", cfg), _rewrite(r, "right", cfg)
-    if not cfg.use_context_cancel:
+    if not upto:
         return l, r
+    l, r = normalize(l), normalize(r)
     while True:
         before = (l, r)
         while isinstance(l, Restrict) and isinstance(r, Restrict):
             c = Name(fresh_channel_name(free_channel_names(l) | free_channel_names(r)))
-            l = _rewrite(instantiate_channel(l.body, c), "left", cfg)
-            r = _rewrite(instantiate_channel(r.body, c), "right", cfg)
+            l = normalize(instantiate_channel(l.body, c))
+            r = normalize(instantiate_channel(r.body, c))
         lc = [c for c in parallel_components(l) if not isinstance(c, Stop)]
         rc = [c for c in parallel_components(r) if not isinstance(c, Stop)]
         counts_l, counts_r = Counter(lc), Counter(rc)
         shared = {c for c, n in counts_l.items() if counts_r.get(c) == n}
         if shared:
-            l = _rewrite(compose_parallel([c for c in lc if c not in shared]), "left", cfg)
-            r = _rewrite(compose_parallel([c for c in rc if c not in shared]), "right", cfg)
+            l = normalize(compose_parallel([c for c in lc if c not in shared]))
+            r = normalize(compose_parallel([c for c in rc if c not in shared]))
         if (l, r) == before:
             return l, r
 
 
-_CONFIGS = {
-    "full": FULL_UPTO,
-    "plain": PLAIN,
-    "cancel-only": UpToConfig(use_congruence_rewrite=False),
-    "left": UpToConfig(rewrite_side="left"),
-    "right": UpToConfig(rewrite_side="right"),
-}
+_CONFIGS = {"full": FULL_UPTO, "plain": PLAIN}
 
 
 def _hide(p):
@@ -124,15 +117,13 @@ _PAIR_SHAPES = {
     st.sampled_from(sorted(_PAIR_SHAPES)),
     st.sampled_from(sorted(_CONFIGS)),
 )
-# identical sides made of inert components only, not rewritten
-@example("pi", 2, 0, "context", "cancel-only")
 def test_one_pass_reduction_matches_the_fixpoint(kind, seed, depth, shape, config):
     rng = random.Random(seed)
     gen = random_pi if kind == "pi" else random_comm
     p, q, s = gen(rng, depth), gen(rng, depth), gen(rng, 1)
     l, r = _PAIR_SHAPES[shape](p, q, s)
-    cfg = _CONFIGS[config]
-    assert _reduce(l, r, cfg) == fixpoint_reduce(l, r, cfg)
+    upto = _CONFIGS[config]
+    assert _reduce(l, r, upto) == fixpoint_reduce(l, r, upto)
 
 
 def test_cancellation_repeats_under_restrictions_left_by_a_cancellation():
@@ -143,25 +134,13 @@ def test_cancellation_repeats_under_restrictions_left_by_a_cancellation():
 
 @pytest.mark.parametrize("config", sorted(_CONFIGS))
 def test_identical_sides_reduce_to_the_trivial_pair(config):
-    cfg = _CONFIGS[config]
+    upto = _CONFIGS[config]
     for text in ("a!m0 | lose b", "new t. (t!m0 | a ? x. t!x)", "b!m0 | 0", "new t. new u. (t!m0 | u!m1)"):
         p = parse(text)
-        assert _reduce(p, p, cfg) == fixpoint_reduce(p, p, cfg)
-        if config in ("full", "cancel-only"):
-            assert _reduce(p, p, cfg) == (STOP, STOP)
-    # with nothing to delete, inert components stay unless rewriting drops them
+        assert _reduce(p, p, upto) == fixpoint_reduce(p, p, upto)
+        assert _reduce(p, p, upto) == ((STOP, STOP) if upto else (p, p))
     for p in (Parallel(STOP, STOP), Restrict(Parallel(STOP, STOP)), STOP):
-        assert _reduce(p, p, cfg) == fixpoint_reduce(p, p, cfg)
-
-
-def test_one_sided_rewriting_can_pull_identical_restrictions_apart():
-    # p is normal, but once its binder is opened with a name that sorts
-    # before z, only the rewritten side reorders the receive's body
-    p = parse("new t. a ? x. (z!x | t!x)")
-    cfg = UpToConfig(rewrite_side="left")
-    assert normalize(p) is p
-    l, r = _reduce(p, p, cfg)
-    assert l is not r and (l, r) == fixpoint_reduce(p, p, cfg)
+        assert _reduce(p, p, upto) == fixpoint_reduce(p, p, upto)
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +228,6 @@ def test_plain_game_cannot_prove_idempotency():
     assert res.bound_hit == "max-pairs"
 
 
-def test_rewrite_only_config_still_proves_structural_laws():
-    cfg = UpToConfig(use_congruence_rewrite=True, use_context_cancel=False)
-    res = check_strong(parse("a!m0 | 0"), parse("0 | a!m0"), cfg)
-    assert res.verdict is Verdict.PROVEN
-
-
-def test_one_sided_rewrite_keeps_orientation():
-    cfg = UpToConfig(rewrite_side="left")
-    res = check_strong(parse("(a!m0 | 0) | b!m1"), parse("a!m0 | b!m1"), cfg)
-    assert res.verdict is Verdict.PROVEN
-
-
 # ---------------------------------------------------------------------------
 # Weak checking
 # ---------------------------------------------------------------------------
@@ -336,6 +303,26 @@ def test_weak_check_leaves_no_module_state_behind():
     assert not [o for o in gc.get_objects() if isinstance(o, semantics.WeakClosure)]
 
 
+def test_strong_game_builds_no_weak_closure(monkeypatch):
+    built = []
+    init = WeakClosure.__init__
+
+    def counting(self, universe, bound):
+        built.append(bound)
+        init(self, universe, bound)
+
+    monkeypatch.setattr(WeakClosure, "__init__", counting)
+    l, r = parse("a -> b"), parse("a -> c")
+    refuted = check_strong(l, r)
+    assert refuted.verdict is Verdict.DISTINGUISHED and refuted.attacker_nodes > 0
+    assert replay_trace(l, r, refuted.trace, weak=False)
+    l, r = parse("dup a | dup a"), parse("dup a")
+    assert audit_witness(l, r, check_strong(l, r).witness, weak=False) is None
+    assert built == []
+    check_weak(parse("a!m0"), parse("b!m0"), 3)
+    assert built == [3]
+
+
 def test_weak_proofs_withstand_plain_weak_attacker():
     # the weak game reuses context cancellation, which the strong-game
     # theory does not automatically license; cross-examine its verdicts
@@ -348,8 +335,7 @@ def test_weak_proofs_withstand_plain_weak_attacker():
         l, r = parse(ls), parse(rs)
         mode = Mode.PI if "?*" in ls else Mode.EXTENDED
         assert check_weak(l, r, mode=mode).verdict is Verdict.PROVEN, (ls, rs)
-        attacker = _Attacker(DEFAULT_UNIVERSE, weak=True, tau_bound=6,
-                             node_budget=4000, normalize_states=True)
+        attacker = _Attacker(DEFAULT_UNIVERSE, WeakClosure(DEFAULT_UNIVERSE, 6), 4000)
         try:
             trace = attacker.search(l, r, 4)
         except _BoundHit:
@@ -411,8 +397,8 @@ def ranked_match(self, chal_target, options, forward):
     first, each group in term_key order."""
     ranked = []
     for opt in options:
-        red = equivalence._reduce(*((chal_target, opt) if forward else (opt, chal_target)), self.cfg)
-        known = red[0] == red[1] or _canon(red, self.cfg) in self.assumed
+        red = equivalence._reduce(*((chal_target, opt) if forward else (opt, chal_target)), self.upto)
+        known = red[0] == red[1] or _canon(red) in self.assumed
         ranked.append(((0 if known else 1, term_key(opt)), red))
     ranked.sort(key=lambda entry: entry[0])
     for _, red in ranked:
@@ -459,7 +445,7 @@ def test_a_known_reply_is_taken_before_an_earlier_unknown_one():
     chal = parse("a!m0")
     unknown, known = parse("a!m1"), parse("b!m0")
     assert term_key(unknown) < term_key(known)
-    prover.assumed.add(_canon(_reduce(chal, known, FULL_UPTO), FULL_UPTO))
+    prover.assumed.add(_canon(_reduce(chal, known, FULL_UPTO)))
     assert prover._match(chal, [unknown, known], True)
     assert prover.explored == 0 and not prover.trail
 
@@ -468,9 +454,9 @@ def test_first_known_reply_saves_reductions(monkeypatch):
     calls = []
     reduce = equivalence._reduce
 
-    def counting(l, r, cfg):
+    def counting(l, r, upto):
         calls.append((l, r))
-        return reduce(l, r, cfg)
+        return reduce(l, r, upto)
 
     monkeypatch.setattr(equivalence, "_reduce", counting)
     pair = parse("c => [c, c] | c => [c, c]"), parse("c => [c, c]")
@@ -496,7 +482,7 @@ class _FilteringAttacker(_Attacker):
     with no table."""
 
     def _replies(self, p, a):
-        if self.weak:
+        if self.closure is not None:
             steps, truncated = self.closure.steps(p)
             self.tainted |= truncated
             opts = [t for sa, t in steps if sa == a]
@@ -541,8 +527,12 @@ class _FilteringAttacker(_Attacker):
         return result
 
 
+def _closure(weak, tau_bound):
+    return WeakClosure(DEFAULT_UNIVERSE, tau_bound) if weak else None
+
+
 def _play(cls, l, r, weak, tau_bound, normalize, max_depth, budget=300):
-    attacker = cls(DEFAULT_UNIVERSE, weak, tau_bound, budget, normalize_states=normalize)
+    attacker = cls(DEFAULT_UNIVERSE, _closure(weak, tau_bound), budget, normalize_states=normalize)
     try:
         trace, hit = attacker.search(l, r, max_depth), None
     except _BoundHit as exc:
@@ -553,10 +543,11 @@ def _play(cls, l, r, weak, tau_bound, normalize, max_depth, budget=300):
 def _assert_table_matches_filtering(attacker):
     for p, moves in attacker.challenges.items():
         assert moves == [(a, attacker._norm(t)) for a, t in sorted_steps(p, DEFAULT_UNIVERSE)]
-    reference = _FilteringAttacker(DEFAULT_UNIVERSE, attacker.weak, attacker.closure.bound, 0,
-                                   normalize_states=attacker.normalize_states)
+    closure = attacker.closure
+    fresh = None if closure is None else WeakClosure(DEFAULT_UNIVERSE, closure.bound)
+    reference = _FilteringAttacker(DEFAULT_UNIVERSE, fresh, 0, normalize_states=attacker.normalize_states)
     for p, (by_action, truncated) in attacker.replies.items():
-        steps = attacker.closure.steps(p) if attacker.weak else (_step(p, DEFAULT_UNIVERSE), False)
+        steps = closure.steps(p) if closure is not None else (_step(p, DEFAULT_UNIVERSE), False)
         assert truncated == steps[1]
         assert set(by_action) == {a for a, _ in steps[0]}
         for a, replies in by_action.items():
@@ -615,14 +606,14 @@ def test_move_table_builds_each_states_moves_once(monkeypatch, weak):
 def test_replies_are_distinct_after_normalization():
     # both receives leave `a?x.b!x | b!m0` once normalized
     p = normalize(parse("a?x.(0 | b!x) | a?y.(b!y | 0)"))
-    attacker = _Attacker(DEFAULT_UNIVERSE, False, 0, 10)
+    attacker = _Attacker(DEFAULT_UNIVERSE, None, 10)
     receive = next(a for a, _ in sorted_steps(p, DEFAULT_UNIVERSE))
     assert attacker._replies(p, receive) == [normalize(parse("a?x.b!x | b!m0"))]
 
 
 def test_every_reply_lookup_reports_truncation():
     p = parse("dup a | a!m0")
-    attacker = _Attacker(DEFAULT_UNIVERSE, True, 1, 10)
+    attacker = _Attacker(DEFAULT_UNIVERSE, WeakClosure(DEFAULT_UNIVERSE, 1), 10)
     assert attacker.closure.steps(p)[1]
     action = next(a for a, _ in sorted_steps(p, DEFAULT_UNIVERSE))
     attacker._replies(p, action)

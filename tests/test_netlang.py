@@ -30,6 +30,7 @@ from netproc import (
     parse,
     simulate,
 )
+from netproc.netlang import _parse_query
 
 a, b, c, d = Name("a"), Name("b"), Name("c"), Name("d")
 
@@ -182,6 +183,11 @@ def test_query_parse_errors():
         explore(net, inputs=[("a", "m0")], query="r1 >> 3")
     with pytest.raises(ParseError):
         explore(net, inputs=[("a", "m0")], query="r1")
+    # an empty query is not the absent query: it must not read as unsatisfied
+    with pytest.raises(ParseError):
+        _parse_query("")
+    with pytest.raises(ParseError):
+        explore(net, inputs=[("a", "m0")], query="")
 
 
 def test_divergence_is_detected_on_replicated_loops():
