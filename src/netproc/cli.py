@@ -147,14 +147,12 @@ def _cmd_laws(args) -> int:
 
 
 def _parse_inject(specs) -> list[tuple[str, str]]:
+    # `netlang._inject` checks that each side is an identifier
     out = []
     for spec in specs or []:
         if "=" not in spec:
             raise ParseError(f"bad --inject {spec!r}, expected CHANNEL=VALUE", 1, 1)
-        ch, val = spec.split("=", 1)
-        if not ch or not val:
-            raise ParseError(f"bad --inject {spec!r}, expected CHANNEL=VALUE", 1, 1)
-        out.append((ch, val))
+        out.append(tuple(spec.split("=", 1)))
     return out
 
 

@@ -22,7 +22,6 @@ from .semantics import (
     Mode,
     SendAct,
     TAU,
-    Tau,
     Universe,
     check_mode,
     effective_universe,
@@ -31,7 +30,7 @@ from .semantics import (
     step_order,
     _step,
 )
-from .syntax import pretty, pretty_action
+from .syntax import is_identifier, pretty, pretty_action
 from .terms import (
     Atom,
     Distribute,
@@ -212,11 +211,20 @@ class ExploreReport:
 
 
 def _inject(p: Process, inputs) -> tuple[Process, tuple[tuple[str, str], ...], frozenset[str]]:
+    """`p` with one send per (channel, value) input in parallel, the
+    inputs as stripped text, and the channels injected on.  Each side
+    must read back as an identifier; a ParseError gives its column in
+    the text CHANNEL=VALUE."""
     pairs: list[tuple[str, str]] = []
     senders: list[Process] = []
     for chan, value in inputs:
         ch = chan.text if isinstance(chan, Name) else str(chan)
         val = value.text if isinstance(value, Atom) else str(value)
+        for what, text, col in (("channel", ch, 1), ("value", val, len(ch) + 2)):
+            if not is_identifier(text.strip()):
+                col += len(text) - len(text.lstrip())
+                raise ParseError(f"bad injected {what} {text!r}, expected an identifier that is not a keyword", 1, col)
+        ch, val = ch.strip(), val.strip()
         pairs.append((ch, val))
         senders.append(Send(Name(ch), Atom(val)))
     start: Process = p
@@ -231,7 +239,7 @@ def _observable_steps(state: Process, universe: Universe, suppressed: frozenset[
     out = [
         (a, t)
         for a, t in _step(state, universe)
-        if isinstance(a, Tau) or (isinstance(a, SendAct) and a.channel.text not in suppressed)
+        if a is TAU or (type(a) is SendAct and a.channel.text not in suppressed)
     ]
     out.sort(key=step_order)
     return out
@@ -357,7 +365,7 @@ def simulate(
     state = normalize(start_raw)
     events: list[TraceEvent] = []
     for i in range(steps):
-        taus = [t for a, t in sorted_steps(state, universe) if isinstance(a, Tau)]
+        taus = [t for a, t in sorted_steps(state, universe) if a is TAU]
         if not taus:
             break
         state = normalize(taus[rng.randrange(len(taus))])

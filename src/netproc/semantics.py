@@ -21,8 +21,12 @@ channel renaming and channels are never payloads, so each target is the
 same interned node the fresh-name round trip builds.  Tests cross-check
 the two rules against each other.
 
-`step_order` is the one presentation order for steps (action, then
-target term); every listing, game move and exploration sorts by it.
+Actions are interned in `terms`' table, as terms are: equal actions are
+the same object, and each stores its hash and its `action_key`, so the
+step sets, the step cache and the game's tables hash and compare them in
+O(1), and `TAU` is the one internal action.  `step_order` is the one
+presentation order for steps (action, then target term); every listing,
+game move and exploration sorts by it.
 `reachable` is the breadth-first search behind explore and the CLI's LTS.
 The weak closure `_tau_reach` keeps its own loop: it runs thousands of
 times per weak check, on graphs of a few states, and calling a successor
@@ -45,6 +49,7 @@ from .terms import (
     Channel,
     ChanVar,
     Distribute,
+    Name,
     Parallel,
     Process,
     Receive,
@@ -54,6 +59,9 @@ from .terms import (
     STOP,
     Stop,
     ValVar,
+    _intern,
+    _Interned,
+    _interned,
     atoms_used,
     children,
     constructs_used,
@@ -79,21 +87,45 @@ class Mode(str, Enum):
 # its restriction binders also acts on the channels they bind (ChanVar).
 
 
-@dataclass(frozen=True)
-class SendAct:
+class _Action(_Interned):
+    """An interned action; `_key` is its `action_key`, stored."""
+
+    __slots__ = ("_key",)
+
+    _derived = ("_key",)
+
+    def __new__(cls, channel: Channel, payload: Atom) -> _Action:
+        return _intern((cls, channel, payload))
+
+    def _derive(self) -> tuple:
+        # an open term's action, on a bound channel or value, sorts by index
+        c, v = self.channel, self.payload
+        return ((self._order, c.text if type(c) is Name else c.index, v.text if type(v) is Atom else v.index),)
+
+
+@_interned
+class SendAct(_Action):
     channel: Channel
     payload: Atom
+    _order = 1
 
 
-@dataclass(frozen=True)
-class ReceiveAct:
+@_interned
+class ReceiveAct(_Action):
     channel: Channel
     payload: Atom
+    _order = 2
 
 
-@dataclass(frozen=True)
-class Tau:
+@_interned
+class Tau(_Action):
     """Internal step produced by a matching send/receive pair."""
+
+    def __new__(cls) -> Tau:
+        return _intern((cls,))
+
+    def _derive(self) -> tuple:
+        return ((0,),)
 
 
 TAU = Tau()
@@ -103,14 +135,10 @@ Action = Union[SendAct, ReceiveAct, Tau]
 
 def action_key(a: Action) -> tuple:
     """Deterministic sort key for actions."""
-    match a:
-        case Tau():
-            return (0,)
-        case SendAct(channel=c, payload=v):
-            return (1, c.text, v.text)
-        case ReceiveAct(channel=c, payload=v):
-            return (2, c.text, v.text)
-    raise TypeError(f"not an action: {a!r}")
+    try:
+        return a._key
+    except AttributeError:
+        raise TypeError(f"not an action: {a!r}") from None
 
 
 @dataclass(frozen=True)
@@ -271,7 +299,7 @@ def _enumerate(p: Process, universe: Universe, parts: list[frozenset[Step]]) -> 
             # channel (index 0) stays inside, outer bound channels move
             # one binder out, and each target keeps the binder
             for a, t in parts[0]:
-                if not isinstance(a, Tau) and isinstance(a.channel, ChanVar):
+                if a is not TAU and type(a.channel) is ChanVar:
                     if a.channel.index == 0:
                         continue
                     a = type(a)(ChanVar(a.channel.index - 1), a.payload)
@@ -282,11 +310,10 @@ def _enumerate(p: Process, universe: Universe, parts: list[frozenset[Step]]) -> 
 
 def _complementary(a1: Action, a2: Action) -> bool:
     """A send and a receive of the same value on the same channel."""
-    if isinstance(a1, SendAct) and isinstance(a2, ReceiveAct):
-        return a1.channel == a2.channel and a1.payload == a2.payload
-    if isinstance(a1, ReceiveAct) and isinstance(a2, SendAct):
-        return a1.channel == a2.channel and a1.payload == a2.payload
-    return False
+    return (
+        a1 is not TAU and a2 is not TAU and type(a1) is not type(a2)
+        and a1.channel is a2.channel and a1.payload is a2.payload
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +336,7 @@ def _tau_reach(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Pr
         nxt = []
         for s in frontier:
             for a, t in _step(s, universe):
-                if isinstance(a, Tau):
+                if a is TAU:
                     n = normalize(t)
                     if n not in visited:
                         visited.add(n)
@@ -320,7 +347,7 @@ def _tau_reach(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Pr
     truncated = False
     for s in frontier:
         for a, t in _step(s, universe):
-            if isinstance(a, Tau) and normalize(t) not in visited:
+            if a is TAU and normalize(t) not in visited:
                 truncated = True
                 break
         if truncated:
@@ -395,7 +422,7 @@ class WeakClosure:
         out: set[Step] = {(TAU, s) for s in pre}
         for s in pre:
             for a, t in _step(s, self.universe):
-                if isinstance(a, Tau):
+                if a is TAU:
                     continue
                 post, trunc2 = self.reach(t)
                 truncated |= trunc2

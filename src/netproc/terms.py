@@ -5,16 +5,18 @@ spaces: restriction binds channels, receive prefixes bind values.  Because
 the sorts never mix (a value cannot be used as a channel), crossing a
 receive binder leaves channel indices untouched and vice versa.
 
-Process nodes are hash-consed (Filliâtre & Conchon, "Type-safe modular
-hash-consing", 2006): building a node with the same constructor and the
-same fields as a live node returns that node, so structurally equal terms
-are the same object.  Equality is identity.  An interned node stores, from
-its fields and its children's stored values, its structural hash, its sort
-key `term_key` and its channel mask (bit i set when the bound channel
-`ChanVar(i)` occurs free in it).  The intern table holds nodes weakly, so
-a term is dropped once nothing else refers to it.  Terms must be built
-through their constructors; copying and pickling go through them too.
-All operations here are pure.
+Process nodes, the channels and values in them, and `semantics`'
+actions are hash-consed (Filliâtre & Conchon, "Type-safe modular
+hash-consing", 2006) through one intern table: building one with the
+same class and the same fields as a live one returns that one, so
+structurally equal terms are the same object.  Equality is identity.
+Each stores its structural hash, computed once from its fields' stored
+hashes: the hash a plain frozen dataclass would give.  A process node
+also stores its sort key `term_key` and its channel mask (bit i set when
+the bound channel `ChanVar(i)` occurs free in it).  The table holds its
+objects weakly, so one is dropped once nothing else refers to it.  They
+must be built through their constructors; copying and pickling go
+through them too.  All operations here are pure.
 
 Each constructor declares the kind of each field and the sort its binder
 binds.  The traversals read those declarations rather than match on
@@ -38,81 +40,36 @@ from typing import Callable, Iterable, Union
 from .errors import FreshnessViolation
 
 # ---------------------------------------------------------------------------
-# Channels and values
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class Name:
-    """Free channel, identified globally by its name."""
-
-    text: str
-
-
-@dataclass(frozen=True, slots=True)
-class ChanVar:
-    """Channel bound by an enclosing restriction; index 0 is the nearest one."""
-
-    index: int
-
-
-Channel = Union[Name, ChanVar]
-
-
-@dataclass(frozen=True, slots=True)
-class Atom:
-    """Concrete value drawn from a finite, per-session universe."""
-
-    text: str
-
-
-@dataclass(frozen=True, slots=True)
-class ValVar:
-    """Value bound by an enclosing receive prefix; index 0 is the nearest one."""
-
-    index: int
-
-
-Value = Union[Atom, ValVar]
-
-# The kinds of constructor fields, and the sorts binders bind (CHAN, VAL)
-CHAN, VAL, CHANS, PROC = "chan", "val", "chans", "proc"
-
-
-def _chan_key(c: Channel) -> tuple:
-    return (0, c.text) if type(c) is Name else (1, c.index)
-
-
-# ---------------------------------------------------------------------------
 # Hash-consing
 # ---------------------------------------------------------------------------
 
 
 class _Ref(weakref.ref):
-    """Weak reference to an interned node; knows the node's table key."""
+    """Weak reference to an interned object; knows its table key."""
 
     __slots__ = ("key",)
 
 
-# (constructor, *fields) -> weak reference to the live node with that structure
+# (class, *fields) -> weak reference to the live object with that structure
 _TABLE: dict[tuple, _Ref] = {}
 # Held while an entry is inserted or replaced, so that of two threads that
-# built a node for one key, both return the one that went in.  Re-entrant
-# because a node freed while it is held runs _drop in the same thread.
+# built an object for one key, both return the one that went in.
+# Re-entrant because an object freed while it is held runs _drop in the
+# same thread.
 _LOCK = threading.RLock()
 
 
 def _drop(ref: _Ref, table: dict = _TABLE, lock=_LOCK) -> None:
     with lock:
-        # a dead entry may already have been replaced by a newer node
+        # a dead entry may already have been replaced by a newer object
         if table.get(ref.key) is ref:
             del table[ref.key]
 
 
-def _intern(key: tuple) -> "Process":
-    """The live node for `key`, which is (constructor, *fields), built
-    if there is none.  A miss hashes the key twice: in the lock-free get
-    and in the setdefault under the lock."""
+def _intern(key: tuple) -> _Interned:
+    """The live object for `key`, which is (class, *fields), built if
+    there is none.  A miss hashes the key twice: in the lock-free get and
+    in the setdefault under the lock."""
     ref = _TABLE.get(key)
     node = None if ref is None else ref()
     if node is not None:
@@ -123,13 +80,12 @@ def _intern(key: tuple) -> "Process":
         put(node, value)
     # the same value the field-tuple hash of a plain dataclass would give
     _put_hash(node, hash(fields))
-    term_key, chan_mask = node._derive()
-    _put_term_key(node, term_key)
-    _put_chan_mask(node, chan_mask)
+    for put, value in zip(cls._put_derived, node._derive()):
+        put(node, value)
     ref = _Ref(node, _drop)
     ref.key = key
     with _LOCK:
-        # another thread may have built the same node since the get above
+        # another thread may have built the same object since the get above
         held = _TABLE.setdefault(key, ref)
         if held is not ref:
             live = held()
@@ -137,6 +93,114 @@ def _intern(key: tuple) -> "Process":
                 return live
             _TABLE[key] = ref
     return node
+
+
+class _Interned:
+    """Base of every hash-consed class: processes, their channels and
+    values, and `semantics`' actions.
+
+    A subclass is a slotted frozen dataclass made by `_interned`, whose
+    `__new__` returns `_intern((cls, *fields))`.  Equality is identity
+    and the hash is stored.  `_derive` gives the values of the slots
+    named in `_derived`, which are filled once, after the fields.
+    """
+
+    __slots__ = ("_hash", "__weakref__")
+
+    _derived: tuple[str, ...] = ()
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # copy, deepcopy and unpickling rebuild through the constructor,
+        # so they return the interned object rather than a twin
+        return type(self), self._values(self)
+
+    def _derive(self) -> tuple:
+        return ()
+
+
+# Slot setter, which writes a frozen object's slot without the attribute
+# lookup of object.__setattr__ (half its cost)
+_put_hash = _Interned._hash.__set__
+
+
+def _getter(names: list[str]) -> Callable:
+    # a function from an object to the tuple of the named fields
+    if len(names) == 1:
+        return lambda p, get=attrgetter(names[0]): (get(p),)
+    return attrgetter(*names) if names else lambda p: ()
+
+
+def _interned(cls: type) -> type:
+    # identity equality and the stored hash come from _Interned; the
+    # generated __init__ is replaced by the class's __new__, which returns
+    # the interned object
+    cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
+    names = cls.__match_args__
+    cls._put_fields = tuple(getattr(cls, name).__set__ for name in names)
+    cls._put_derived = tuple(getattr(cls, name).__set__ for name in cls._derived)
+    cls._values = staticmethod(_getter(names))
+    return cls
+
+
+# ---------------------------------------------------------------------------
+# Channels and values
+# ---------------------------------------------------------------------------
+
+
+@_interned
+class Name(_Interned):
+    """Free channel, identified globally by its name."""
+
+    text: str
+
+    def __new__(cls, text: str) -> Name:
+        return _intern((cls, text))
+
+
+@_interned
+class ChanVar(_Interned):
+    """Channel bound by an enclosing restriction; index 0 is the nearest one."""
+
+    index: int
+
+    def __new__(cls, index: int) -> ChanVar:
+        return _intern((cls, index))
+
+
+Channel = Union[Name, ChanVar]
+
+
+@_interned
+class Atom(_Interned):
+    """Concrete value drawn from a finite, per-session universe."""
+
+    text: str
+
+    def __new__(cls, text: str) -> Atom:
+        return _intern((cls, text))
+
+
+@_interned
+class ValVar(_Interned):
+    """Value bound by an enclosing receive prefix; index 0 is the nearest one."""
+
+    index: int
+
+    def __new__(cls, index: int) -> ValVar:
+        return _intern((cls, index))
+
+
+Value = Union[Atom, ValVar]
+
+# The kinds of constructor fields, and the sorts binders bind (CHAN, VAL)
+CHAN, VAL, CHANS, PROC = "chan", "val", "chans", "proc"
+
+
+def _chan_key(c: Channel) -> tuple:
+    return (0, c.text) if type(c) is Name else (1, c.index)
 
 
 def _bit(c: Channel) -> int:
@@ -152,8 +216,8 @@ def _join(a: frozenset, b: frozenset) -> frozenset:
 _EMPTY: frozenset[str] = frozenset()
 
 
-class _Node:
-    """Base of the process constructors: interned, hashed once.
+class _Node(_Interned):
+    """Base of the process constructors.
 
     A constructor declares `_kinds`, the kind of each field in
     `__match_args__` order, and `_binds`, the sort its binder binds.
@@ -163,45 +227,21 @@ class _Node:
     channel names) on a node `_sets_of` was asked about.
     """
 
-    __slots__ = ("_hash", "_term_key", "_chan_mask", "_facts", "__weakref__")
+    __slots__ = ("_term_key", "_chan_mask", "_facts")
 
+    _derived = ("_term_key", "_chan_mask")
     _kinds: tuple[str, ...] = ()
     _binds: str | None = None
 
-    def __hash__(self) -> int:
-        return self._hash
 
-    def __reduce__(self) -> tuple:
-        # copy, deepcopy and unpickling rebuild through the constructor,
-        # so they return the interned node rather than a twin
-        return type(self), self._values(self)
-
-
-# Slot setters, which write a frozen node's slots without the attribute
-# lookup of object.__setattr__ (half its cost)
-_put_hash = _Node._hash.__set__
-_put_term_key = _Node._term_key.__set__
-_put_chan_mask = _Node._chan_mask.__set__
 _put_facts = _Node._facts.__set__
 
 
-def _getter(names: list[str]) -> Callable:
-    # a function from a node to the tuple of the named fields
-    if len(names) == 1:
-        return lambda p, get=attrgetter(names[0]): (get(p),)
-    return attrgetter(*names) if names else lambda p: ()
-
-
 def _process(cls: type) -> type:
-    # identity equality comes from object; the generated __init__ is
-    # replaced by each constructor's __new__, which returns the interned node
-    cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
-    names = cls.__match_args__
-    cls._put_fields = tuple(getattr(cls, name).__set__ for name in names)
+    cls = _interned(cls)
     cls._tag = frozenset((cls.__name__,))
-    # the tuples of all fields and of the process fields
-    cls._values = staticmethod(_getter(names))
-    cls._children = staticmethod(_getter([n for n, kind in zip(names, cls._kinds) if kind is PROC]))
+    # the tuple of the process fields
+    cls._children = staticmethod(_getter([n for n, kind in zip(cls.__match_args__, cls._kinds) if kind is PROC]))
     return cls
 
 

@@ -223,6 +223,27 @@ def test_bad_inject_spec_exits_three(capsys):
     assert "expected CHANNEL=VALUE" in err
 
 
+@pytest.mark.parametrize("command", ["explore", "simulate"])
+@pytest.mark.parametrize("spec, bad", [("a=m 0", "value 'm 0'"), ("a=new", "value 'new'"), ("a=", "value ''"), ("=m0", "channel ''")])
+def test_inject_sides_that_are_not_identifiers_exit_three(capsys, command, spec, bad):
+    # `a=m 0` would print `b!m 0`, which does not parse back
+    code, out, err = run_cli(capsys, command, "a -> b", "--inject", spec)
+    assert code == 3 and out == ""
+    assert f"bad injected {bad}, expected an identifier" in err
+
+
+def test_inject_text_is_stripped(capsys):
+    # the channel " a" would receive nothing, and the run would exit 0
+    code, out, _ = run_cli(capsys, "explore", "a -> b", "--inject", " a = m0 ")
+    assert code == 0
+    assert out == run_cli(capsys, "explore", "a -> b", "--inject", "a=m0")[1]
+    assert "deliveries b: min=1 max=1" in out
+    code, out, _ = run_cli(capsys, "simulate", "a -> b", "--inject", " a=m0", "--seed", "3")
+    assert code == 0
+    assert out == run_cli(capsys, "simulate", "a -> b", "--inject", "a=m0", "--seed", "3")[1]
+    assert "halted after 1 step(s)" in out
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -52,6 +52,7 @@ CASES: dict[str, list[str]] = {
     "bad-max-states": ["lts", "a!m0", "--max-states", "0"],
     "bad-values": ["--values", "m0,1x,a b", "transitions", "c ? x. d!x"],
     "bad-query-empty": ["explore", RELAY, "--inject", "s=m0", "--query", ""],
+    "bad-inject": ["explore", RELAY, "--inject", "s=m 0"],
 }
 
 

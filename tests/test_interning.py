@@ -1,4 +1,5 @@
-"""Hash-consed process terms: equal structure is the same object.
+"""Hash-consed terms, channels, values and actions: equal structure is
+the same object.
 
 The reference sort key below is the recursive definition the stored
 `term_key` must reproduce exactly; it is kept here, independent of the
@@ -26,17 +27,22 @@ from netproc import (
     Distribute,
     Name,
     Parallel,
+    ReceiveAct,
     Receive,
     RepeatReceive,
     Restrict,
     STOP,
     Send,
+    SendAct,
     Stop,
+    TAU,
+    Tau,
     ValVar,
     parse,
     term_key,
 )
 from netproc import terms
+from netproc.semantics import action_key
 
 from helpers import random_comm, random_pi
 
@@ -115,8 +121,8 @@ def test_nodes_are_slotted_frozen_and_identity_compared():
     assert not hasattr(p, "__dict__")
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.left = STOP
-    # leaves keep structural equality
-    assert Name("a") == a and Name("a") is not a
+    # leaves are interned too: equal structure is the same object
+    assert Name("a") == a and Name("a") is a
     assert ChanVar(0) == ChanVar(0) and ValVar(1) != ValVar(0)
     assert not hasattr(a, "__dict__")
 
@@ -302,3 +308,163 @@ def test_channel_mask_of_each_constructor():
     assert Restrict(Send(c0, m0))._chan_mask == 0
     assert Distribute(c1, [a, c2, c1])._chan_mask == 0b110
     assert Send(ChanVar(-1), m0)._chan_mask == 0
+
+
+# ---------------------------------------------------------------------------
+# channels, values and actions
+# ---------------------------------------------------------------------------
+
+SAMPLES = [Name("a"), ChanVar(1), Atom("m0"), ValVar(0), SendAct(a, m0), ReceiveAct(ChanVar(0), m0), TAU]
+
+
+# Plain frozen dataclasses with the fields of the interned classes: their
+# generated hashes are the reference the stored hashes must reproduce
+@dataclasses.dataclass(frozen=True)
+class PlainText:
+    text: str
+
+
+@dataclasses.dataclass(frozen=True)
+class PlainIndex:
+    index: int
+
+
+@dataclasses.dataclass(frozen=True)
+class PlainAct:
+    channel: object
+    payload: object
+
+
+@dataclasses.dataclass(frozen=True)
+class PlainTau:
+    pass
+
+
+def test_equal_leaves_and_actions_are_the_same_object():
+    assert Name("a") is a and Name(text="a") is a
+    assert ChanVar(0) is ChanVar(index=0) and ChanVar(0) is not ChanVar(1)
+    assert Atom(text="m0") is m0 and Atom("m0") is not Name("m0")
+    assert ValVar(index=2) is ValVar(2)
+    assert SendAct(Name("a"), Atom("m0")) is SendAct(channel=a, payload=m0)
+    assert ReceiveAct(payload=m0, channel=a) is ReceiveAct(a, m0)
+    assert SendAct(a, m0) is not ReceiveAct(a, m0)
+    assert Tau() is TAU
+    assert dataclasses.replace(SendAct(a, m0), payload=Atom("m1")) is SendAct(a, Atom("m1"))
+    assert dataclasses.replace(Name("a"), text="b") is b
+    # an open term's action, on a bound channel or value, interns too
+    assert SendAct(ChanVar(0), ValVar(0)) is SendAct(ChanVar(0), ValVar(0))
+    with pytest.raises(TypeError):
+        SendAct(a)
+
+
+@pytest.mark.parametrize("text", ["a", "m0", "", "r1"])
+def test_stored_hashes_are_the_plain_dataclass_hashes(text):
+    assert hash(Name(text)) == hash((text,)) == hash(PlainText(text))
+    assert hash(Atom(text)) == hash((text,))
+    for i in (0, 1, 7, -1):
+        assert hash(ChanVar(i)) == hash((i,)) == hash(PlainIndex(i)) == hash(ValVar(i))
+    c, v = Name(text), Atom("m1")
+    assert hash(SendAct(c, v)) == hash((c, v)) == hash(PlainAct(PlainText(text), PlainText("m1")))
+    assert hash(ReceiveAct(ChanVar(2), v)) == hash(PlainAct(PlainIndex(2), PlainText("m1")))
+    assert hash(TAU) == hash(()) == hash(PlainTau())
+    # a node's stored hash builds on its leaves' hashes
+    assert hash(Send(c, v)) == hash(PlainAct(PlainText(text), PlainText("m1")))
+
+
+def test_action_key_is_stored_and_orders_by_channel_then_payload():
+    m1 = Atom("m1")
+    assert action_key(TAU) == (0,)
+    assert action_key(SendAct(a, m1)) == (1, "a", "m1")
+    assert action_key(ReceiveAct(b, m0)) == (2, "b", "m0")
+    acts = [ReceiveAct(a, m0), SendAct(b, m0), SendAct(a, m1), TAU, SendAct(a, m0), ReceiveAct(a, m1)]
+    assert sorted(acts, key=action_key) == [
+        TAU, SendAct(a, m0), SendAct(a, m1), SendAct(b, m0), ReceiveAct(a, m0), ReceiveAct(a, m1)
+    ]
+    # an action on a bound channel sorts by its index
+    assert action_key(SendAct(ChanVar(3), m0)) == (1, 3, "m0")
+    assert action_key(ReceiveAct(a, ValVar(1))) == (2, "a", 1)
+
+
+@pytest.mark.parametrize("thing", SAMPLES, ids=repr)
+def test_leaves_and_actions_copy_and_pickle_to_the_interned_object(thing):
+    assert copy.copy(thing) is thing
+    assert copy.deepcopy(thing) is thing
+    assert pickle.loads(pickle.dumps(thing)) is thing
+
+
+@pytest.mark.parametrize("thing", SAMPLES, ids=repr)
+def test_leaves_and_actions_are_slotted_and_frozen(thing):
+    assert not hasattr(thing, "__dict__")
+    for name in thing.__match_args__:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(thing, name, None)
+
+
+def test_leaves_and_actions_match_positionally_and_by_keyword():
+    for cls in (Name, ChanVar, Atom, ValVar, SendAct, ReceiveAct, Tau):
+        assert cls.__match_args__ == tuple(f.name for f in dataclasses.fields(cls))
+    match SendAct(a, ChanVar(0)):
+        case SendAct(Name(t), ChanVar(i)):
+            assert (t, i) == ("a", 0)
+        case _:
+            pytest.fail("positional patterns did not match")
+    match ReceiveAct(b, m0):
+        case ReceiveAct(channel=Name(text=t), payload=v):
+            assert (t, v) == ("b", m0)
+        case _:
+            pytest.fail("keyword patterns did not match")
+    match TAU:
+        case SendAct() | ReceiveAct():
+            pytest.fail("tau matched a visible action")
+        case Tau():
+            pass
+
+
+def test_threads_building_one_leaf_or_action_get_one_object():
+    threads_n = 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(20):
+            text = f"leaf-thread-probe-{round_}"
+            barrier = threading.Barrier(threads_n, timeout=10)
+            got = [None] * threads_n
+
+            def build(i: int) -> None:
+                barrier.wait()
+                got[i] = ReceiveAct(Name(text), Atom(text))
+
+            workers = [threading.Thread(target=build, args=(i,)) for i in range(threads_n)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=10)
+                assert not w.is_alive()
+            act = got[0]
+            assert act is not None and all(x is act for x in got)
+            assert terms._TABLE[(Name, text)]() is act.channel
+            assert terms._TABLE[(Atom, text)]() is act.payload
+            assert terms._TABLE[(ReceiveAct, act.channel, act.payload)]() is act
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_table_drops_leaves_and_actions_nobody_holds():
+    text = "freed-leaf-probe"
+    act = SendAct(Name(text), m0)
+    assert terms._TABLE[(SendAct, act.channel, m0)]() is act
+    alive = [weakref.ref(act), weakref.ref(act.channel)]
+    del act
+    gc.collect()
+    assert [ref() for ref in alive] == [None, None]
+    assert (Name, text) not in terms._TABLE
+    assert not [key for key in terms._TABLE if key[0] is SendAct and getattr(key[1], "text", None) == text]
+    # rebuilding after the drop makes one new object again
+    again = Name(text)
+    assert terms._TABLE[(Name, text)]() is again
+
+
+@pytest.mark.parametrize("thing", [a, m0, STOP, "tau"], ids=repr)
+def test_action_key_rejects_non_actions(thing):
+    with pytest.raises(TypeError, match="not an action"):
+        action_key(thing)

@@ -6,6 +6,7 @@ import pytest
 
 from netproc import (
     ArityError,
+    Atom,
     DistinctnessError,
     ParseError,
     Distribute,
@@ -140,6 +141,19 @@ def test_injected_ports_are_suppressed():
     report = explore(anycast3("s", "r1", "r2", "r3"), inputs=[("s", "m0")], max_depth=8)
     for profile in report.delivery_profiles:
         assert all(chan != "s" for chan, _ in profile)
+
+
+def test_injected_text_is_stripped_and_must_be_identifiers():
+    net = anycast3("s", "r1", "r2", "r3")
+    plain = explore(net, inputs=[("s", "m0")], max_depth=8)
+    padded = explore(net, inputs=[(" s", "m0 "), (Name("s"), Atom("m0"))], max_depth=8)
+    assert padded.inputs == (("s", "m0"), ("s", "m0"))
+    assert explore(net, inputs=[(" s ", "\tm0")], max_depth=8) == plain
+    for bad in [("s", "m 0"), ("s", "new"), ("s", ""), ("s t", "m0"), ("dup", "m0")]:
+        with pytest.raises(ParseError, match="expected an identifier"):
+            explore(net, inputs=[bad], max_depth=8)
+        with pytest.raises(ParseError, match="expected an identifier"):
+            simulate(net, inputs=[bad], steps=3)
 
 
 def test_broadcast_can_lose_everything_and_reach_everyone():

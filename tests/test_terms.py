@@ -25,7 +25,9 @@ from netproc import (
     Restrict,
     STOP,
     Send,
+    SendAct,
     Stop,
+    TAU,
     ValVar,
     abstract_channel,
     atoms_used,
@@ -34,13 +36,15 @@ from netproc import (
     instantiate_channel,
     instantiate_value,
     is_closed,
+    normalize,
     parse,
     pretty,
     rename_free_channel,
+    term_key,
     well_scoped,
 )
 from netproc.semantics import infer_mode
-from netproc.terms import constructs_used
+from netproc.terms import children, constructs_used
 
 from helpers import random_comm, random_open, random_pi
 
@@ -393,8 +397,15 @@ def test_equal_fact_sets_are_shared_with_children():
     assert atoms_used(Restrict(leaf)) is atoms
 
 
-@pytest.mark.parametrize("query", [free_channel_names, atoms_used, constructs_used, well_scoped, is_closed, infer_mode, pretty])
-@pytest.mark.parametrize("thing", [42, "x", None, Name("a"), Atom("m0"), ChanVar(0)], ids=repr)
+@pytest.mark.parametrize(
+    "query",
+    [free_channel_names, atoms_used, constructs_used, well_scoped, is_closed, infer_mode, pretty, children, term_key, normalize],
+)
+@pytest.mark.parametrize(
+    "thing",
+    [42, "x", None, Name("a"), Atom("m0"), ChanVar(0), ValVar(1), SendAct(Name("a"), Atom("m0")), TAU],
+    ids=repr,
+)
 def test_term_queries_reject_non_processes(query, thing):
     with pytest.raises(TypeError, match="not a process"):
         query(thing)
