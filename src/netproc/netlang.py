@@ -290,19 +290,29 @@ def explore(
         delivery_profiles={},
         query=query,
     )
-    budget = [node_budget]
+    budget = node_budget
     # paths are walked up to (state, deliveries-so-far) equivalence: two
     # prefixes reaching the same configuration have identical suffixes, so
     # one expansion covers both; nodes are re-expanded only when reached at
     # a smaller depth, which can leave more room before the depth bound
     shallowest: dict[tuple[Process, tuple[Delivery, ...]], int] = {}
     completed: set[tuple[Process, tuple[Delivery, ...]]] = set()
+    on_path: set[tuple[Process, tuple[Delivery, ...]]] = set()
+    deliveries: list[Delivery] = []
+    trail: list[tuple[Action, Process]] = []
+    # the configurations being expanded, a depth-first path from the
+    # start: [key, the steps not yet walked, what the step walked last
+    # fired]; the frame at index i holds a configuration at depth i
+    frames: list[list] = []
 
-    def walk(state: Process, depth: int, on_path: set, deliveries: list[Delivery], trail: list) -> None:
-        if budget[0] <= 0:
+    def visit(state: Process, depth: int) -> None:
+        # count a configuration reached by the current path, and push a
+        # frame for it when it is to be expanded
+        nonlocal budget
+        if budget <= 0:
             report.budget_exhausted = True
             return
-        budget[0] -= 1
+        budget -= 1
         profile = tuple(sorted(deliveries))
         key = (state, profile)
         if key in on_path:
@@ -327,20 +337,27 @@ def explore(
             report.truncated_paths += 1
             return
         on_path.add(key)
-        for action, target in steps:
-            tn = normalize(target)
-            fired = [(action.channel.text, action.payload.text)] if isinstance(action, SendAct) else []
-            deliveries.extend(fired)
-            trail.append((action, tn))
-            walk(tn, depth + 1, on_path, deliveries, trail)
-            trail.pop()
-            for _ in fired:
-                deliveries.pop()
-            if report.budget_exhausted:
-                break
-        on_path.discard(key)
+        frames.append([key, iter(steps), ()])
 
-    walk(start, 0, set(), [], [])
+    visit(start, 0)
+    while frames:
+        frame = frames[-1]
+        if len(trail) == len(frames):
+            # the trail ends in this frame's last step, whose walk is over
+            trail.pop()
+            for _ in frame[2]:
+                deliveries.pop()
+        step = None if report.budget_exhausted else next(frame[1], None)
+        if step is None:
+            on_path.discard(frame[0])
+            frames.pop()
+            continue
+        action, target = step
+        tn = normalize(target)
+        frame[2] = fired = [(action.channel.text, action.payload.text)] if isinstance(action, SendAct) else []
+        deliveries.extend(fired)
+        trail.append((action, tn))
+        visit(tn, len(frames))
     if conds is not None and report.query_satisfied is None:
         report.query_satisfied = False
     return report

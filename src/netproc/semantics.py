@@ -21,6 +21,21 @@ channel renaming and channels are never payloads, so each target is the
 same interned node the fresh-name round trip builds.  Tests cross-check
 the two rules against each other.
 
+The step table `_STEP_CACHE` fills a term's entry from its parts'
+entries, a `Parallel` from its operands' and a `Restrict` from its
+body's, so each steps once however many terms share it.  An entry keeps
+the built steps: the τs and the actions on a free channel (`Name`).  A
+step on a bound channel (`ChanVar`) is kept apart as a recipe: its action
+and where its target comes from (a step of the left or the right operand,
+of the body, or a leaf's built target).  In a closed term such a step
+only matters as one half of a τ, since its binder drops it, so a
+`Restrict` drops the recipes on its own channel and shifts the rest
+without building anything, and a `Parallel` builds the targets of two
+recipes, down the chain and back up in a loop, only when they make a τ.
+An entry with no recipe, which is every closed term's, is the frozenset
+of its steps, and `_step` returns it as it is; `_step` of an open term
+adds its bound steps, built on each request.
+
 Actions are interned in `terms`' table, as terms are: equal actions are
 the same object, and each stores its hash and its `action_key`, so the
 step sets, the step cache and the game's tables hash and compare them in
@@ -213,7 +228,18 @@ def check_mode(mode: Mode | None, *terms: Process) -> None:
 
 Step = tuple[Action, Process]
 
-_STEP_CACHE: dict[tuple[Process, Universe], frozenset[Step]] = {}
+# A recipe for a step on a bound channel is (action, where, x, the part's
+# recipe).  Its target is the part recipe's target put back in place: as
+# the left operand of Parallel(_, x), the right one of Parallel(x, _), or
+# the body of a Restrict; a leaf's recipe has its built target as x and
+# no part.
+_LEFT, _RIGHT, _BODY, _LEAF = "left", "right", "body", "leaf"
+_Recipe = tuple
+# A term's built steps, or (built steps, recipes) when it has steps on a
+# bound channel
+_Entry = Union[frozenset[Step], tuple[frozenset[Step], tuple[_Recipe, ...]]]
+
+_STEP_CACHE: dict[tuple[Process, Universe], _Entry] = {}
 
 
 def transitions(p: Process, mode: Mode | None = None, universe: Universe = DEFAULT_UNIVERSE) -> frozenset[Transition]:
@@ -232,7 +258,10 @@ def _step(p: Process, universe: Universe) -> frozenset[Step]:
     if hit is None:
         # fill the table for every missing part a step of `p` is made of
         hit = post_order(key, _STEP_CACHE.get, _step_parts, _step_entry)
-    return hit
+    if type(hit) is frozenset:
+        return hit
+    built, bound = hit
+    return built | {(r[0], _target(r)) for r in bound}
 
 
 def _step_parts(key: tuple[Process, Universe]) -> tuple:
@@ -244,9 +273,24 @@ def _step_parts(key: tuple[Process, Universe]) -> tuple:
     return ((p.body, universe),) if kind is Restrict else ()
 
 
-def _step_entry(key: tuple[Process, Universe], parts: list[frozenset[Step]]) -> frozenset[Step]:
-    out = _STEP_CACHE[key] = frozenset(_enumerate(*key, parts))
+def _step_entry(key: tuple[Process, Universe], parts: list[_Entry]) -> _Entry:
+    bound: list[_Recipe] = []
+    built = frozenset(_enumerate(*key, parts, bound))
+    out = _STEP_CACHE[key] = (built, tuple(bound)) if bound else built
     return out
+
+
+def _target(recipe: _Recipe) -> Process:
+    """The target a recipe describes, built down its chain and back up in
+    a loop, whatever the depth of the spine it runs through."""
+    chain = []
+    while recipe[1] is not _LEAF:
+        chain.append(recipe)
+        recipe = recipe[3]
+    t = recipe[2]
+    for _, where, other, _ in reversed(chain):
+        t = Parallel(t, other) if where is _LEFT else Parallel(other, t) if where is _RIGHT else Restrict(t)
+    return t
 
 
 def step_order(step: Step) -> tuple:
@@ -268,11 +312,70 @@ def _sender_row(targets: tuple, value: Atom | ValVar) -> Process:
     return row
 
 
-def _enumerate(p: Process, universe: Universe, parts: list[frozenset[Step]]) -> Iterable[Step]:
-    """The steps of `p`, given the steps of its `_step_parts`."""
+def _enumerate(p: Process, universe: Universe, parts: list[_Entry], bound: list[_Recipe]) -> Iterable[Step]:
+    """The built steps of `p`, given the entries of its `_step_parts`;
+    the recipes of its steps on a bound channel go to `bound`."""
     match p:
+        case Parallel(left=l, right=r):
+            # an entry without recipes is the frozenset of its steps
+            lsteps, rsteps = parts
+            lbound = rbound = ()
+            if type(lsteps) is tuple:
+                lsteps, lbound = lsteps
+            if type(rsteps) is tuple:
+                rsteps, rbound = rsteps
+            for a, t in lsteps:
+                yield a, Parallel(t, r)
+            for a, t in rsteps:
+                yield a, Parallel(l, t)
+            for a1, t1 in lsteps:
+                for a2, t2 in rsteps:
+                    if _complementary(a1, a2):
+                        yield TAU, Parallel(t1, t2)
+            if lbound and rbound:
+                # a τ on a bound channel builds the targets of both halves,
+                # each once however many partners it meets
+                ltargets: dict[int, Process] = {}
+                rtargets: dict[int, Process] = {}
+                for i, x in enumerate(lbound):
+                    for j, y in enumerate(rbound):
+                        if _complementary(x[0], y[0]):
+                            if i not in ltargets:
+                                ltargets[i] = _target(x)
+                            if j not in rtargets:
+                                rtargets[j] = _target(y)
+                            yield TAU, Parallel(ltargets[i], rtargets[j])
+            if lbound:
+                bound += [(x[0], _LEFT, r, x) for x in lbound]
+            if rbound:
+                bound += [(y[0], _RIGHT, l, y) for y in rbound]
+        case Restrict():
+            # the body's steps under the binder, each target keeping it:
+            # traffic on the bound channel (index 0) stays inside, and
+            # outer bound channels move one binder out
+            steps, body_bound = parts[0], ()
+            if type(steps) is tuple:
+                steps, body_bound = steps
+            for a, t in steps:
+                yield a, Restrict(t)
+            for x in body_bound:
+                a = x[0]
+                if a.channel.index:
+                    bound.append((type(a)(ChanVar(a.channel.index - 1), a.payload), _BODY, None, x))
         case Stop():
             return
+        case Distribute(source=c) | Send(channel=c) | Receive(channel=c) | RepeatReceive(channel=c):
+            if type(c) is ChanVar:
+                bound += [(a, _LEAF, t, None) for a, t in _leaf_steps(p, universe)]
+            else:
+                yield from _leaf_steps(p, universe)
+        case _:
+            raise TypeError(f"not a process: {p!r}")
+
+
+def _leaf_steps(p: Send | Receive | RepeatReceive | Distribute, universe: Universe) -> Iterable[Step]:
+    """The steps of a leaf that acts, all on one channel."""
+    match p:
         case Send(channel=c, payload=v):
             yield SendAct(c, v), STOP
         case Receive(channel=c, body=b):
@@ -284,28 +387,6 @@ def _enumerate(p: Process, universe: Universe, parts: list[frozenset[Step]]) -> 
         case Distribute(source=s, targets=ts):
             for v in universe:
                 yield ReceiveAct(s, v), Parallel(_sender_row(ts, v), p)
-        case Parallel(left=l, right=r):
-            lsteps, rsteps = parts
-            for a, t in lsteps:
-                yield a, Parallel(t, r)
-            for a, t in rsteps:
-                yield a, Parallel(l, t)
-            for a1, t1 in lsteps:
-                for a2, t2 in rsteps:
-                    if _complementary(a1, a2):
-                        yield TAU, Parallel(t1, t2)
-        case Restrict():
-            # the body's steps under the binder: traffic on the bound
-            # channel (index 0) stays inside, outer bound channels move
-            # one binder out, and each target keeps the binder
-            for a, t in parts[0]:
-                if a is not TAU and type(a.channel) is ChanVar:
-                    if a.channel.index == 0:
-                        continue
-                    a = type(a)(ChanVar(a.channel.index - 1), a.payload)
-                yield a, Restrict(t)
-        case _:
-            raise TypeError(f"not a process: {p!r}")
 
 
 def _complementary(a1: Action, a2: Action) -> bool:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Union
 
@@ -112,6 +112,12 @@ class _Interned:
     def __hash__(self) -> int:
         return self._hash
 
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __reduce__(self) -> tuple:
         # copy, deepcopy and unpickling rebuild through the constructor,
         # so they return the interned object rather than a twin
@@ -138,6 +144,10 @@ def _interned(cls: type) -> type:
     # generated __init__ is replaced by the class's __new__, which returns
     # the interned object
     cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
+    # the generated __setattr__ and __delattr__ refer to the class that
+    # slots=True replaced, and raise TypeError for names not in the
+    # fields; the inherited ones raise FrozenInstanceError for any name
+    del cls.__setattr__, cls.__delattr__
     names = cls.__match_args__
     cls._put_fields = tuple(getattr(cls, name).__set__ for name in names)
     cls._put_derived = tuple(getattr(cls, name).__set__ for name in cls._derived)

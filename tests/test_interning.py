@@ -400,6 +400,18 @@ def test_leaves_and_actions_are_slotted_and_frozen(thing):
             setattr(thing, name, None)
 
 
+@pytest.mark.parametrize("thing", [STOP, Parallel(Send(a, m0), STOP), *SAMPLES], ids=repr)
+def test_no_attribute_of_an_interned_object_can_be_set_or_deleted(thing):
+    # names outside the fields too: the stored hash, a derived slot, a new name
+    before = hash(thing)
+    for name in (*thing.__match_args__, "_hash", "_term_key", "foo"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=repr(name)):
+            setattr(thing, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=repr(name)):
+            delattr(thing, name)
+    assert hash(thing) == before
+
+
 def test_leaves_and_actions_match_positionally_and_by_keyword():
     for cls in (Name, ChanVar, Atom, ValVar, SendAct, ReceiveAct, Tau):
         assert cls.__match_args__ == tuple(f.name for f in dataclasses.fields(cls))

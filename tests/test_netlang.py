@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import pytest
 
 from netproc import (
@@ -31,7 +36,9 @@ from netproc import (
     parse,
     simulate,
 )
-from netproc.netlang import _parse_query
+import netproc
+from netproc.netlang import TraceEvent, _eval_query, _observable_steps, _parse_query, state_digest
+from netproc.normalform import normalize
 
 a, b, c, d = Name("a"), Name("b"), Name("c"), Name("d")
 
@@ -228,6 +235,98 @@ def test_state_bound_cuts_the_census():
     )
     assert report.states == 6
     assert report.state_bound_hit and report.partial
+
+
+def ref_walk(report, start, universe, suppressed, max_depth, node_budget, conds):
+    """The recursive walk over (state, deliveries) configurations that
+    `explore`'s loop replaced; fills the path counts of `report`."""
+    budget = [node_budget]
+    shallowest, completed = {}, set()
+
+    def walk(state, depth, on_path, deliveries, trail):
+        if budget[0] <= 0:
+            report.budget_exhausted = True
+            return
+        budget[0] -= 1
+        profile = tuple(sorted(deliveries))
+        key = (state, profile)
+        if key in on_path:
+            report.divergent_paths += 1
+            return
+        if shallowest.get(key, max_depth + 1) <= depth:
+            return
+        shallowest[key] = depth
+        steps = _observable_steps(state, universe, suppressed)
+        if not steps:
+            if key not in completed:
+                completed.add(key)
+                report.complete_paths += 1
+                report.delivery_profiles[profile] = report.delivery_profiles.get(profile, 0) + 1
+                if conds is not None and report.query_witness is None and _eval_query(conds, deliveries):
+                    report.query_satisfied = True
+                    report.query_witness = tuple(TraceEvent(i, a, state_digest(s)) for i, (a, s) in enumerate(trail))
+            return
+        if depth >= max_depth:
+            report.truncated_paths += 1
+            return
+        on_path.add(key)
+        for action, target in steps:
+            tn = normalize(target)
+            fired = [(action.channel.text, action.payload.text)] if isinstance(action, SendAct) else []
+            deliveries.extend(fired)
+            trail.append((action, tn))
+            walk(tn, depth + 1, on_path, deliveries, trail)
+            trail.pop()
+            for _ in fired:
+                deliveries.pop()
+            if report.budget_exhausted:
+                break
+        on_path.discard(key)
+
+    walk(start, 0, set(), [], [])
+    if conds is not None and report.query_satisfied is None:
+        report.query_satisfied = False
+
+
+@pytest.mark.parametrize("net", ["anycast", "lossy", "loop"])
+@pytest.mark.parametrize("max_depth, node_budget", [(2, 20000), (5, 20000), (8, 20000), (8, 30), (7, 400)])
+def test_walk_loop_matches_the_recursive_walk(net, max_depth, node_budget):
+    # every count, every profile, the budget cut and the first witness
+    term = {
+        "anycast": anycast3(),
+        "lossy": broadcast3_unreliable(),
+        "loop": parse("new t. (s -> t | t -> t | t -> r1 | duplose t)"),
+    }[net]
+    query = "total >= 2" if net == "lossy" else "r1 >= 1"
+    inputs = [("s", "m0"), ("s", "m1")]
+    report = explore(term, inputs, max_depth=max_depth, node_budget=node_budget, query=query)
+    ref = dataclasses.replace(
+        report, complete_paths=0, truncated_paths=0, divergent_paths=0, budget_exhausted=False,
+        delivery_profiles={}, query_satisfied=None, query_witness=None,
+    )
+    suppressed = frozenset(ch for ch, _ in report.inputs)
+    ref_walk(ref, report.start, report.universe, suppressed, max_depth, node_budget, _parse_query(query))
+    assert report == ref
+    assert list(report.delivery_profiles.items()) == list(ref.delivery_profiles.items())
+
+
+def test_a_run_longer_than_the_recursion_limit_is_walked():
+    # a 200-hop chain at recursion limit 150: the walk goes 200 steps deep
+    code = """
+import sys
+sys.setrecursionlimit(150)
+from netproc import explore, parse
+text = " | ".join(["s -> a0"] + [f"a{i} -> a{i + 1}" for i in range(199)])
+r = explore(parse(text), [("s", "m0")], max_states=5000, max_depth=2000)
+assert not r.partial and r.divergent_paths == 0
+assert r.delivery_profiles == {((f"a{i}", "m0"),): 1 for i in range(200)}
+print(r.states, r.complete_paths)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(netproc.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["202", "200"]
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from netproc import (
     ModeViolation,
     Name,
     Parallel,
+    Process,
     Receive,
     ReceiveAct,
     RepeatReceive,
@@ -37,7 +38,9 @@ from netproc import (
     Transition,
     ValVar,
     abstract_channel,
+    anycast3,
     effective_universe,
+    explore,
     free_channel_names,
     fresh_channel_name,
     infer_mode,
@@ -54,6 +57,7 @@ from netproc import (
     validate_mode,
     weak_transitions,
 )
+from netproc import semantics
 from netproc.semantics import WeakClosure, _step, _tau_reach, reachable, sorted_steps, weak_steps
 from helpers import random_comm, random_pi
 
@@ -217,6 +221,51 @@ def test_restriction_agrees_with_multi_probe_oracle():
         uni = effective_universe(UNI, p)
         got = {(t.action, t.target) for t in transitions(p, universe=uni)}
         assert got == restrict_steps_oracle(body, Mode.EXTENDED, uni)
+
+
+# ---------------------------------------------------------------------------
+# The step table
+# ---------------------------------------------------------------------------
+
+
+def test_steps_on_a_bound_channel_are_built_only_for_a_tau():
+    # a hidden hop's receives and sends are dropped at the binder, so the
+    # table builds no target for them, only for the τs they take part in
+    semantics._STEP_CACHE.clear()
+    report = explore(anycast3(), [("s", "m0"), ("s", "m1")], max_depth=8)
+    assert (report.states, report.complete_paths) == (36, 9)
+    built = [
+        t
+        for (p, _), entry in semantics._STEP_CACHE.items()
+        if type(p) in (Parallel, Restrict)
+        for _, t in (entry if type(entry) is frozenset else entry[0])
+    ]
+    assert all(type(t) in (Parallel, Restrict) for t in built)
+    # 448 when every step on a bound channel was built at every level
+    assert len(built) == 278
+
+
+def test_a_tau_across_a_long_restricted_spine_builds_its_halves_in_a_loop():
+    # new t. (t!m0 | h | ... | h | t -> b), 2,000 components, where
+    # h = new u. u!m0 has no step: the relay's receive on t is kept as a
+    # recipe through 1,998 levels and built once the send on t meets it
+    t, m0, b = ChanVar(0), Atom("m0"), Name("b")
+    hidden = Restrict(Send(ChanVar(0), m0))
+
+    def spine(first: Process, last: Process) -> Process:
+        p = last
+        for _ in range(1998):
+            p = Parallel(hidden, p)
+        return Restrict(Parallel(first, p))
+
+    relay = Distribute(t, (b,))
+    p = spine(Send(t, m0), relay)
+    delivered = Parallel(Parallel(Send(b, m0), STOP), relay)
+    assert _step(p, UNI) == {(TAU, spine(STOP, delivered))}
+    # the open body offers its steps on t as well, built on request
+    assert {a for a, _ in _step(p.body, UNI)} == {
+        TAU, SendAct(t, m0), ReceiveAct(t, m0), ReceiveAct(t, Atom("m1"))
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,7 @@ from netproc import (
     unfold_comm,
 )
 from netproc import normalform, semantics, terms
+from netproc.netlang import _inject
 from netproc.semantics import TAU, ReceiveAct, SendAct, Tau
 
 from helpers import random_comm, random_open, random_pi
@@ -435,6 +436,31 @@ def test_steps_match_the_recursive_enumeration(kind, seed, depth):
     term = closed_term(kind, seed, depth)
     for sub in subterms(term):
         assert semantics._step(sub, universe) == frozenset(ref_enumerate(sub, universe))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from([netproc.anycast3, netproc.broadcast3_unreliable]),
+    st.lists(st.sampled_from(["m0", "m1"]), min_size=1, max_size=3),
+)
+def test_steps_of_injected_nets_match_the_recursive_enumeration(net, values):
+    # each reachable state (the first 60: the lossy hop's are endless),
+    # then each of its subterms: an open subterm's entry was filled as a
+    # part of its state's, so its steps on bound channels are built on
+    # request
+    universe = make_universe("m0", "m1")
+    start, _, _ = _inject(net(), [("s", v) for v in values])
+    semantics._STEP_CACHE.clear()
+    states, _ = semantics.reachable(
+        normalize(start), lambda s: [normalize(t) for _, t in semantics._step(s, universe)], 60
+    )
+    checked = set()
+    for state in states:
+        for sub in subterms(state):
+            if sub not in checked:
+                checked.add(sub)
+                assert semantics._step(sub, universe) == frozenset(ref_enumerate(sub, universe))
+    assert any(type(semantics._STEP_CACHE[sub, universe]) is tuple for sub in checked)
 
 
 @settings(max_examples=200, deadline=None)
