@@ -28,6 +28,30 @@ equivalent to one copy), and over-cancelling turns true goals into false
 subgoals.  The equal-multiplicity rule keeps exactly the cancellations
 that the accompanying congruence argument licenses while leaving the
 replicated disagreement in place.
+
+The weak game under FULL_UPTO also fires confluent internal steps.  Take
+a top-level restriction run and one of its channels t.  Suppose its body,
+under prefixes and nested restrictions too, holds exactly one consumer of
+t (a distributor source, receive or repeating receive on t), and that
+consumer is a distributor among the body's top-level components whose row
+sends on at most one channel of the run.  Then delivering a pending t!m
+to it is a τ-step that no other step can disable or be disabled by, and
+after which the term behaves the same (τ-confluence, Groote & Sellink,
+"Confluence for process verification", TCS 1996).  So a term expands the
+term that step leads to, and weak bisimulation up to expansion is sound
+where up to weak bisimilarity is not (Sangiorgi & Milner, "The problem of
+'weak bisimulation up to'", CONCUR 1992; Pous, "New up-to techniques for
+weak bisimulation", TCS 2007).  `_fire` replaces every such send by the
+distributor's row, binder by binder, in at most one round per binder of
+the run, so it ends even on a cycle of relays.  It then moves the
+components that no longer use the run out of it (scope extrusion, a
+structural congruence).  The row bound keeps the hidden buffer from
+growing under the rule: a distributor that sends twice into the run, such
+as `t => [t, t]`, would double it on every reduced pair.  The strong game
+and PLAIN fire nothing, since a τ-step is visible to the strong game.
+`audit_witness` re-derives every firing with code of its own: it opens
+the binders with fresh names where `_fire` counts de Bruijn indices, and
+requires each delivery to be a τ-step of `_step`.
 """
 
 from __future__ import annotations
@@ -45,6 +69,7 @@ from .normalform import (
     term_key,
 )
 from .semantics import (
+    TAU,
     Action,
     Mode,
     Universe,
@@ -55,11 +80,19 @@ from .semantics import (
     _step,
 )
 from .terms import (
+    ChanVar,
+    Distribute,
     Name,
+    Parallel,
     Process,
+    Receive,
+    RepeatReceive,
     Restrict,
     STOP,
+    Send,
     Stop,
+    abstract_channel,
+    children,
     free_channel_names,
     fresh_channel_name,
     instantiate_channel,
@@ -116,10 +149,11 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _reduce(l: Process, r: Process, upto: bool) -> Pair:
+def _reduce(l: Process, r: Process, upto: bool, weak: bool = False) -> Pair:
     """Shrink a pair by the behaviour-safe reductions, under FULL_UPTO.
 
-    Both sides are rewritten to normal form.  Cancellation peels shared
+    Both sides are rewritten to normal form, and in the weak game their
+    confluent internal steps are fired (`_fire`).  Cancellation peels shared
     outer restrictions, then deletes the parallel components that occur
     equally often on both sides, in one pass.  Identical sides share every
     component, so they give (STOP, STOP) at once, and identical
@@ -133,6 +167,8 @@ def _reduce(l: Process, r: Process, upto: bool) -> Pair:
     if not upto:
         return l, r
     l, r = normalize(l), normalize(r)
+    if weak:
+        l, r = _fire(l), _fire(r)
     while True:
         while isinstance(l, Restrict) and isinstance(r, Restrict) and l is not r:
             # the bodies' sets, which instantiate_channel reads next
@@ -152,6 +188,89 @@ def _reduce(l: Process, r: Process, upto: bool) -> Pair:
         r = normalize(compose_parallel([c for c in rc if c not in shared]))
         if not (isinstance(l, Restrict) and isinstance(r, Restrict)):
             return l, r
+
+
+def _fire(p: Process) -> Process:
+    """The normal form `p` with the confluent internal steps of its
+    top-level restriction runs fired (see the module docstring); `p`
+    itself when none fires."""
+    out: list[Process] = []
+    fired = False
+    for c in parallel_components(p):
+        parts = _fire_run(c) if type(c) is Restrict else None
+        if parts is None:
+            out.append(c)
+        else:
+            out += parts
+            fired = True
+    return normalize(compose_parallel(out)) if fired else p
+
+
+def _fire_run(c: Restrict) -> list[Process] | None:
+    """The components a closed restriction run leaves once it has fired,
+    or None when nothing fires in it."""
+    k, core = 0, c
+    while type(core) is Restrict:
+        k, core = k + 1, core.body
+    parts = parallel_components(core)
+    # the cheap test first: most runs hold no pending send on their binders
+    if c._chan_mask or not any(type(x) is Send and type(x.channel) is ChanVar for x in parts):
+        return None
+    rows = _licensed_rows(core, parts, k)
+    fired = False
+    for _ in range(k):
+        progress = False
+        for i, row in rows:
+            hidden = ChanVar(i)
+            nxt: list[Process] = []
+            for x in parts:
+                if type(x) is Send and x.channel is hidden:
+                    nxt += [Send(t, x.payload) for t in row]
+                    progress = True
+                else:
+                    nxt.append(x)
+            parts = nxt
+        if not progress:
+            break
+        fired = True
+    if not fired:
+        return None
+    # a component that uses no binder of the closed run is closed itself
+    run = (1 << k) - 1
+    body = compose_parallel([x for x in parts if x._chan_mask & run])
+    for _ in range(k):
+        body = Restrict(body)
+    return [x for x in parts if not x._chan_mask & run] + [body]
+
+
+def _licensed_rows(core: Process, parts: list[Process], k: int) -> list[tuple[int, tuple]]:
+    """(binder, row) for each binder of a k-run over `core` whose one
+    consumer is a top-level distributor, among `parts`, that sends into
+    the run at most once; binders in index order."""
+    run = (1 << k) - 1
+    consumers = [0] * k
+    todo = [(core, 0)]
+    while todo:
+        x, d = todo.pop()
+        if not x._chan_mask >> d & run:
+            continue
+        kind = type(x)
+        if kind is Parallel:
+            todo += [(x.left, d), (x.right, d)]
+        elif kind is Restrict:
+            todo.append((x.body, d + 1))
+        elif kind is not Send:
+            c = x.source if kind is Distribute else x.channel
+            if type(c) is ChanVar and 0 <= c.index - d < k:
+                consumers[c.index - d] += 1
+            if kind is Receive or kind is RepeatReceive:
+                todo.append((x.body, d))
+    return sorted(
+        (x.source.index, x.targets)
+        for x in parts
+        if type(x) is Distribute and type(x.source) is ChanVar and consumers[x.source.index] == 1
+        and sum(type(t) is ChanVar for t in x.targets) <= 1
+    )  # one consumer per binder, so no two entries share an index
 
 
 def cancel_context(p: Process, q: Process) -> Pair:
@@ -206,6 +325,7 @@ class _Prover:
         self.upto = upto
         self.max_pairs = max_pairs
         self.closure = closure
+        self.weak = closure is not None
         self.assumed: set[Pair] = set()
         self.trail: list[Pair] = []
         self.explored = 0
@@ -263,7 +383,7 @@ class _Prover:
         # the others are only opened when no reply is known.
         opened = []
         for opt in options:
-            red = _reduce(*((chal_target, opt) if forward else (opt, chal_target)), self.upto)
+            red = _reduce(*((chal_target, opt) if forward else (opt, chal_target)), self.upto, self.weak)
             if red[0] is red[1] or _canon(red) in self.assumed:
                 return True
             opened.append(red)
@@ -457,7 +577,7 @@ def _check(
     if depth_needed > old_limit:
         sys.setrecursionlimit(depth_needed)
     try:
-        proved = prover.close(_reduce(p, q, upto))
+        proved = prover.close(_reduce(p, q, upto, closure is not None))
     except _BoundHit as hit:
         proved = False
         bound_hit = hit.what
@@ -504,8 +624,13 @@ def audit_witness(
     witness is closed and contains the reduced root."""
     uni = _prepare(p, q, universe, mode)
     closure = WeakClosure(uni, tau_bound) if weak else None
+    fire = weak and upto
 
     def covered(l: Process, r: Process) -> bool:
+        if fire:
+            l, r = _delivered(l, uni), _delivered(r, uni)
+            if l is None or r is None:
+                return False
         red = _reduce(l, r, upto)
         return red[0] == red[1] or _canon(red) in witness
 
@@ -523,6 +648,88 @@ def audit_witness(
                 )
                 if not ok:
                     return (u, v)
+    return None
+
+
+def _delivered(p: Process, uni: Universe) -> Process | None:
+    """The audit's own derivation of `_fire(normalize(p))`.
+
+    It opens each top-level restriction run with fresh names, checks each
+    name's one consumer by walking every node, and fires one pending send
+    at a time, in the rounds and binder order `_fire` uses.  Each delivery
+    must be a τ-step of the run under `_step`; None when one is not.
+    """
+    p = normalize(p)
+    taken = set(free_channel_names(p))
+    out: list[Process] = []
+    fired = False
+    for c in parallel_components(p):
+        if type(c) is not Restrict:
+            out.append(c)
+            continue
+        names: list[Name] = []
+        body = c
+        while type(body) is Restrict:
+            names.append(Name(fresh_channel_name(taken)))
+            taken.add(names[-1].text)
+            body = instantiate_channel(body.body, names[-1])
+        parts = parallel_components(body)
+        if not any(type(x) is Send and x.channel in names for x in parts):
+            out.append(c)
+            continue
+        rows = []
+        # the innermost binder, de Bruijn index 0, was opened last
+        for n in reversed(names):
+            d = _sole_consumer(body, n)
+            if d is not None and sum(t in names for t in d.targets) <= 1:
+                rows.append((n, d.targets))
+        delivered = False
+        for _ in names:
+            progress = False
+            for n, row in rows:
+                for _ in range(sum(type(x) is Send and x.channel is n for x in parts)):
+                    send = next(x for x in parts if type(x) is Send and x.channel is n)
+                    after = list(parts)
+                    after.remove(send)
+                    after += [Send(t, send.payload) for t in row]
+                    taus = {normalize(t) for a, t in _step(_closed(parts, names), uni) if a is TAU}
+                    if normalize(_closed(after, names)) not in taus:
+                        return None
+                    parts, progress = after, True
+            if not progress:
+                break
+            delivered = True
+        if delivered:
+            inside = {n.text for n in names}
+            out += [x for x in parts if not free_channel_names(x) & inside]
+            out.append(_closed([x for x in parts if free_channel_names(x) & inside], names))
+            fired = True
+        else:
+            out.append(c)
+    return normalize(compose_parallel(out)) if fired else p
+
+
+def _closed(parts: list[Process], names: list[Name]) -> Process:
+    """The components under restrictions of `names`, the first outermost."""
+    q = compose_parallel(parts)
+    for n in reversed(names):
+        q = Restrict(abstract_channel(q, n))
+    return q
+
+
+def _sole_consumer(body: Process, n: Name) -> Distribute | None:
+    """The one consumer of `n` in `body` when it is a distributor among the
+    body's parallel components; None otherwise."""
+    found = []
+    todo = [body]
+    while todo:
+        x = todo.pop()
+        kind = type(x)
+        if (x.source if kind is Distribute else x.channel if kind in (Receive, RepeatReceive) else None) is n:
+            found.append(x)
+        todo += children(x)
+    if len(found) == 1 and type(found[0]) is Distribute and found[0] in parallel_components(body):
+        return found[0]
     return None
 
 

@@ -255,11 +255,11 @@ def test_missing_subcommand_is_usage_error(capsys):
 # ---------------------------------------------------------------------------
 
 
-def run_module(module, *argv):
+def run_module(module, *argv, timeout=120):
     src = os.path.dirname(os.path.dirname(os.path.abspath(netproc.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+                          env={**os.environ, "PYTHONPATH": path}, timeout=timeout)
 
 
 @pytest.mark.parametrize("module", ["netproc", "netproc.cli"])
@@ -270,6 +270,20 @@ def test_module_runs_the_cli(module):
     assert lines[0] == "values: m0,m1" and len(lines) > 2
     assert all(line.startswith("par-assoc ") for line in lines[1:-1])
     assert lines[-1] == f"laws: PASS ({len(lines) - 2} rows, 0 failures)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # neither answered in minutes before the weak game fired confluent steps
+        ["new t. (a -> t | lose t)", "lose a", "--tau-bound", "4"],
+        ["new t. (a -> t | t -> b)", "a -> b"],
+    ],
+)
+def test_hidden_buffers_are_proven_at_the_default_budgets(argv):
+    done = run_module("netproc", "check", *argv, "--weak", timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[1:] == ["verdict: proven-bisimilar", "pairs explored: 1"]
 
 
 def test_module_bad_term_exits_three():

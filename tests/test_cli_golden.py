@@ -43,6 +43,8 @@ CASES: dict[str, list[str]] = {
     "check-weak-plain-relay": ["check", "new t. (a -> t | t -> b)", "a -> b", "--weak", "--no-upto", "--tau-bound", "3", "--max-pairs", "64"],
     "check-weak-distinguished": ["check", "a -> b", "lose a", "--weak"],
     "check-weak-inconclusive": ["check", "new t. (a -> t | lose t)", "lose a", "--weak", "--tau-bound", "3", "--max-pairs", "16"],
+    "check-weak-two-hop-relay": ["check", "new t. new u. (a -> t | t -> u | u -> b)", "a -> b", "--weak", "--emit-witness", WITNESS],
+    "check-weak-hidden-anycast": ["check", "new t. (a -> t | t -> b | t -> c)", "a -> b", "--weak"],
     "explore-query-satisfied": ["explore", RELAY, "--inject", "s=m0", "--query", "r1 = 1"],
     "explore-query-unsatisfied": ["explore", RELAY, "--inject", "s=m0", "--query", "total >= 2"],
     "simulate-relay": ["simulate", RELAY, "--inject", "s=m0", "--seed", "3"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -28,8 +29,8 @@ from netproc import (
     replay_trace,
     verify_witness,
 )
-from netproc import Name, Stop, equivalence, free_channel_names, fresh_channel_name, instantiate_channel, make_universe
-from netproc.equivalence import _Attacker, _BoundHit, _Prover, _canon, _reduce
+from netproc import Atom, ChanVar, Distribute, Name, Send, Stop, equivalence, free_channel_names, fresh_channel_name, instantiate_channel, make_universe
+from netproc.equivalence import _Attacker, _BoundHit, _Prover, _canon, _fire, _reduce
 from netproc.normalform import compose_parallel, parallel_components, term_key
 from netproc.semantics import DEFAULT_UNIVERSE, Mode, WeakClosure, sorted_steps, _step
 from helpers import random_comm, random_pi
@@ -250,10 +251,15 @@ def test_weak_distinguishes_observable_difference():
     assert replay_trace(parse("a!m0"), parse("b!m0"), res.trace, weak=True)
 
 
-def test_hidden_buffer_family_is_reported_as_bounded():
-    # the pending-message family under the restriction admits no finite
-    # witness with these reductions, so the honest answer is a bound report
-    res = check_weak(parse("new t. (a -> t | t -> b)"), parse("a -> b"), 6, 48)
+def test_hidden_buffer_family_is_proven_up_to_firing_and_bounded_without():
+    # every input leaves one more pending message under the restriction;
+    # firing its one consumer delivers it, so the up-to game closes at the
+    # root, while the plain game's relation is infinite
+    l, r = parse("new t. (a -> t | t -> b)"), parse("a -> b")
+    res = check_weak(l, r, 6, 48)
+    assert res.verdict is Verdict.PROVEN and res.prover_pairs == 1
+    assert audit_witness(l, r, res.witness, FULL_UPTO, weak=True, tau_bound=6) is None
+    res = check_weak(l, r, 6, 48, upto=PLAIN)
     assert res.verdict is Verdict.INCONCLUSIVE
     assert res.bound_hit == "max-pairs"
 
@@ -272,7 +278,7 @@ def test_weak_check_computes_each_internal_closure_once(monkeypatch):
         return compute(p, universe, bound)
 
     monkeypatch.setattr(semantics, "_tau_reach", counting)
-    res = check_weak(*map(parse, HIDDEN_RELAY), 4, 48)
+    res = check_weak(*map(parse, HIDDEN_RELAY), 4, 48, upto=PLAIN)
     assert res.bound_hit == "max-pairs"
     assert len(starts) > 100
     assert max(starts.values()) == 1
@@ -292,9 +298,9 @@ def test_weak_check_leaves_no_module_state_behind():
 
     from netproc import equivalence, semantics
 
-    check_weak(*map(parse, HIDDEN_RELAY), 3, 16)  # fill the step and normal-form caches
+    check_weak(*map(parse, HIDDEN_RELAY), 3, 16, upto=PLAIN)  # fill the step and normal-form caches
     before = _container_sizes(semantics, equivalence)
-    res = check_weak(*map(parse, HIDDEN_RELAY), 4, 48)
+    res = check_weak(*map(parse, HIDDEN_RELAY), 4, 48, upto=PLAIN)
     assert res.verdict is Verdict.INCONCLUSIVE
     after = _container_sizes(semantics, equivalence)
     grown = {k for k in after if after[k] != before.get(k)} - {"netproc.semantics._STEP_CACHE"}
@@ -330,6 +336,12 @@ def test_weak_proofs_withstand_plain_weak_attacker():
         ("new t. (t!m0 | lose t)", "0"),
         ("a -> b | a -> b", "a -> b"),
         ("new t. (t!m0 | t ?* x. 0)", "0"),
+        # proofs that fire confluent internal steps
+        ("new t. (t!m0 | t -> b)", "b!m0"),
+        ("new t. (a -> t | t -> b)", "a -> b"),
+        ("new t. (a -> t | lose t)", "lose a"),
+        ("new t. new u. (a -> t | t -> u | u -> b)", "a -> b"),
+        ("new t. new u. (t!m0 | t -> u | u -> t)", "0"),
     ]
     for ls, rs in pairs:
         l, r = parse(ls), parse(rs)
@@ -352,6 +364,111 @@ def test_strong_proof_implies_weak_proof_spot_check():
     for ls, rs in pairs:
         assert check_strong(parse(ls), parse(rs)).verdict is Verdict.PROVEN
         assert check_weak(parse(ls), parse(rs)).verdict is Verdict.PROVEN
+
+
+# ---------------------------------------------------------------------------
+# Firing confluent internal steps in the weak game
+# ---------------------------------------------------------------------------
+
+
+def test_weak_reduction_delivers_pending_sends_to_their_one_consumer():
+    relay = normalize(parse("new t. (a -> t | t -> b)"))
+    pending = parse("new t. (t!m0 | t!m1 | a -> t | t -> b)")
+    assert _fire(normalize(pending)) == normalize(parse("b!m0 | b!m1 | new t. (a -> t | t -> b)"))
+    assert _reduce(pending, parse("b!m0 | b!m1 | a -> b"), FULL_UPTO, True) == (relay, normalize(parse("a -> b")))
+    # a second binder of the run is fired in a second round
+    two_hop = parse("new t. new u. (t!m0 | a -> t | t -> u | u -> b)")
+    assert _fire(normalize(two_hop)) == normalize(parse("b!m0 | new t. new u. (a -> t | t -> u | u -> b)"))
+    # a cycle stops after one round per binder
+    cycle = normalize(parse("new t. new u. (t!m0 | t -> u | u -> t)"))
+    assert _fire(cycle) in {cycle, normalize(parse("new t. new u. (u!m0 | t -> u | u -> t)"))}
+
+
+# Pending sends the rule must leave alone: a second consumer, a consumer
+# under a nested restriction, a receive, a consumer under a receive prefix
+# (these two mix the languages, which only a direct call can do), a row
+# that sends twice into the run, and a pending send under a nested
+# restriction
+UNLICENSED = [
+    "new t. (t!m0 | t -> b | t -> c)",
+    "new t. (t!m0 | t -> b | new u. (t -> u | u -> c))",
+    "new t. (t!m0 | t -> b | t ? x. c!x)",
+    "new t. (t!m0 | t -> b | c ? y. t ? x. 0)",
+    "new t. (t!m0 | t => [t, t])",
+    "new t. new u. (t!m0 | t => [u, u] | u -> b)",
+    "new t. (t -> b | new u. (t!m0 | u!m0))",
+]
+
+
+@pytest.mark.parametrize("text", UNLICENSED)
+def test_unlicensed_pending_sends_stay_pending(text):
+    p = normalize(parse(text))
+    assert _fire(p) is p
+    assert equivalence._delivered(p, DEFAULT_UNIVERSE) is p
+    assert _reduce(p, STOP, FULL_UPTO, True) == (p, STOP)
+
+
+def test_strong_and_plain_games_fire_nothing():
+    pending = parse("new t. (t!m0 | t -> b)")
+    assert _reduce(pending, parse("b!m0"), FULL_UPTO) == (normalize(pending), normalize(parse("b!m0")))
+    assert _reduce(pending, parse("b!m0"), PLAIN, True) == (pending, parse("b!m0"))
+    # the strong game sees the internal step
+    res = check_strong(pending, parse("b!m0"))
+    assert res.verdict is Verdict.DISTINGUISHED
+    assert replay_trace(pending, parse("b!m0"), res.trace, weak=False)
+
+
+def _hidden_buffer(rng):
+    """A closed run of one or two restrictions over pending sends, a few
+    distributors on its channels and random network-language context."""
+    holes = [Name(f"h{i}") for i in range(rng.randrange(1, 3))]
+    scope = [Name("a"), Name("b")] + holes
+    parts = [Send(rng.choice(holes), Atom(rng.choice(["m0", "m1"]))) for _ in range(rng.randrange(1, 4))]
+    for _ in range(rng.randrange(1, 4)):
+        parts.append(Distribute(rng.choice(holes), [rng.choice(scope) for _ in range(rng.randrange(3))]))
+    parts.append(random_comm(rng, 2, scope))
+    rng.shuffle(parts)
+    p = compose_parallel(parts)
+    for hole in reversed(holes):
+        p = Restrict(abstract_channel(p, hole))
+    return Parallel(p, random_comm(rng, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_the_audit_rederives_each_firing(seed):
+    p = _hidden_buffer(random.Random(seed))
+    assert equivalence._delivered(p, DEFAULT_UNIVERSE) == _fire(normalize(p))
+
+
+def test_the_audit_does_not_trust_the_provers_firing(monkeypatch):
+    # a prover that fires into the first of two consumers proves the hidden
+    # anycast equal to one of its branches; the audit's own firing does not
+    def every_distributor(core, parts, k):
+        return sorted({x.source.index: (x.source.index, x.targets) for x in reversed(parts)
+                       if isinstance(x, Distribute) and isinstance(x.source, ChanVar)}.values())
+
+    l, r = parse("new t. (a -> t | t -> b | t -> c)"), parse("a -> b")
+    monkeypatch.setattr(equivalence, "_licensed_rows", every_distributor)
+    res = check_weak(l, r)
+    assert res.verdict is Verdict.PROVEN
+    assert audit_witness(l, r, res.witness, FULL_UPTO, weak=True) is not None
+    monkeypatch.undo()
+    res = check_weak(l, r)
+    assert res.verdict is Verdict.DISTINGUISHED
+    assert replay_trace(l, r, res.trace, weak=True)
+
+
+def test_hidden_loops_answer_quickly():
+    # the duplicating loop is not fired, so its buffer grows by one a pair
+    start = time.perf_counter()
+    res = check_weak(parse("new t. (t!m0 | t => [t, t])"), STOP, 4, 48)
+    assert res.verdict is Verdict.INCONCLUSIVE and res.bound_hit == "max-pairs"
+    cycle = parse("new t. new u. (t!m0 | t -> u | u -> t)")
+    res = check_weak(cycle, STOP)
+    assert res.verdict is Verdict.PROVEN
+    assert audit_witness(cycle, STOP, res.witness, FULL_UPTO, weak=True) is None
+    assert time.perf_counter() - start < 10
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +514,7 @@ def ranked_match(self, chal_target, options, forward):
     first, each group in term_key order."""
     ranked = []
     for opt in options:
-        red = equivalence._reduce(*((chal_target, opt) if forward else (opt, chal_target)), self.upto)
+        red = equivalence._reduce(*((chal_target, opt) if forward else (opt, chal_target)), self.upto, self.weak)
         known = red[0] == red[1] or _canon(red) in self.assumed
         ranked.append(((0 if known else 1, term_key(opt)), red))
     ranked.sort(key=lambda entry: entry[0])
@@ -454,9 +571,9 @@ def test_first_known_reply_saves_reductions(monkeypatch):
     calls = []
     reduce = equivalence._reduce
 
-    def counting(l, r, upto):
+    def counting(l, r, upto, weak=False):
         calls.append((l, r))
-        return reduce(l, r, upto)
+        return reduce(l, r, upto, weak)
 
     monkeypatch.setattr(equivalence, "_reduce", counting)
     pair = parse("c => [c, c] | c => [c, c]"), parse("c => [c, c]")
