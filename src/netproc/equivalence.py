@@ -620,8 +620,9 @@ def audit_witness(
     mode: Mode | None = None,
 ) -> Pair | None:
     """Re-check a witness relation pair by pair, independently of the
-    proof search.  Returns the first offending pair, or None if the
-    witness is closed and contains the reduced root."""
+    proof search.  Returns the first offending pair, in the order of the
+    pairs' `term_key`s, or None if the witness is closed and contains the
+    reduced root."""
     uni = _prepare(p, q, universe, mode)
     closure = WeakClosure(uni, tau_bound) if weak else None
     fire = weak and upto
@@ -636,17 +637,16 @@ def audit_witness(
 
     if not covered(p, q):
         return (p, q)
-    for u, v in witness:
+    # in the order of the sides' keys, not the set's, which is not stable
+    # from one process to the next; a prover's pairs are `_canon`'s
+    for u, v in sorted(witness, key=lambda pair: (term_key(pair[0]), term_key(pair[1]))):
         for forward in (True, False):
             chal, resp = (u, v) if forward else (v, u)
-            resp_steps = closure.steps(resp)[0] if closure is not None else _step(resp, uni)
+            # replies in term_key order, so the work done does not depend on
+            # set order either
+            replies = _by_action(closure.steps(resp)[0] if closure is not None else _step(resp, uni))
             for a, t in _step(chal, uni):
-                ok = any(
-                    covered(*((t, d) if forward else (d, t)))
-                    for sa, d in resp_steps
-                    if sa == a
-                )
-                if not ok:
+                if not any(covered(*((t, d) if forward else (d, t))) for d in replies.get(a, ())):
                     return (u, v)
     return None
 

@@ -233,14 +233,15 @@ def _inject(p: Process, inputs) -> tuple[Process, tuple[tuple[str, str], ...], f
     return start, tuple(pairs), frozenset(ch for ch, _ in pairs)
 
 
+def _observable(a: Action, suppressed: frozenset[str]) -> bool:
+    """Whether exploration follows a step with action `a`: an internal
+    move, or an output on a port that is not used for injection."""
+    return a is TAU or (type(a) is SendAct and a.channel.text not in suppressed)
+
+
 def _observable_steps(state: Process, universe: Universe, suppressed: frozenset[str]):
-    """Steps the exploration follows, in `step_order`: internal moves plus
-    outputs on ports that are not used for injection."""
-    out = [
-        (a, t)
-        for a, t in _step(state, universe)
-        if a is TAU or (type(a) is SendAct and a.channel.text not in suppressed)
-    ]
+    """Steps the exploration follows, in `step_order`."""
+    out = [(a, t) for a, t in _step(state, universe) if _observable(a, suppressed)]
     out.sort(key=step_order)
     return out
 
@@ -272,9 +273,19 @@ def explore(
     universe = effective_universe(universe, start_raw)
     start = normalize(start_raw)
     conds = _parse_query(query) if query is not None else None
+    # each state's observable steps in `step_order`, targets normalized;
+    # the census and the walk both read it, so a state's moves are worked
+    # out once however often it is reached
+    moves: dict[Process, list[tuple[Action, Process]]] = {}
+
+    def moves_of(s: Process) -> list[tuple[Action, Process]]:
+        out = moves.get(s)
+        if out is None:
+            out = moves[s] = [(a, normalize(t)) for a, t in _observable_steps(s, universe, suppressed)]
+        return out
 
     def successors(s: Process) -> list[Process]:
-        return [normalize(t) for _, t in _observable_steps(s, universe, suppressed)]
+        return [t for _, t in moves_of(s)]
 
     seen, state_bound_hit = reachable(start, successors, max_states, max_depth)
     report = ExploreReport(
@@ -321,7 +332,12 @@ def explore(
         if shallowest.get(key, max_depth + 1) <= depth:
             return
         shallowest[key] = depth
-        steps = _observable_steps(state, universe, suppressed)
+        if depth >= max_depth and state not in moves:
+            # a frontier state is only tested for moves: normalizing its
+            # targets would be wasted work
+            steps = any(_observable(a, suppressed) for a, _ in _step(state, universe))
+        else:
+            steps = moves_of(state)
         if not steps:
             if key not in completed:
                 completed.add(key)
@@ -352,8 +368,7 @@ def explore(
             on_path.discard(frame[0])
             frames.pop()
             continue
-        action, target = step
-        tn = normalize(target)
+        action, tn = step
         frame[2] = fired = [(action.channel.text, action.payload.text)] if isinstance(action, SendAct) else []
         deliveries.extend(fired)
         trail.append((action, tn))

@@ -37,11 +37,11 @@ of its steps, and `_step` returns it as it is; `_step` of an open term
 adds its bound steps, built on each request.
 
 Actions are interned in `terms`' table, as terms are: equal actions are
-the same object, and each stores its hash and its `action_key`, so the
-step sets, the step cache and the game's tables hash and compare them in
-O(1), and `TAU` is the one internal action.  `step_order` is the one
-presentation order for steps (action, then target term); every listing,
-game move and exploration sorts by it.
+the same object, hashed and compared by identity, and each stores its
+`action_key`, so the step sets, the step cache and the game's tables hash
+and compare them in O(1), and `TAU` is the one internal action.
+`step_order` is the one presentation order for steps (action, then
+target term); every listing, game move and exploration sorts by it.
 `reachable` is the breadth-first search behind explore and the CLI's LTS.
 The weak closure `_tau_reach` keeps its own loop: it runs thousands of
 times per weak check, on graphs of a few states, and calling a successor
@@ -425,15 +425,14 @@ def _tau_reach(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Pr
         if not nxt:
             return frozenset(visited), False
         frontier = nxt
-    truncated = False
-    for s in frontier:
-        for a, t in _step(s, universe):
-            if a is TAU and normalize(t) not in visited:
-                truncated = True
-                break
-        if truncated:
-            break
-    return frozenset(visited), truncated
+    # look for an escape in a fixed order, the frontier's states and their
+    # τ-targets by term_key, so that the work done before the first one is
+    # found does not depend on set order, which changes between processes
+    for s in sorted(frontier, key=term_key):
+        for t in sorted([t for a, t in _step(s, universe) if a is TAU], key=term_key):
+            if normalize(t) not in visited:
+                return frozenset(visited), True
+    return frozenset(visited), False
 
 
 def tau_closure(

@@ -9,14 +9,15 @@ Process nodes, the channels and values in them, and `semantics`'
 actions are hash-consed (Filliâtre & Conchon, "Type-safe modular
 hash-consing", 2006) through one intern table: building one with the
 same class and the same fields as a live one returns that one, so
-structurally equal terms are the same object.  Equality is identity.
-Each stores its structural hash, computed once from its fields' stored
-hashes: the hash a plain frozen dataclass would give.  A process node
-also stores its sort key `term_key` and its channel mask (bit i set when
-the bound channel `ChanVar(i)` occurs free in it).  The table holds its
-objects weakly, so one is dropped once nothing else refers to it.  They
-must be built through their constructors; copying and pickling go
-through them too.  All operations here are pure.
+structurally equal terms are the same object.  Equality is identity, and
+so is the hash (`object.__hash__`): it is not stable from one process to
+the next, so every order that is shown or that decides an answer comes
+from `term_key` or `semantics.action_key`, never from set or dict order.
+A process node stores its sort key `term_key` and its channel mask (bit
+i set when the bound channel `ChanVar(i)` occurs free in it).  The table
+holds its objects weakly, so one is dropped once nothing else refers to
+it.  They must be built through their constructors; copying and pickling
+go through them too.  All operations here are pure.
 
 Each constructor declares the kind of each field and the sort its binder
 binds.  The traversals read those declarations rather than match on
@@ -68,8 +69,8 @@ def _drop(ref: _Ref, table: dict = _TABLE, lock=_LOCK) -> None:
 
 def _intern(key: tuple) -> _Interned:
     """The live object for `key`, which is (class, *fields), built if
-    there is none.  A miss hashes the key twice: in the lock-free get and
-    in the setdefault under the lock."""
+    there is none.  The key's interned fields hash by identity, so a
+    lookup costs one flat tuple hash in C, whatever the term's depth."""
     ref = _TABLE.get(key)
     node = None if ref is None else ref()
     if node is not None:
@@ -78,8 +79,6 @@ def _intern(key: tuple) -> _Interned:
     node = object.__new__(cls)
     for put, value in zip(cls._put_fields, fields):
         put(node, value)
-    # the same value the field-tuple hash of a plain dataclass would give
-    _put_hash(node, hash(fields))
     for put, value in zip(cls._put_derived, node._derive()):
         put(node, value)
     ref = _Ref(node, _drop)
@@ -100,17 +99,15 @@ class _Interned:
     values, and `semantics`' actions.
 
     A subclass is a slotted frozen dataclass made by `_interned`, whose
-    `__new__` returns `_intern((cls, *fields))`.  Equality is identity
-    and the hash is stored.  `_derive` gives the values of the slots
-    named in `_derived`, which are filled once, after the fields.
+    `__new__` returns `_intern((cls, *fields))`.  Equality and the hash
+    are identity's, inherited from `object`.  `_derive` gives the values
+    of the slots named in `_derived`, which are filled once, after the
+    fields.
     """
 
-    __slots__ = ("_hash", "__weakref__")
+    __slots__ = ("__weakref__",)
 
     _derived: tuple[str, ...] = ()
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -127,11 +124,6 @@ class _Interned:
         return ()
 
 
-# Slot setter, which writes a frozen object's slot without the attribute
-# lookup of object.__setattr__ (half its cost)
-_put_hash = _Interned._hash.__set__
-
-
 def _getter(names: list[str]) -> Callable:
     # a function from an object to the tuple of the named fields
     if len(names) == 1:
@@ -140,15 +132,16 @@ def _getter(names: list[str]) -> Callable:
 
 
 def _interned(cls: type) -> type:
-    # identity equality and the stored hash come from _Interned; the
-    # generated __init__ is replaced by the class's __new__, which returns
-    # the interned object
+    # identity equality and hash come from object; the generated __init__
+    # is replaced by the class's __new__, which returns the interned object
     cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
     # the generated __setattr__ and __delattr__ refer to the class that
     # slots=True replaced, and raise TypeError for names not in the
     # fields; the inherited ones raise FrozenInstanceError for any name
     del cls.__setattr__, cls.__delattr__
     names = cls.__match_args__
+    # slot setters, which write a frozen object's slots without the
+    # attribute lookup of object.__setattr__ (half its cost)
     cls._put_fields = tuple(getattr(cls, name).__set__ for name in names)
     cls._put_derived = tuple(getattr(cls, name).__set__ for name in cls._derived)
     cls._values = staticmethod(_getter(names))

@@ -497,6 +497,29 @@ def test_foreign_pairs_in_witness_are_caught():
     assert audit_witness(l, r, bogus, FULL_UPTO, weak=False) is not None
 
 
+class _Listed(frozenset):
+    """A frozenset that iterates in the order it was given."""
+
+    def __new__(cls, items):
+        out = super().__new__(cls, items)
+        out.order = list(items)
+        return out
+
+    def __iter__(self):
+        return iter(self.order)
+
+
+def test_audit_names_the_first_bad_pair_by_key_not_by_set_order():
+    l, r = parse("dup a | dup a"), parse("dup a")
+    good = sorted(check_strong(l, r).witness, key=lambda pair: tuple(map(term_key, pair)))
+    small = (normalize(parse("a!m0")), normalize(parse("b!m0")))
+    large = (normalize(parse("a!m1")), normalize(parse("c!m1")))
+    assert term_key(small[0]) < term_key(large[0])
+    for order in ([small, large], [large, small]):
+        forged = _Listed([*order, *good])
+        assert audit_witness(l, r, forged, FULL_UPTO, weak=False) == small
+
+
 def test_restriction_composition_of_proven_pair_stays_proven():
     base_l, base_r = parse("dup a | dup a"), parse("dup a")
     wrapped_l = Restrict(abstract_channel(base_l, Name("a")))

@@ -127,12 +127,34 @@ def test_nodes_are_slotted_frozen_and_identity_compared():
     assert not hasattr(a, "__dict__")
 
 
-def test_hash_is_structural_and_stored():
-    s, t = Send(a, m0), Send(b, m0)
-    assert hash(Parallel(s, t)) == hash((s, t))
-    assert hash(s) == hash((a, m0))
-    assert hash(STOP) == hash(())
-    assert hash(Distribute(a, [b, b])) == hash((a, (b, b)))
+INTERNED = (
+    Name, ChanVar, Atom, ValVar, Stop, Send, Receive, RepeatReceive, Parallel, Restrict, Distribute,
+    SendAct, ReceiveAct, Tau,
+)
+
+
+@pytest.mark.parametrize("cls", INTERNED, ids=lambda cls: cls.__name__)
+def test_the_hash_and_equality_are_identity(cls):
+    assert cls.__hash__ is object.__hash__
+    assert cls.__eq__ is object.__eq__
+    # no class on the way up stores a hash
+    assert not any("_hash" in getattr(k, "__slots__", ()) for k in cls.__mro__)
+
+
+def test_equal_structure_is_one_object_with_one_hash():
+    s = Send(a, m0)
+    built = [
+        Parallel(Send(Name("a"), Atom("m0")), Restrict(Distribute(ChanVar(0), [a, b]))),
+        Parallel(s, Restrict(Distribute(ChanVar(0), (a, b)))),
+        parse("a!m0 | new t. t => [a, b]"),
+    ]
+    assert all(p is built[0] for p in built)
+    assert len({hash(p) for p in built}) == 1
+    assert hash(built[0]) == object.__hash__(built[0])
+    assert {s: 1}[Send(a, Atom("m0"))] == 1
+    # two live objects of different structure: two identities
+    left, right = Parallel(s, STOP), Parallel(STOP, s)
+    assert hash(left) != hash(right)
 
 
 def test_match_binds_every_field():
@@ -317,29 +339,6 @@ def test_channel_mask_of_each_constructor():
 SAMPLES = [Name("a"), ChanVar(1), Atom("m0"), ValVar(0), SendAct(a, m0), ReceiveAct(ChanVar(0), m0), TAU]
 
 
-# Plain frozen dataclasses with the fields of the interned classes: their
-# generated hashes are the reference the stored hashes must reproduce
-@dataclasses.dataclass(frozen=True)
-class PlainText:
-    text: str
-
-
-@dataclasses.dataclass(frozen=True)
-class PlainIndex:
-    index: int
-
-
-@dataclasses.dataclass(frozen=True)
-class PlainAct:
-    channel: object
-    payload: object
-
-
-@dataclasses.dataclass(frozen=True)
-class PlainTau:
-    pass
-
-
 def test_equal_leaves_and_actions_are_the_same_object():
     assert Name("a") is a and Name(text="a") is a
     assert ChanVar(0) is ChanVar(index=0) and ChanVar(0) is not ChanVar(1)
@@ -357,18 +356,20 @@ def test_equal_leaves_and_actions_are_the_same_object():
         SendAct(a)
 
 
-@pytest.mark.parametrize("text", ["a", "m0", "", "r1"])
-def test_stored_hashes_are_the_plain_dataclass_hashes(text):
-    assert hash(Name(text)) == hash((text,)) == hash(PlainText(text))
-    assert hash(Atom(text)) == hash((text,))
-    for i in (0, 1, 7, -1):
-        assert hash(ChanVar(i)) == hash((i,)) == hash(PlainIndex(i)) == hash(ValVar(i))
-    c, v = Name(text), Atom("m1")
-    assert hash(SendAct(c, v)) == hash((c, v)) == hash(PlainAct(PlainText(text), PlainText("m1")))
-    assert hash(ReceiveAct(ChanVar(2), v)) == hash(PlainAct(PlainIndex(2), PlainText("m1")))
-    assert hash(TAU) == hash(()) == hash(PlainTau())
-    # a node's stored hash builds on its leaves' hashes
-    assert hash(Send(c, v)) == hash(PlainAct(PlainText(text), PlainText("m1")))
+@pytest.mark.parametrize("thing", [STOP, parse("new t. (a -> t | t ? x. b!x)"), *SAMPLES], ids=repr)
+def test_copies_pickles_and_threads_get_the_one_object_and_its_hash(thing):
+    assert copy.copy(thing) is thing and copy.deepcopy(thing) is thing
+    assert hash(pickle.loads(pickle.dumps(thing))) == hash(thing)
+    # rebuilt from its fields in other threads, it is the same object
+    fields = thing._values(thing)
+    got = []
+    workers = [threading.Thread(target=lambda: got.append(type(thing)(*fields))) for _ in range(4)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=10)
+    assert len(got) == 4 and all(x is thing for x in got)
+    assert {hash(x) for x in got} == {hash(thing)}
 
 
 def test_action_key_is_stored_and_orders_by_channel_then_payload():
@@ -402,7 +403,8 @@ def test_leaves_and_actions_are_slotted_and_frozen(thing):
 
 @pytest.mark.parametrize("thing", [STOP, Parallel(Send(a, m0), STOP), *SAMPLES], ids=repr)
 def test_no_attribute_of_an_interned_object_can_be_set_or_deleted(thing):
-    # names outside the fields too: the stored hash, a derived slot, a new name
+    # names outside the fields too: a hash slot, which no interned class
+    # has, a derived slot, a new name
     before = hash(thing)
     for name in (*thing.__match_args__, "_hash", "_term_key", "foo"):
         with pytest.raises(dataclasses.FrozenInstanceError, match=repr(name)):

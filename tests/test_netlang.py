@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from collections import Counter
 import subprocess
 import sys
 
@@ -37,6 +38,7 @@ from netproc import (
     simulate,
 )
 import netproc
+from netproc import netlang
 from netproc.netlang import TraceEvent, _eval_query, _observable_steps, _parse_query, state_digest
 from netproc.normalform import normalize
 
@@ -308,6 +310,27 @@ def test_walk_loop_matches_the_recursive_walk(net, max_depth, node_budget):
     ref_walk(ref, report.start, report.universe, suppressed, max_depth, node_budget, _parse_query(query))
     assert report == ref
     assert list(report.delivery_profiles.items()) == list(ref.delivery_profiles.items())
+
+
+@pytest.mark.parametrize("max_depth", [1, 3, 6])
+def test_each_state_steps_once_and_the_frontier_is_only_tested(monkeypatch, max_depth):
+    # the census and the walk share one table of moves; a state first met
+    # at the depth bound is only asked whether it has a move
+    term, inputs = broadcast3_unreliable(), [("s", "m0"), ("s", "m1")]
+    # the states the census expands: those fewer than max_depth steps away
+    expanded = explore(term, inputs, max_depth=max_depth - 1).states
+    stepped = Counter()
+    real = netlang._observable_steps
+
+    def counted(state, universe, suppressed):
+        stepped[state] += 1
+        return real(state, universe, suppressed)
+
+    monkeypatch.setattr(netlang, "_observable_steps", counted)
+    report = explore(term, inputs, max_depth=max_depth)
+    assert not report.state_bound_hit and report.truncated_paths > 0
+    assert max(stepped.values()) == 1
+    assert len(stepped) == expanded
 
 
 def test_a_run_longer_than_the_recursion_limit_is_walked():
