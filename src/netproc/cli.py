@@ -19,11 +19,11 @@ from .netlang import TraceEvent, explore, simulate
 from .normalform import normalize
 from .semantics import (
     DEFAULT_UNIVERSE,
+    Moves,
     effective_universe,
     infer_mode,
     make_universe,
     reachable,
-    sorted_steps,
     sorted_transitions,
     transitions,
 )
@@ -67,17 +67,12 @@ def _cmd_lts(args) -> int:
     p = parse(args.term)
     universe = effective_universe(_universe_from(args), p)
     mode = infer_mode(p)
-
-    def normal_steps(s):
-        return [(a, normalize(t)) for a, t in sorted_steps(s, universe)]
-
-    order, truncated = reachable(
-        normalize(p), lambda s: [t for _, t in normal_steps(s)], args.max_states
-    )
+    moves = Moves(universe)
+    order, truncated = reachable(normalize(p), lambda s: [t for _, t in moves[s]], args.max_states)
     ids = {s: i for i, s in enumerate(order)}
     # one edge per (state, action, state), in first-seen order: distinct raw
     # targets can normalize to one state
-    edges = dict.fromkeys((s, a, t) for s in order for a, t in normal_steps(s) if t in ids)
+    edges = dict.fromkeys((s, a, t) for s in order for a, t in moves[s] if t in ids)
     if args.dot:
         print("digraph lts {")
         for s, i in ids.items():

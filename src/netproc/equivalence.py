@@ -8,11 +8,13 @@ The checker has two independent halves:
     before it is looked up or recorded;
 
   * a refutation search that plays the plain bounded game by iterative
-    deepening and reports a minimal-depth distinguishing trace.  It plays
-    from a move table built once per state: the state's challenges,
-    normalized and in step order, and its defender replies grouped by
-    action.  The table belongs to the attacker of one check and is
-    dropped with it when the check returns.
+    deepening and reports a minimal-depth distinguishing trace.
+
+Each half reads its moves from its own `semantics.Moves` table: the
+prover's is raw, as it reduces every pair itself, and the attacker's
+normalizes its states.  In the weak game both take their replies from the
+check's one `WeakClosure`; all three are dropped when the check returns.
+`audit_witness` and `replay_trace` build tables of their own.
 
 Proofs are only ever produced by the first half and refutations only by
 the second, so neither inherits the other's approximations: cancelling
@@ -72,11 +74,11 @@ from .semantics import (
     TAU,
     Action,
     Mode,
+    Moves,
     Universe,
     WeakClosure,
     check_mode,
     effective_universe,
-    sorted_steps,
     _step,
 )
 from .terms import (
@@ -285,15 +287,6 @@ def _canon(pair: Pair) -> Pair:
     return pair if term_key(l) <= term_key(r) else (r, l)
 
 
-def _by_action(steps) -> dict[Action, list[Process]]:
-    """Group steps by action: each action's distinct targets in term_key
-    order, the order in which the defender's replies are tried."""
-    grouped: dict[Action, set[Process]] = {}
-    for a, t in steps:
-        grouped.setdefault(a, set()).add(t)
-    return {a: sorted(ts, key=term_key) for a, ts in grouped.items()}
-
-
 # ---------------------------------------------------------------------------
 # Proof search
 # ---------------------------------------------------------------------------
@@ -312,6 +305,8 @@ class _Prover:
     defender branch rolls back everything it added, so the surviving set
     is self-justifying and serves as the emitted witness.  The weak game
     takes the defender's replies from `closure`; None plays the strong one.
+    The move table is raw: `_reduce` shrinks each pair afterwards, and
+    PLAIN plays the pairs as they are.
     """
 
     def __init__(
@@ -321,18 +316,13 @@ class _Prover:
         max_pairs: int,
         closure: WeakClosure | None,
     ) -> None:
-        self.universe = universe
         self.upto = upto
         self.max_pairs = max_pairs
-        self.closure = closure
         self.weak = closure is not None
+        self.moves = Moves(universe, raw=True, closure=closure)
         self.assumed: set[Pair] = set()
         self.trail: list[Pair] = []
         self.explored = 0
-
-    def _defender_steps(self, p: Process) -> dict[Action, list[Process]]:
-        steps = self.closure.steps(p)[0] if self.closure is not None else _step(p, self.universe)
-        return _by_action(steps)
 
     def _rollback(self, mark: int) -> None:
         while len(self.trail) > mark:
@@ -361,8 +351,8 @@ class _Prover:
         goals: list[tuple[Process, list[Process], bool]] = []
         for forward in (True, False):
             chal, resp = (u, v) if forward else (v, u)
-            responses = self._defender_steps(resp)
-            for a, t in sorted_steps(chal, self.universe):
+            responses = self.moves.replies(resp)[0]
+            for a, t in self.moves[chal]:
                 options = responses.get(a, [])
                 if not options:
                     return False
@@ -407,18 +397,11 @@ class _Attacker:
     set cut short by the internal-step bound taints every verdict; None
     plays the strong game.
 
-    Iterative deepening meets the same states at every depth, so each
-    state's moves are worked out once, into a move table that lives as
-    long as the attacker, which is one check:
-
-      * `challenges[p]`: the steps of `p` in `step_order` of their raw
-        targets, each target passed through `_norm`;
-      * `replies[p]`: per action, the defender's distinct reply targets in
-        `term_key` order, and whether the weak closure truncated them.
-        The strong game groups the normalized challenges; the weak game
-        groups `closure.steps(p)`.
-
-    Every reply lookup, first or not, ORs the stored flag into `tainted`.
+    Iterative deepening meets the same states at every depth, so the
+    attacker reads each state's moves from one `Moves` table, kept for
+    the one check it plays.  Its states are normalized unless
+    `normalize_states` is off.  Every reply lookup, first or not, ORs the
+    table's truncation flag into `tainted`.
     """
 
     def __init__(
@@ -428,40 +411,20 @@ class _Attacker:
         node_budget: int,
         normalize_states: bool = True,
     ) -> None:
-        self.universe = universe
-        self.closure = closure
         self.budget = node_budget
-        self.normalize_states = normalize_states
+        self.moves = Moves(universe, raw=not normalize_states, closure=closure)
         self.memo: dict[tuple[Process, Process, int], tuple[TraceStep, ...] | None] = {}
-        self.challenges: dict[Process, list[tuple[Action, Process]]] = {}
-        self.replies: dict[Process, tuple[dict[Action, list[Process]], bool]] = {}
         self.nodes = 0
         self.tainted = False
 
-    def _norm(self, p: Process) -> Process:
-        return normalize(p) if self.normalize_states else p
-
-    def _challenges(self, p: Process) -> list[tuple[Action, Process]]:
-        moves = self.challenges.get(p)
-        if moves is None:
-            moves = self.challenges[p] = [
-                (a, self._norm(t)) for a, t in sorted_steps(p, self.universe)
-            ]
-        return moves
-
     def _replies(self, p: Process, a: Action) -> list[Process]:
-        entry = self.replies.get(p)
-        if entry is None:
-            if self.closure is not None:
-                steps, truncated = self.closure.steps(p)
-            else:
-                steps, truncated = self._challenges(p), False
-            entry = self.replies[p] = (_by_action(steps), truncated)
-        self.tainted |= entry[1]
-        return entry[0].get(a, [])
+        by_action, truncated = self.moves.replies(p)
+        self.tainted |= truncated
+        return by_action.get(a, [])
 
     def search(self, l: Process, r: Process, max_depth: int) -> tuple[TraceStep, ...] | None:
-        l, r = self._norm(l), self._norm(r)
+        if not self.moves.raw:
+            l, r = normalize(l), normalize(r)
         for depth in range(1, max_depth + 1):
             trace = self._attack(l, r, depth)
             if trace is not None:
@@ -479,7 +442,7 @@ class _Attacker:
             raise _BoundHit("node-budget")
         result: tuple[TraceStep, ...] | None = None
         for side, chal, resp in (("left", l, r), ("right", r, l)):
-            for a, tn in self._challenges(chal):
+            for a, tn in self.moves[chal]:
                 replies = self._replies(resp, a)
                 if not replies:
                     result = (TraceStep(side, a, tn, None),)
@@ -624,7 +587,8 @@ def audit_witness(
     pairs' `term_key`s, or None if the witness is closed and contains the
     reduced root."""
     uni = _prepare(p, q, universe, mode)
-    closure = WeakClosure(uni, tau_bound) if weak else None
+    # raw, as the prover's: `covered` reduces each pair itself
+    moves = Moves(uni, raw=True, closure=WeakClosure(uni, tau_bound) if weak else None)
     fire = weak and upto
 
     def covered(l: Process, r: Process) -> bool:
@@ -642,10 +606,10 @@ def audit_witness(
     for u, v in sorted(witness, key=lambda pair: (term_key(pair[0]), term_key(pair[1]))):
         for forward in (True, False):
             chal, resp = (u, v) if forward else (v, u)
-            # replies in term_key order, so the work done does not depend on
-            # set order either
-            replies = _by_action(closure.steps(resp)[0] if closure is not None else _step(resp, uni))
-            for a, t in _step(chal, uni):
+            # the table's orders, so the work done does not depend on set
+            # order either
+            replies = moves.replies(resp)[0]
+            for a, t in moves[chal]:
                 if not any(covered(*((t, d) if forward else (d, t))) for d in replies.get(a, ())):
                     return (u, v)
     return None
@@ -766,21 +730,13 @@ def replay_trace(
     the final challenger action must have no reply from the other side.
     """
     uni = _prepare(p, q, universe, mode)
-    closure = WeakClosure(uni, tau_bound) if weak else None
+    moves = Moves(uni, closure=WeakClosure(uni, tau_bound) if weak else None)
     state = {"left": normalize(p), "right": normalize(q)}
     for i, step in enumerate(trace):
-        chal = state[step.side]
-        moves = {(a, normalize(t)) for a, t in _step(chal, uni)}
-        if (step.action, step.challenger_target) not in moves:
+        if (step.action, step.challenger_target) not in moves[state[step.side]]:
             return False
         other = "right" if step.side == "left" else "left"
-        if closure is not None:
-            resp_steps, _ = closure.steps(state[other])
-            replies = {t for a, t in resp_steps if a == step.action}
-        else:
-            replies = {
-                normalize(t) for a, t in _step(state[other], uni) if a == step.action
-            }
+        replies = moves.replies(state[other])[0].get(step.action, ())
         last = i == len(trace) - 1
         if last:
             return step.defender_target is None and not replies

@@ -257,17 +257,28 @@ def run_laws(
 
     The report row order is deterministic, as is the premise sampling.
     `only` selects law ids; an id that names no law raises NetprocError,
-    so a misspelt id is never skipped silently.
+    so a misspelt id is never skipped silently.  A selected conditional
+    law gets the rows it has in a full run: the laws it draws its premises
+    from run too, and only the selected rows, and their proofs, are
+    reported.
     """
     catalog = law_catalog(universe)
-    if only is not None:
-        unknown = set(only).difference(law.law_id for law in catalog).difference(_CONDITIONAL_IDS)
+    run = None if only is None else set(only)
+    if run is not None:
+        unknown = run.difference(law.law_id for law in catalog).difference(_CONDITIONAL_IDS)
         if unknown:
             raise NetprocError(f"unknown law id(s): {', '.join(sorted(unknown))}")
+        if run & set(_CONDITIONAL_IDS):
+            # the premises are the catalog's proofs; strong-implies-weak
+            # re-proves par-congruence's as well
+            run |= {law.law_id for law in catalog}
+        if "strong-implies-weak" in run:
+            run.add("par-congruence")
     report = LawReport(rows=[], passed=True, universe=universe, proven=[])
+    proven_by: list[str] = []
 
     def wanted(law_id: str) -> bool:
-        return only is None or law_id in only
+        return run is None or law_id in run
 
     for law in catalog:
         if not wanted(law.law_id):
@@ -278,6 +289,7 @@ def run_laws(
             report.passed &= row.ok
             if row.ok:
                 report.proven.append((inst.left, inst.right, law.mode))
+                proven_by.append(law.law_id)
 
     rng = random.Random(seed)
     pool = [entry for entry in report.proven if entry[2] is Mode.EXTENDED]
@@ -298,6 +310,7 @@ def run_laws(
             report.passed &= ok
             if ok:
                 report.proven.append((inst.left, inst.right, m))
+                proven_by.append("par-congruence")
 
     if wanted("restrict-congruence"):
         for p1, p2, m in (pool[i % len(pool)] for i in range(0, 25)) if pool else ():
@@ -343,6 +356,10 @@ def run_laws(
         )
         report.passed &= ok
 
+    if only is not None:
+        report.rows = [row for row in report.rows if row.law_id in only]
+        report.passed = all(row.ok for row in report.rows)
+        report.proven = [e for e, law_id in zip(report.proven, proven_by) if law_id in only]
     return report
 
 

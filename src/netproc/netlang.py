@@ -20,6 +20,7 @@ from .normalform import normalize
 from .semantics import (
     Action,
     Mode,
+    Moves,
     SendAct,
     TAU,
     Universe,
@@ -27,7 +28,6 @@ from .semantics import (
     effective_universe,
     reachable,
     sorted_steps,
-    step_order,
     _step,
 )
 from .syntax import is_identifier, pretty, pretty_action
@@ -239,13 +239,6 @@ def _observable(a: Action, suppressed: frozenset[str]) -> bool:
     return a is TAU or (type(a) is SendAct and a.channel.text not in suppressed)
 
 
-def _observable_steps(state: Process, universe: Universe, suppressed: frozenset[str]):
-    """Steps the exploration follows, in `step_order`."""
-    out = [(a, t) for a, t in _step(state, universe) if _observable(a, suppressed)]
-    out.sort(key=step_order)
-    return out
-
-
 def explore(
     p: Process,
     inputs=(),
@@ -273,21 +266,11 @@ def explore(
     universe = effective_universe(universe, start_raw)
     start = normalize(start_raw)
     conds = _parse_query(query) if query is not None else None
-    # each state's observable steps in `step_order`, targets normalized;
-    # the census and the walk both read it, so a state's moves are worked
-    # out once however often it is reached
-    moves: dict[Process, list[tuple[Action, Process]]] = {}
-
-    def moves_of(s: Process) -> list[tuple[Action, Process]]:
-        out = moves.get(s)
-        if out is None:
-            out = moves[s] = [(a, normalize(t)) for a, t in _observable_steps(s, universe, suppressed)]
-        return out
-
-    def successors(s: Process) -> list[Process]:
-        return [t for _, t in moves_of(s)]
-
-    seen, state_bound_hit = reachable(start, successors, max_states, max_depth)
+    # each state's observable steps, targets normalized; the census and the
+    # walk both read it, so a state's moves are worked out once however
+    # often it is reached
+    moves = Moves(universe, keep=lambda a: _observable(a, suppressed))
+    seen, state_bound_hit = reachable(start, lambda s: [t for _, t in moves[s]], max_states, max_depth)
     report = ExploreReport(
         start=start,
         inputs=pairs,
@@ -309,14 +292,12 @@ def explore(
     shallowest: dict[tuple[Process, tuple[Delivery, ...]], int] = {}
     completed: set[tuple[Process, tuple[Delivery, ...]]] = set()
     on_path: set[tuple[Process, tuple[Delivery, ...]]] = set()
-    deliveries: list[Delivery] = []
-    trail: list[tuple[Action, Process]] = []
     # the configurations being expanded, a depth-first path from the
-    # start: [key, the steps not yet walked, what the step walked last
-    # fired]; the frame at index i holds a configuration at depth i
-    frames: list[list] = []
+    # start: (key, the steps not yet walked, the deliveries and the trail
+    # of steps that reached it); the frame at index i is at depth i
+    frames: list[tuple] = []
 
-    def visit(state: Process, depth: int) -> None:
+    def visit(state: Process, depth: int, deliveries: tuple[Delivery, ...], trail: tuple) -> None:
         # count a configuration reached by the current path, and push a
         # frame for it when it is to be expanded
         nonlocal budget
@@ -337,7 +318,7 @@ def explore(
             # targets would be wasted work
             steps = any(_observable(a, suppressed) for a, _ in _step(state, universe))
         else:
-            steps = moves_of(state)
+            steps = moves[state]
         if not steps:
             if key not in completed:
                 completed.add(key)
@@ -353,26 +334,19 @@ def explore(
             report.truncated_paths += 1
             return
         on_path.add(key)
-        frames.append([key, iter(steps), ()])
+        frames.append((key, iter(steps), deliveries, trail))
 
-    visit(start, 0)
-    while frames:
-        frame = frames[-1]
-        if len(trail) == len(frames):
-            # the trail ends in this frame's last step, whose walk is over
-            trail.pop()
-            for _ in frame[2]:
-                deliveries.pop()
-        step = None if report.budget_exhausted else next(frame[1], None)
+    visit(start, 0, (), ())
+    while frames and not report.budget_exhausted:
+        key, steps, deliveries, trail = frames[-1]
+        step = next(steps, None)
         if step is None:
-            on_path.discard(frame[0])
+            on_path.discard(key)
             frames.pop()
             continue
         action, tn = step
-        frame[2] = fired = [(action.channel.text, action.payload.text)] if isinstance(action, SendAct) else []
-        deliveries.extend(fired)
-        trail.append((action, tn))
-        visit(tn, len(frames))
+        fired = ((action.channel.text, action.payload.text),) if type(action) is SendAct else ()
+        visit(tn, len(frames), deliveries + fired, trail + ((action, tn),))
     if conds is not None and report.query_satisfied is None:
         report.query_satisfied = False
     return report
@@ -433,7 +407,7 @@ def _parse_query(text: str) -> list[_Cond]:
     return conds
 
 
-def _eval_query(conds: list[_Cond], deliveries: list[Delivery]) -> bool:
+def _eval_query(conds: list[_Cond], deliveries: tuple[Delivery, ...] | list[Delivery]) -> bool:
     per_chan: Counter[str] = Counter(d[0] for d in deliveries)
     by_value: dict[str, set[str]] = {}
     for ch, val in deliveries:

@@ -42,6 +42,9 @@ the same object, hashed and compared by identity, and each stores its
 and compare them in O(1), and `TAU` is the one internal action.
 `step_order` is the one presentation order for steps (action, then
 target term); every listing, game move and exploration sorts by it.
+The game, its evidence checks, explore and the CLI's LTS read the step
+relation through a per-call `Moves` table, which puts each state's steps
+into `step_order` once and groups the defender's replies by action.
 `reachable` is the breadth-first search behind explore and the CLI's LTS.
 The weak closure `_tau_reach` keeps its own loop: it runs thousands of
 times per weak check, on graphs of a few states, and calling a successor
@@ -302,6 +305,46 @@ def step_order(step: Step) -> tuple:
 def sorted_steps(p: Process, universe: Universe) -> list[Step]:
     """The steps of `p` in `step_order`; the caller has checked its mode."""
     return sorted(_step(p, universe), key=step_order)
+
+
+class Moves(dict):
+    """One call's table of moves, filled a state at a time on first read.
+
+    `moves[p]` is the steps of `p` whose action `keep` accepts (all of
+    them when None) in `step_order` of their raw targets, each target
+    normalized unless the table is `raw`.  `moves.replies(p)` is the
+    defender's distinct targets per action, in `term_key` order, and
+    whether the weak closure truncated them: from `closure.steps(p)` in
+    the weak game, from `moves[p]` in the strong one (closure None).
+    A table lives as long as the call that builds it.
+    """
+
+    __slots__ = ("universe", "raw", "keep", "closure", "_replies")
+
+    def __init__(
+        self, universe: Universe, *, raw: bool = False, keep: Callable[[Action], bool] | None = None,
+        closure: WeakClosure | None = None,
+    ) -> None:
+        super().__init__()
+        self.universe, self.raw, self.keep, self.closure = universe, raw, keep, closure
+        self._replies: dict[Process, tuple[dict[Action, list[Process]], bool]] = {}
+
+    def __missing__(self, p: Process) -> list[Step]:
+        steps = _step(p, self.universe)
+        out = sorted(steps if self.keep is None else [s for s in steps if self.keep(s[0])], key=step_order)
+        out = self[p] = out if self.raw else [(a, normalize(t)) for a, t in out]
+        return out
+
+    def replies(self, p: Process) -> tuple[dict[Action, list[Process]], bool]:
+        hit = self._replies.get(p)
+        if hit is None:
+            steps, truncated = self.closure.steps(p) if self.closure is not None else (self[p], False)
+            grouped: dict[Action, set[Process]] = {}
+            for a, t in steps:
+                grouped.setdefault(a, set()).add(t)
+            # term_key order is the order in which the replies are tried
+            hit = self._replies[p] = ({a: sorted(ts, key=term_key) for a, ts in grouped.items()}, truncated)
+        return hit
 
 
 def _sender_row(targets: tuple, value: Atom | ValVar) -> Process:

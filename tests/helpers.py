@@ -1,8 +1,10 @@
-"""Seeded term generators shared across the test modules."""
+"""Seeded term generators and a move-table probe shared across the test
+modules."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from netproc import (
     Atom,
@@ -19,6 +21,8 @@ from netproc import (
     ValVar,
     abstract_channel,
 )
+
+from netproc.semantics import Moves
 
 CHANNELS = [Name("a"), Name("b"), Name("c")]
 VALUES = ["m0", "m1"]
@@ -91,3 +95,25 @@ def random_open(rng, depth):
     if kind == "par":
         return Parallel(random_open(rng, depth - 1), random_open(rng, depth - 1))
     return Restrict(random_open(rng, depth - 1))
+
+
+def count_fills(monkeypatch) -> Counter:
+    """From now on, count how often each `Moves` table fills each state.
+
+    The keys are (table, state), tables numbered from 0 in the order of
+    their first fill; the tables are kept alive, so no two share a number.
+    """
+    fills: Counter = Counter()
+    tables: list[Moves] = []
+    fill = Moves.__missing__
+
+    def counting(table, p):
+        number = next((i for i, t in enumerate(tables) if t is table), None)
+        if number is None:
+            number = len(tables)
+            tables.append(table)
+        fills[number, p] += 1
+        return fill(table, p)
+
+    monkeypatch.setattr(Moves, "__missing__", counting)
+    return fills

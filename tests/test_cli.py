@@ -11,6 +11,7 @@ import pytest
 import netproc
 import netproc.cli
 from netproc.cli import main
+from helpers import count_fills
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,16 @@ def test_lts_state_bound_keeps_edges_among_kept_states(capsys):
     for line in lines[2:]:
         source, rest = line.strip().split("  --", 1)
         assert source in kept and rest.split("-->  ", 1)[1] in kept
+
+
+@pytest.mark.parametrize("dot", [[], ["--dot"]])
+def test_lts_fills_each_state_once(capsys, monkeypatch, dot):
+    # the search and the edge listing read one table
+    fills = count_fills(monkeypatch)
+    code, out, _ = run_cli(capsys, "lts", "a!m0 | dup a", "--max-states", "5", *dot)
+    assert code == 0
+    assert {table for table, _ in fills} == {0}
+    assert len(fills) == 5 and max(fills.values()) == 1
 
 
 def test_lts_lists_each_edge_once(capsys):

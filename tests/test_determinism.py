@@ -34,6 +34,9 @@ COMMANDS: list[list[str]] = [
     ["explore", NET, "--inject", "s=m0", "--inject", "s=m1", "--query", "total>=2"],
     ["simulate", NET, "--inject", "s=m0", "--inject", "s=m1", "--seed", "5"],
     ["laws", "--only", "par-assoc"],
+    ["lts", NET],
+    ["lts", NET, "--dot"],
+    ["transitions", NET],
 ]
 
 # Runs the commands in one interpreter and prints one JSON document: per
@@ -76,7 +79,7 @@ def test_cli_output_is_the_same_in_every_process(tmp_path):
     # the interpreters did place the terms differently
     assert len({r["probe"] for r in results}) > 1
     first = results[0]
-    assert [code for _, code in first["runs"]] == [0, 0, 0, 1, 0, 0, 1, 0, 0, 0]
+    assert [code for _, code in first["runs"]] == [0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0]
     assert sorted(first["witnesses"]) == ["dup.txt", "plain.txt", "proven.txt", "relay.txt", "weak.txt"]
     for other in results[1:]:
         for argv, mine, theirs in zip(COMMANDS, first["runs"], other["runs"]):

@@ -33,7 +33,7 @@ from netproc import Atom, ChanVar, Distribute, Name, Send, Stop, equivalence, fr
 from netproc.equivalence import _Attacker, _BoundHit, _Prover, _canon, _fire, _reduce
 from netproc.normalform import compose_parallel, parallel_components, term_key
 from netproc.semantics import DEFAULT_UNIVERSE, Mode, WeakClosure, sorted_steps, _step
-from helpers import random_comm, random_pi
+from helpers import count_fills, random_comm, random_pi
 
 # ---------------------------------------------------------------------------
 # Pair reduction
@@ -619,7 +619,14 @@ def test_first_known_reply_saves_reductions(monkeypatch):
 class _FilteringAttacker(_Attacker):
     """Reference attacker: sorts and normalizes the challenger's steps at
     every node and filters the responder's steps on every reply lookup,
-    with no table."""
+    with no table; it keeps its own universe and closure."""
+
+    def __init__(self, universe, closure, node_budget, normalize_states=True):
+        super().__init__(universe, closure, node_budget, normalize_states)
+        self.universe, self.closure, self.normalize_states = universe, closure, normalize_states
+
+    def _norm(self, p):
+        return normalize(p) if self.normalize_states else p
 
     def _replies(self, p, a):
         if self.closure is not None:
@@ -681,12 +688,13 @@ def _play(cls, l, r, weak, tau_bound, normalize, max_depth, budget=300):
 
 
 def _assert_table_matches_filtering(attacker):
-    for p, moves in attacker.challenges.items():
-        assert moves == [(a, attacker._norm(t)) for a, t in sorted_steps(p, DEFAULT_UNIVERSE)]
-    closure = attacker.closure
+    table = attacker.moves
+    for p, moves in table.items():
+        assert moves == [(a, t if table.raw else normalize(t)) for a, t in sorted_steps(p, DEFAULT_UNIVERSE)]
+    closure = table.closure
     fresh = None if closure is None else WeakClosure(DEFAULT_UNIVERSE, closure.bound)
-    reference = _FilteringAttacker(DEFAULT_UNIVERSE, fresh, 0, normalize_states=attacker.normalize_states)
-    for p, (by_action, truncated) in attacker.replies.items():
+    reference = _FilteringAttacker(DEFAULT_UNIVERSE, fresh, 0, normalize_states=not table.raw)
+    for p, (by_action, truncated) in table._replies.items():
         steps = closure.steps(p) if closure is not None else (_step(p, DEFAULT_UNIVERSE), False)
         assert truncated == steps[1]
         assert set(by_action) == {a for a, _ in steps[0]}
@@ -726,21 +734,16 @@ def test_move_table_plays_like_per_call_filtering(kind, seed, depth, shape, game
 
 @pytest.mark.parametrize("weak", [False, True])
 def test_move_table_builds_each_states_moves_once(monkeypatch, weak):
-    from netproc import equivalence
-
-    built = Counter()
-    compute = equivalence.sorted_steps
-
-    def counting(p, universe):
-        built[p] += 1
-        return compute(p, universe)
-
-    monkeypatch.setattr(equivalence, "sorted_steps", counting)
+    fills = count_fills(monkeypatch)
     l, r = parse("dup a | dup a"), parse("dup a")
-    attacker, (trace, hit, nodes, _) = _play(_Attacker, l, r, weak, 2, True, 4, budget=2000)
-    assert trace is None and hit is None and nodes > 30
-    assert len(built) > 10
-    assert max(built.values()) == 1
+    # normalized states, then raw ones, which grow faster, one round less
+    for normalize_states, depth in ((True, 4), (False, 3)):
+        fills.clear()
+        _, (trace, hit, nodes, _) = _play(_Attacker, l, r, weak, 2, normalize_states, depth, budget=2000)
+        assert trace is None and hit is None and nodes > 30
+        assert len({table for table, _ in fills}) == 1
+        assert len(fills) > 10
+        assert max(fills.values()) == 1
 
 
 def test_replies_are_distinct_after_normalization():
@@ -754,13 +757,46 @@ def test_replies_are_distinct_after_normalization():
 def test_every_reply_lookup_reports_truncation():
     p = parse("dup a | a!m0")
     attacker = _Attacker(DEFAULT_UNIVERSE, WeakClosure(DEFAULT_UNIVERSE, 1), 10)
-    assert attacker.closure.steps(p)[1]
+    assert attacker.moves.closure.steps(p)[1]
     action = next(a for a, _ in sorted_steps(p, DEFAULT_UNIVERSE))
     attacker._replies(p, action)
     assert attacker.tainted
     attacker.tainted = False
     attacker._replies(p, action)  # served from the table
     assert attacker.tainted
+
+
+# a PLAIN proof of each game, with no attacker run
+_PLAIN_PROOFS = {
+    False: ("a!m0 | a?x.(b!x | c?y.d!y) | c!m1", "c!m1 | a?x.(c?y.d!y | b!x) | a!m0"),
+    True: ("new t. (t!m0 | t?x.b!x) | a!m1", "a!m1 | new u. (u?y.b!y | u!m0)"),
+}
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_the_prover_and_the_audit_fill_each_state_once(monkeypatch, weak):
+    l, r = (parse(t) for t in _PLAIN_PROOFS[weak])
+    fills = count_fills(monkeypatch)
+    res = check_weak(l, r, upto=PLAIN) if weak else check_strong(l, r, PLAIN)
+    assert res.verdict is Verdict.PROVEN and res.attacker_nodes == 0 and len(res.witness) > 3
+    assert {table for table, _ in fills} == {0}
+    assert max(fills.values()) == 1 and len(fills) > 3
+    # the audit builds a table of its own
+    fills.clear()
+    assert audit_witness(l, r, res.witness, PLAIN, weak=weak) is None
+    assert {table for table, _ in fills} == {1}
+    assert max(fills.values()) == 1 and len(fills) > 3
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_the_replay_fills_each_state_once(monkeypatch, weak):
+    l, r = parse("a -> b | a -> c"), parse("a => [b, c]")
+    res = check_weak(l, r, upto=PLAIN) if weak else check_strong(l, r, PLAIN)
+    assert res.verdict is Verdict.DISTINGUISHED and len(res.trace) > 1
+    fills = count_fills(monkeypatch)
+    assert replay_trace(l, r, res.trace, weak=weak)
+    assert {table for table, _ in fills} == {0}
+    assert max(fills.values()) == 1 and len(fills) > 1
 
 
 def test_check_result_counts_each_phase():

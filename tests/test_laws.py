@@ -74,8 +74,34 @@ def test_only_rejects_ids_that_name_no_law():
         run_laws(only={"par-comm", "zz", "nope"})
 
 
-def test_only_accepts_conditional_law_ids():
-    # no catalog law runs, so the pool stays empty and no row is derived
-    report = run_laws(only={"par-congruence", "strong-implies-weak"})
-    assert [row.law_id for row in report.rows] == ["strong-implies-weak"]
-    assert report.passed
+def test_only_accepts_conditional_law_ids(report):
+    # a selected conditional law draws on the laws it needs and reports
+    # exactly its rows of the full run, in their order
+    for only in (
+        {"restrict-congruence-weak"}, {"strong-implies-weak"}, {"par-congruence", "strong-implies-weak"},
+        {"par-comm", "restrict-congruence"},
+    ):
+        selected = run_laws(only=only)
+        assert selected.rows == [row for row in report.rows if row.law_id in only]
+        assert selected.passed
+    # the proofs reported are the selected laws' own: par-congruence's,
+    # which follow the catalog's in a full run
+    catalog_proofs = sum(row.ok for row in report.rows if row.law_id in {law.law_id for law in law_catalog()})
+    assert catalog_proofs < len(report.proven)
+    assert run_laws(only={"par-congruence"}).proven == report.proven[catalog_proofs:]
+    assert run_laws(only={"restrict-congruence"}).proven == []
+
+
+def test_only_catalog_ids_run_only_those_laws(monkeypatch):
+    from netproc import laws
+
+    checks = []
+    check = laws.check_strong
+
+    def counting(*args, **kwargs):
+        checks.append(args[:2])
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(laws, "check_strong", counting)
+    monkeypatch.setattr(laws, "check_weak", None)
+    assert len(run_laws(only={"par-comm", "restrict-swap"}).rows) == len(checks) == 36 + 3

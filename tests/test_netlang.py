@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-from collections import Counter
 import subprocess
 import sys
 
@@ -38,9 +37,10 @@ from netproc import (
     simulate,
 )
 import netproc
-from netproc import netlang
-from netproc.netlang import TraceEvent, _eval_query, _observable_steps, _parse_query, state_digest
+from netproc.netlang import TraceEvent, _eval_query, _parse_query, state_digest
 from netproc.normalform import normalize
+from netproc.semantics import TAU, _step, step_order
+from helpers import count_fills
 
 a, b, c, d = Name("a"), Name("b"), Name("c"), Name("d")
 
@@ -239,6 +239,13 @@ def test_state_bound_cuts_the_census():
     assert report.state_bound_hit and report.partial
 
 
+def ref_steps(state, universe, suppressed):
+    """The steps a walk follows, in step order: internal moves and outputs
+    on ports that were not injected on."""
+    kept = [(a, t) for a, t in _step(state, universe) if a is TAU or (type(a) is SendAct and a.channel.text not in suppressed)]
+    return sorted(kept, key=step_order)
+
+
 def ref_walk(report, start, universe, suppressed, max_depth, node_budget, conds):
     """The recursive walk over (state, deliveries) configurations that
     `explore`'s loop replaced; fills the path counts of `report`."""
@@ -258,7 +265,7 @@ def ref_walk(report, start, universe, suppressed, max_depth, node_budget, conds)
         if shallowest.get(key, max_depth + 1) <= depth:
             return
         shallowest[key] = depth
-        steps = _observable_steps(state, universe, suppressed)
+        steps = ref_steps(state, universe, suppressed)
         if not steps:
             if key not in completed:
                 completed.add(key)
@@ -319,18 +326,12 @@ def test_each_state_steps_once_and_the_frontier_is_only_tested(monkeypatch, max_
     term, inputs = broadcast3_unreliable(), [("s", "m0"), ("s", "m1")]
     # the states the census expands: those fewer than max_depth steps away
     expanded = explore(term, inputs, max_depth=max_depth - 1).states
-    stepped = Counter()
-    real = netlang._observable_steps
-
-    def counted(state, universe, suppressed):
-        stepped[state] += 1
-        return real(state, universe, suppressed)
-
-    monkeypatch.setattr(netlang, "_observable_steps", counted)
+    fills = count_fills(monkeypatch)
     report = explore(term, inputs, max_depth=max_depth)
     assert not report.state_bound_hit and report.truncated_paths > 0
-    assert max(stepped.values()) == 1
-    assert len(stepped) == expanded
+    assert {table for table, _ in fills} == {0}
+    assert max(fills.values()) == 1
+    assert len(fills) == expanded
 
 
 def test_a_run_longer_than_the_recursion_limit_is_walked():
