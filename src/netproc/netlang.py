@@ -27,7 +27,6 @@ from .semantics import (
     check_mode,
     effective_universe,
     reachable,
-    sorted_steps,
     _step,
 )
 from .syntax import is_identifier, pretty, pretty_action
@@ -369,12 +368,14 @@ def simulate(
     universe = effective_universe(universe, start_raw)
     rng = random.Random(seed)
     state = normalize(start_raw)
+    # raw: only the target picked is normalized
+    moves = Moves(universe, raw=True, keep=lambda a: a is TAU)
     events: list[TraceEvent] = []
     for i in range(steps):
-        taus = [t for a, t in sorted_steps(state, universe) if a is TAU]
+        taus = moves[state]
         if not taus:
             break
-        state = normalize(taus[rng.randrange(len(taus))])
+        state = normalize(taus[rng.randrange(len(taus))][1])
         events.append(TraceEvent(i, TAU, state_digest(state)))
     return tuple(events)
 

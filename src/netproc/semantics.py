@@ -42,9 +42,10 @@ the same object, hashed and compared by identity, and each stores its
 and compare them in O(1), and `TAU` is the one internal action.
 `step_order` is the one presentation order for steps (action, then
 target term); every listing, game move and exploration sorts by it.
-The game, its evidence checks, explore and the CLI's LTS read the step
-relation through a per-call `Moves` table, which puts each state's steps
-into `step_order` once and groups the defender's replies by action.
+The game, its evidence checks, explore, simulate and the CLI's LTS read
+the step relation through a per-call `Moves` table, which puts each
+state's steps into `step_order` once and groups the defender's replies by
+action.
 `reachable` is the breadth-first search behind explore and the CLI's LTS.
 The weak closure `_tau_reach` keeps its own loop: it runs thousands of
 times per weak check, on graphs of a few states, and calling a successor
@@ -300,11 +301,6 @@ def step_order(step: Step) -> tuple:
     """The deterministic presentation order of steps: action, then target."""
     action, target = step
     return (action_key(action), term_key(target))
-
-
-def sorted_steps(p: Process, universe: Universe) -> list[Step]:
-    """The steps of `p` in `step_order`; the caller has checked its mode."""
-    return sorted(_step(p, universe), key=step_order)
 
 
 class Moves(dict):

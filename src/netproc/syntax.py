@@ -273,7 +273,8 @@ def _bind(candidates: tuple[str, ...], used: set[str], root: Process) -> str:
 
 
 def pretty(p: Process) -> str:
-    """Canonical text for a term; parsing it back yields an equal term."""
+    """Canonical text for a term; parsing it back yields an equal term.
+    Raises ScopeError for an index that refers to no enclosing binder."""
     used: set[str] = set()
     chans: list[str] = []
     vals: list[str] = []
@@ -324,15 +325,18 @@ def pretty(p: Process) -> str:
 
 
 def _pc(c: Channel, chans: list[str]) -> str:
-    if isinstance(c, Name):
-        return c.text
-    return chans[len(chans) - 1 - c.index]
+    return c.text if isinstance(c, Name) else _bound(c.index, chans, "channel")
 
 
 def _pv(v: Value, vals: list[str]) -> str:
-    if isinstance(v, Atom):
-        return v.text
-    return vals[len(vals) - 1 - v.index]
+    return v.text if isinstance(v, Atom) else _bound(v.index, vals, "value")
+
+
+def _bound(index: int, names: list[str], sort: str) -> str:
+    # a dangling index must not borrow a name from the end of the list
+    if not 0 <= index < len(names):
+        raise ScopeError(f"{sort} index {index} refers to no enclosing binder")
+    return names[len(names) - 1 - index]
 
 
 def pretty_action(a: Action) -> str:

@@ -13,8 +13,9 @@ structurally equal terms are the same object.  Equality is identity, and
 so is the hash (`object.__hash__`): it is not stable from one process to
 the next, so every order that is shown or that decides an answer comes
 from `term_key` or `semantics.action_key`, never from set or dict order.
-A process node stores its sort key `term_key` and its channel mask (bit
-i set when the bound channel `ChanVar(i)` occurs free in it).  The table
+A process node stores its sort key `term_key`, its channel mask (bit i
+set when the bound channel `ChanVar(i)` occurs free in it) and its value
+mask (the same for `ValVar(i)`), all set when it is built.  The table
 holds its objects weakly, so one is dropped once nothing else refers to
 it.  They must be built through their constructors; copying and pickling
 go through them too.  All operations here are pure.
@@ -23,11 +24,11 @@ Each constructor declares the kind of each field and the sort its binder
 binds.  The traversals read those declarations rather than match on
 constructors, and none recurses: `post_order` computes a value per node
 on an explicit stack, so a term's depth is bounded by memory, not by the
-recursion limit.  The facts scope and language checks ask for (the value
-twin of the channel mask, a negative-index flag, the constructors) take
-O(1) space per node and are computed on the first query, since most nodes
-are step targets no query reaches.  The atom and free-name sets grow with
-the term, so they are kept only on the nodes a query asked about.
+recursion limit.  The other facts scope and language checks ask for (a
+negative-index flag, the constructors, the atoms and the free channel
+names) are found by one walk on the first query and kept only on the node
+queried, since most nodes are step targets no query reaches and the sets
+grow with the term.
 """
 
 from __future__ import annotations
@@ -206,14 +207,9 @@ def _chan_key(c: Channel) -> tuple:
     return (0, c.text) if type(c) is Name else (1, c.index)
 
 
-def _bit(c: Channel) -> int:
+def _bit(x: Channel | Value, var: type = ChanVar) -> int:
     # a negative index refers to no binder (well_scoped rejects it)
-    return 1 << c.index if type(c) is ChanVar and c.index >= 0 else 0
-
-
-def _join(a: frozenset, b: frozenset) -> frozenset:
-    # share a set that already holds the other
-    return a if b <= a else b if a <= b else a | b
+    return 1 << x.index if type(x) is var and x.index >= 0 else 0
 
 
 _EMPTY: frozenset[str] = frozenset()
@@ -224,15 +220,15 @@ class _Node(_Interned):
 
     A constructor declares `_kinds`, the kind of each field in
     `__match_args__` order, and `_binds`, the sort its binder binds.
-    `_derive` gives the sort key and the channel mask from the fields.
-    `_facts`, unset until `_facts_of` first asks, is the tuple (value
-    mask, negative index, constructors), extended by (atoms, free
-    channel names) on a node `_sets_of` was asked about.
+    `_derive` gives the sort key, the channel mask and the value mask
+    from the fields.  `_facts`, unset until `_facts_of` is asked about
+    the node, is the tuple (negative index, constructors, atoms, free
+    channel names).
     """
 
-    __slots__ = ("_term_key", "_chan_mask", "_facts")
+    __slots__ = ("_term_key", "_chan_mask", "_val_mask", "_facts")
 
-    _derived = ("_term_key", "_chan_mask")
+    _derived = ("_term_key", "_chan_mask", "_val_mask")
     _kinds: tuple[str, ...] = ()
     _binds: str | None = None
 
@@ -242,7 +238,6 @@ _put_facts = _Node._facts.__set__
 
 def _process(cls: type) -> type:
     cls = _interned(cls)
-    cls._tag = frozenset((cls.__name__,))
     # the tuple of the process fields
     cls._children = staticmethod(_getter([n for n, kind in zip(cls.__match_args__, cls._kinds) if kind is PROC]))
     return cls
@@ -260,8 +255,8 @@ class Stop(_Node):
     def __new__(cls) -> Stop:
         return _intern((cls,))
 
-    def _derive(self) -> tuple[tuple, int]:
-        return (0,), 0
+    def _derive(self) -> tuple[tuple, int, int]:
+        return (0,), 0, 0
 
 
 @_process
@@ -275,10 +270,10 @@ class Send(_Node):
     def __new__(cls, channel: Channel, payload: Value) -> Send:
         return _intern((cls, channel, payload))
 
-    def _derive(self) -> tuple[tuple, int]:
+    def _derive(self) -> tuple[tuple, int, int]:
         c, v = self.channel, self.payload
         val = (0, v.text) if type(v) is Atom else (1, v.index)
-        return (1, (0, c.text) if type(c) is Name else (1, c.index), val), _bit(c)
+        return (1, (0, c.text) if type(c) is Name else (1, c.index), val), _bit(c), _bit(v, ValVar)
 
 
 class _Prefix(_Node):
@@ -291,9 +286,9 @@ class _Prefix(_Node):
     def __new__(cls, channel: Channel, body: Process) -> _Prefix:
         return _intern((cls, channel, body))
 
-    def _derive(self) -> tuple[tuple, int]:
+    def _derive(self) -> tuple[tuple, int, int]:
         b = self.body
-        return (self._order, _chan_key(self.channel), b._term_key), _bit(self.channel) | b._chan_mask
+        return (self._order, _chan_key(self.channel), b._term_key), _bit(self.channel) | b._chan_mask, b._val_mask >> 1
 
 
 @_process
@@ -329,9 +324,9 @@ class Parallel(_Node):
     def __new__(cls, left: Process, right: Process) -> Parallel:
         return _intern((cls, left, right))
 
-    def _derive(self) -> tuple[tuple, int]:
+    def _derive(self) -> tuple[tuple, int, int]:
         l, r = self.left, self.right
-        return (5, l._term_key, r._term_key), l._chan_mask | r._chan_mask
+        return (5, l._term_key, r._term_key), l._chan_mask | r._chan_mask, l._val_mask | r._val_mask
 
 
 @_process
@@ -345,9 +340,9 @@ class Restrict(_Node):
     def __new__(cls, body: Process) -> Restrict:
         return _intern((cls, body))
 
-    def _derive(self) -> tuple[tuple, int]:
-        # the body's index 0 is this binder; its index i+1 is our index i
-        return (6, self.body._term_key), self.body._chan_mask >> 1
+    def _derive(self) -> tuple[tuple, int, int]:
+        # the body's channel index 0 is this binder; its index i+1 is our index i
+        return (6, self.body._term_key), self.body._chan_mask >> 1, self.body._val_mask
 
 
 @_process
@@ -363,11 +358,11 @@ class Distribute(_Node):
     def __new__(cls, source: Channel, targets: Iterable[Channel]) -> Distribute:
         return _intern((cls, source, tuple(targets)))
 
-    def _derive(self) -> tuple[tuple, int]:
+    def _derive(self) -> tuple[tuple, int, int]:
         mask = _bit(self.source)
         for t in self.targets:
             mask |= _bit(t)
-        return (4, _chan_key(self.source), tuple(map(_chan_key, self.targets))), mask
+        return (4, _chan_key(self.source), tuple(map(_chan_key, self.targets))), mask, 0
 
 
 Process = Union[Stop, Send, Receive, RepeatReceive, Parallel, Restrict, Distribute]
@@ -430,81 +425,58 @@ def post_order(root, value_of: Callable, children_of: Callable, compute: Callabl
 # ---------------------------------------------------------------------------
 
 
-def _summarize(p: Process, kids: list[tuple]) -> tuple:
-    mask, negative, constructs = 0, False, p._tag
-    for facts in kids:
-        mask |= facts[0]
-        negative = negative or facts[1]
-        constructs = _join(constructs, facts[2])
-    if p._binds is VAL:
-        # the children's value index 0 is this prefix's binder
-        mask >>= 1
-    for value, kind in zip(p._values(p), p._kinds):
-        for x in value if kind is CHANS else () if kind is PROC else (value,):
-            if type(x) in (ChanVar, ValVar) and x.index < 0:
-                negative = True
-            elif type(x) is ValVar:
-                mask |= 1 << x.index
-    _put_facts(p, (mask, negative, constructs))
-    return p._facts
-
-
 def _facts_of(p: Process) -> tuple:
-    """The node's facts (see `_Node`), computed on first use."""
+    """The node's facts (see `_Node`), found on first use and kept on `p`
+    alone.
+
+    One walk over the distinct nodes below `p` reads the names and
+    indices in their fields and the facts kept on nodes queried before,
+    so a spine of distinct channels keeps one set, not one per level.  A
+    kept set that already holds everything is shared.
+    """
     try:
         return p._facts
     except AttributeError:
         # a node's slot is unset until its first query
         if not isinstance(p, _Node):
             raise TypeError(f"not a process: {p!r}") from None
-    return post_order(p, lambda x: getattr(x, "_facts", None), children, _summarize)
-
-
-def _sets_of(p: Process) -> tuple[frozenset[str], frozenset[str]]:
-    """The atoms and free channel names of `p`, kept on `p` alone.
-
-    One walk over the distinct nodes below `p` reads the names in their
-    fields and the sets kept on nodes queried before, so a spine of
-    distinct channels keeps one set, not one per level.  A kept set that
-    already holds everything is shared.
-    """
-    facts = _facts_of(p)
-    if len(facts) > 3:
-        return facts[3:]
-    atoms: set[str] = set()
-    names: set[str] = set()
-    kept_atoms = kept_names = _EMPTY
+    negative, kept = False, [_EMPTY] * 3
+    constructs, atoms, names = sets = (set(), set(), set())
     seen = {p}
     todo = [p]
     while todo:
         x = todo.pop()
-        if len(x._facts) > 3:
-            _, _, _, a, n = x._facts
-            atoms |= a
-            names |= n
-            kept_atoms, kept_names = max(kept_atoms, a, key=len), max(kept_names, n, key=len)
+        facts = getattr(x, "_facts", None)
+        if facts is not None:
+            negative = negative or facts[0]
+            for s, k in zip(sets, facts[1:]):
+                s |= k
+            kept = [max(pair, key=len) for pair in zip(kept, facts[1:])]
             continue
+        constructs.add(type(x).__name__)
         for y, kind in zip(x._values(x), x._kinds):
             if kind is PROC:
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)
-            elif kind is CHANS:
-                names.update([c.text for c in y if type(c) is Name])
-            elif type(y) is Name:
-                names.add(y.text)
-            elif type(y) is Atom:
-                atoms.add(y.text)
+                continue
+            for z in y if kind is CHANS else (y,):
+                if type(z) is Name:
+                    names.add(z.text)
+                elif type(z) is Atom:
+                    atoms.add(z.text)
+                elif z.index < 0:
+                    negative = True
     # a kept set as large as the union is the union
-    sets = tuple(k if len(k) == len(s) else frozenset(s) for k, s in ((kept_atoms, atoms), (kept_names, names)))
-    _put_facts(p, facts + sets)
-    return sets
+    facts = (negative, *(k if len(k) == len(s) else frozenset(s) for k, s in zip(kept, sets)))
+    _put_facts(p, facts)
+    return facts
 
 
 def well_scoped(p: Process, chan_depth: int = 0, val_depth: int = 0) -> bool:
     """True when every bound index refers to an actual enclosing binder."""
-    val_mask, negative = _facts_of(p)[:2]
-    return not (negative or p._chan_mask >> max(chan_depth, 0) or val_mask >> max(val_depth, 0))
+    negative = _facts_of(p)[0]
+    return not (negative or p._chan_mask >> max(chan_depth, 0) or p._val_mask >> max(val_depth, 0))
 
 
 def is_closed(p: Process) -> bool:
@@ -514,17 +486,17 @@ def is_closed(p: Process) -> bool:
 
 def free_channel_names(p: Process) -> frozenset[str]:
     """Names of all free channels occurring anywhere in the term."""
-    return _sets_of(p)[1]
+    return _facts_of(p)[3]
 
 
 def atoms_used(p: Process) -> frozenset[str]:
     """Atom names mentioned by send payloads anywhere in the term."""
-    return _sets_of(p)[0]
+    return _facts_of(p)[2]
 
 
 def constructs_used(p: Process) -> frozenset[str]:
     """Constructor names occurring in the term, for language-level checks."""
-    return _facts_of(p)[2]
+    return _facts_of(p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -540,11 +512,7 @@ def _map(p: Process, sort: str, f: Callable, names: bool = False) -> Process:
     kept as it is."""
     if not isinstance(p, _Node):
         raise TypeError(f"not a process: {p!r}")
-    if sort is CHAN:
-        mask_of = attrgetter("_chan_mask")
-    else:
-        _facts_of(p)  # and so of every node below
-        mask_of = lambda node: node._facts[0]  # noqa: E731
+    mask_of = attrgetter("_chan_mask" if sort is CHAN else "_val_mask")
     done: dict[tuple[Process, int], Process] = {}
 
     def known(item: tuple[Process, int]) -> Process | None:

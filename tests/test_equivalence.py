@@ -32,7 +32,7 @@ from netproc import (
 from netproc import Atom, ChanVar, Distribute, Name, Send, Stop, equivalence, free_channel_names, fresh_channel_name, instantiate_channel, make_universe
 from netproc.equivalence import _Attacker, _BoundHit, _Prover, _canon, _fire, _reduce
 from netproc.normalform import compose_parallel, parallel_components, term_key
-from netproc.semantics import DEFAULT_UNIVERSE, Mode, WeakClosure, sorted_steps, _step
+from netproc.semantics import DEFAULT_UNIVERSE, Mode, WeakClosure, _step, step_order
 from helpers import count_fills, random_comm, random_pi
 
 # ---------------------------------------------------------------------------
@@ -648,7 +648,7 @@ class _FilteringAttacker(_Attacker):
             raise _BoundHit("node-budget")
         result = None
         for side, chal, resp in (("left", l, r), ("right", r, l)):
-            for a, t in sorted_steps(chal, self.universe):
+            for a, t in sorted(_step(chal, self.universe), key=step_order):
                 tn = self._norm(t)
                 replies = self._replies(resp, a)
                 if not replies:
@@ -690,7 +690,7 @@ def _play(cls, l, r, weak, tau_bound, normalize, max_depth, budget=300):
 def _assert_table_matches_filtering(attacker):
     table = attacker.moves
     for p, moves in table.items():
-        assert moves == [(a, t if table.raw else normalize(t)) for a, t in sorted_steps(p, DEFAULT_UNIVERSE)]
+        assert moves == [(a, t if table.raw else normalize(t)) for a, t in sorted(_step(p, DEFAULT_UNIVERSE), key=step_order)]
     closure = table.closure
     fresh = None if closure is None else WeakClosure(DEFAULT_UNIVERSE, closure.bound)
     reference = _FilteringAttacker(DEFAULT_UNIVERSE, fresh, 0, normalize_states=not table.raw)
@@ -750,7 +750,7 @@ def test_replies_are_distinct_after_normalization():
     # both receives leave `a?x.b!x | b!m0` once normalized
     p = normalize(parse("a?x.(0 | b!x) | a?y.(b!y | 0)"))
     attacker = _Attacker(DEFAULT_UNIVERSE, None, 10)
-    receive = next(a for a, _ in sorted_steps(p, DEFAULT_UNIVERSE))
+    receive = next(a for a, _ in sorted(_step(p, DEFAULT_UNIVERSE), key=step_order))
     assert attacker._replies(p, receive) == [normalize(parse("a?x.b!x | b!m0"))]
 
 
@@ -758,7 +758,7 @@ def test_every_reply_lookup_reports_truncation():
     p = parse("dup a | a!m0")
     attacker = _Attacker(DEFAULT_UNIVERSE, WeakClosure(DEFAULT_UNIVERSE, 1), 10)
     assert attacker.moves.closure.steps(p)[1]
-    action = next(a for a, _ in sorted_steps(p, DEFAULT_UNIVERSE))
+    action = next(a for a, _ in sorted(_step(p, DEFAULT_UNIVERSE), key=step_order))
     attacker._replies(p, action)
     assert attacker.tainted
     attacker.tainted = False

@@ -3,8 +3,9 @@ the same object.
 
 The reference sort key below is the recursive definition the stored
 `term_key` must reproduce exactly; it is kept here, independent of the
-per-node cache.  Likewise the reference channel mask walks the term with
-the substitution traversal, independent of the mask stored on each node.
+per-node cache.  Likewise the reference channel and value masks walk the
+term with the substitution traversal, independent of the masks stored on
+each node.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from netproc import (
 from netproc import terms
 from netproc.semantics import action_key
 
-from helpers import random_comm, random_pi
+from helpers import random_comm, random_open, random_pi
 
 a, b = Name("a"), Name("b")
 m0 = Atom("m0")
@@ -271,7 +272,7 @@ _depths = st.integers(min_value=0, max_value=3)
 
 
 def _build(kind: str, seed: int, depth: int):
-    gen = random_pi if kind == "pi" else random_comm
+    gen = {"pi": random_pi, "comm": random_comm, "open": random_open}[kind]
     return gen(random.Random(seed), depth)
 
 
@@ -330,6 +331,43 @@ def test_channel_mask_of_each_constructor():
     assert Restrict(Send(c0, m0))._chan_mask == 0
     assert Distribute(c1, [a, c2, c1])._chan_mask == 0b110
     assert Send(ChanVar(-1), m0)._chan_mask == 0
+
+
+def reference_val_mask(p) -> int:
+    """Bound-value indices dangling at the top of `p`, as a bitmask."""
+    used: set[int] = set()
+
+    def record(v, d):
+        if isinstance(v, ValVar) and v.index - d >= 0:
+            used.add(v.index - d)
+        return v
+
+    terms._map(p, terms.VAL, record, names=True)
+    return sum(1 << i for i in used)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["pi", "comm", "open"]), st.integers(min_value=0, max_value=10**6), st.integers(0, 4))
+def test_stored_value_mask_matches_reference(kind, seed, depth):
+    # subterms include bodies under one or more receives, where bound
+    # value indices dangle
+    for sub in subterms(_build(kind, seed, depth)):
+        assert sub._val_mask == reference_val_mask(sub)
+
+
+def test_value_mask_of_each_constructor():
+    v0, v1, v2 = ValVar(0), ValVar(1), ValVar(2)
+    assert STOP._val_mask == 0
+    assert Send(a, v2)._val_mask == 0b100
+    assert Send(ChanVar(3), m0)._val_mask == 0
+    assert Receive(a, Send(a, v0))._val_mask == 0
+    assert Receive(a, Parallel(Send(a, v0), Send(b, v2)))._val_mask == 0b10
+    assert RepeatReceive(ChanVar(1), Send(a, v2))._val_mask == 0b10
+    assert Parallel(Send(a, v0), Send(b, v2))._val_mask == 0b101
+    assert Restrict(Send(ChanVar(0), v1))._val_mask == 0b10
+    assert Distribute(ChanVar(1), [a, ChanVar(2)])._val_mask == 0
+    assert Send(a, ValVar(-1))._val_mask == 0
+    assert Receive(a, Send(a, ValVar(-1)))._val_mask == 0
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,25 @@ def test_scope_errors_for_cross_sort_use():
     assert "no mobility" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "term, message",
+    [
+        # once printed as `new t. t!m0`, a different and closed term
+        (Restrict(Send(ChanVar(1), Atom("m0"))), "channel index 1"),
+        # once printed as `a?x. b!x`
+        (Receive(Name("a"), Send(Name("b"), ValVar(1))), "value index 1"),
+        (Send(ChanVar(0), Atom("m0")), "channel index 0"),
+        (Parallel(Restrict(Send(ChanVar(0), Atom("m0"))), Send(Name("a"), ValVar(0))), "value index 0"),
+        (Restrict(Send(ChanVar(-1), Atom("m0"))), "channel index -1"),
+        (Receive(Name("a"), Send(Name("b"), ValVar(-1))), "value index -1"),
+        (Distribute(Name("a"), [Name("b"), ChanVar(2)]), "channel index 2"),
+    ],
+)
+def test_pretty_rejects_a_dangling_index(term, message):
+    with pytest.raises(ScopeError, match=f"{message} refers to no enclosing binder"):
+        pretty(term)
+
+
 def test_keywords_are_not_identifiers():
     with pytest.raises(ParseError):
         parse("new!m0")

@@ -522,9 +522,23 @@ def test_name_sets_are_kept_only_on_queried_nodes():
     inner = spine.right.right
     assert free_channel_names(inner) == {f"spine{i}" for i in range(2, 50)}
     assert atoms_used(spine) == {f"v{i}" for i in range(50)}
-    kept = [p for p in subterms(spine) if len(p._facts) > 3]
-    assert kept == [spine, inner]
-    assert is_closed(spine) and len(spine.right._facts) == 3
+    assert is_closed(spine.right)
+    kept = [p for p in subterms(spine) if hasattr(p, "_facts")]
+    assert kept == [spine, spine.right, inner]
+
+
+def test_receiving_keeps_no_facts_on_the_body():
+    # value masks are set when a node is built, so substituting a received
+    # value walks the body for no fact; every node here is one no other
+    # test builds, so no other query has kept facts on it
+    p = parse("kf_a?x. (kf_b!x | new t. (t!kf_m | kf_c?y. kf_d!y | t?w. kf_f!x) | kf_a?*z. kf_e!z)")
+    body = p.body
+    assert not any(hasattr(x, "_facts") for x in subterms(body))
+    target = instantiate_value(body, Atom("m0"))
+    steps = semantics._step(p, make_universe("m0", "m1"))
+    assert target in {t for _, t in steps}
+    assert not any(hasattr(x, "_facts") for x in subterms(body))
+    assert not any(hasattr(x, "_facts") for _, t in steps for x in subterms(t))
 
 
 # ---------------------------------------------------------------------------
