@@ -224,7 +224,10 @@ def _budget(text: str) -> int:
 
 def _state_budget(text: str) -> int:
     """A state bound: a positive integer, as the start state always counts."""
-    value = _budget(text)
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected at least 1 state, got {text!r}")
     return value

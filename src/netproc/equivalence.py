@@ -77,6 +77,7 @@ from .semantics import (
     Moves,
     Universe,
     WeakClosure,
+    action_key,
     check_mode,
     effective_universe,
     _step,
@@ -401,7 +402,10 @@ class _Attacker:
     attacker reads each state's moves from one `Moves` table, kept for
     the one check it plays.  Its states are normalized unless
     `normalize_states` is off.  Every reply lookup, first or not, ORs the
-    table's truncation flag into `tainted`.
+    table's truncation flag into `tainted`.  The strong game's last ply
+    of each round, depth 1, reads the table's action grain,
+    `moves.actions`, and fills no row unless it finds a refutation; the
+    weak game's keeps the full loop, as each reply lookup may taint.
     """
 
     def __init__(
@@ -431,6 +435,19 @@ class _Attacker:
                 return trace
         return None
 
+    def _last_ply(self, l: Process, r: Process) -> tuple[TraceStep, ...] | None:
+        """The strong game at depth 1, where only the action sets count: the
+        least action by `action_key` that one side has and the other lacks,
+        left side first, with the challenger's first step on it, which is
+        the step the full loop stops at.  Only that challenger's row fills."""
+        moves = self.moves
+        la, ra = moves.actions(l), moves.actions(r)
+        for side, chal, missing in (("left", l, la - ra), ("right", r, ra - la)):
+            if missing:
+                a = min(missing, key=action_key)
+                return (TraceStep(side, a, next(t for b, t in moves[chal] if b is a), None),)
+        return None
+
     def _attack(self, l: Process, r: Process, depth: int) -> tuple[TraceStep, ...] | None:
         if depth == 0:
             return None
@@ -440,6 +457,9 @@ class _Attacker:
         self.nodes += 1
         if self.nodes > self.budget:
             raise _BoundHit("node-budget")
+        if depth == 1 and self.moves.closure is None:
+            self.memo[key] = self._last_ply(l, r)
+            return self.memo[key]
         result: tuple[TraceStep, ...] | None = None
         for side, chal, resp in (("left", l, r), ("right", r, l)):
             for a, tn in self.moves[chal]:

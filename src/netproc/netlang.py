@@ -27,7 +27,6 @@ from .semantics import (
     check_mode,
     effective_universe,
     reachable,
-    _step,
 )
 from .syntax import is_identifier, pretty, pretty_action
 from .terms import (
@@ -312,12 +311,9 @@ def explore(
         if shallowest.get(key, max_depth + 1) <= depth:
             return
         shallowest[key] = depth
-        if depth >= max_depth and state not in moves:
-            # a frontier state is only tested for moves: normalizing its
-            # targets would be wasted work
-            steps = any(_observable(a, suppressed) for a, _ in _step(state, universe))
-        else:
-            steps = moves[state]
+        # a frontier state is only tested for moves: normalizing its targets
+        # would be wasted work
+        steps = moves.actions(state) if depth >= max_depth else moves[state]
         if not steps:
             if key not in completed:
                 completed.add(key)

@@ -45,7 +45,8 @@ target term); every listing, game move and exploration sorts by it.
 The game, its evidence checks, explore, simulate and the CLI's LTS read
 the step relation through a per-call `Moves` table, which puts each
 state's steps into `step_order` once and groups the defender's replies by
-action.
+action; readers that need only a state's actions read them without
+filling its row.
 `reachable` is the breadth-first search behind explore and the CLI's LTS.
 The weak closure `_tau_reach` keeps its own loop: it runs thousands of
 times per weak check, on graphs of a few states, and calling a successor
@@ -312,6 +313,9 @@ class Moves(dict):
     defender's distinct targets per action, in `term_key` order, and
     whether the weak closure truncated them: from `closure.steps(p)` in
     the weak game, from `moves[p]` in the strong one (closure None).
+    `moves.actions(p)` is the action grain, the set of actions of `moves[p]`,
+    worked out with no row filled when `p` has none: the strong attacker's
+    last ply and explore's frontier test read it.
     A table lives as long as the call that builds it.
     """
 
@@ -330,6 +334,16 @@ class Moves(dict):
         out = sorted(steps if self.keep is None else [s for s in steps if self.keep(s[0])], key=step_order)
         out = self[p] = out if self.raw else [(a, normalize(t)) for a, t in out]
         return out
+
+    def actions(self, p: Process) -> set[Action]:
+        """The actions of `p`'s steps that `keep` accepts: read from `p`'s
+        row when it is filled, else from `_step`, no target normalized or
+        sorted and no row filled."""
+        row = self.get(p)
+        if row is not None:
+            return {a for a, _ in row}
+        steps, keep = _step(p, self.universe), self.keep
+        return {a for a, _ in steps} if keep is None else {a for a, _ in steps if keep(a)}
 
     def replies(self, p: Process) -> tuple[dict[Action, list[Process]], bool]:
         hit = self._replies.get(p)

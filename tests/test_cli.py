@@ -352,6 +352,16 @@ def test_one_state_budget_is_accepted():
     assert done.stdout.splitlines()[1] == "states: 1 (truncated)  mode: pi"
 
 
+@pytest.mark.parametrize("command", [["lts", "a!m0"], ["explore", "a -> b", "--inject", "a=m0"]])
+@pytest.mark.parametrize("bound", ["-3", "0", "x"])
+def test_every_refused_state_bound_asks_for_one_state(capsys, command, bound):
+    with pytest.raises(SystemExit) as exit_:
+        main([*command, "--max-states", bound])
+    err = capsys.readouterr().err
+    assert exit_.value.code == 3
+    assert f"argument --max-states: expected at least 1 state, got '{bound}'" in err
+
+
 def wide_and_deep(shape):
     """A pair too wide or too deep for a recursive traversal: a spine of
     10,000 distinct sends against its reverse, or a nest of 2,000

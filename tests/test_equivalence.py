@@ -717,6 +717,9 @@ _GENERATORS = {"pi": random_pi, "comm": random_comm}
 )
 # a state whose steps on one action sort differently once normalized
 @example("comm", 1805, 1, "extended", (False, 0), True, 1)
+# the left side has nine actions the right one lacks; the trace must name
+# the least, tau, which set order need not put first
+@example("comm", 1846, 3, "fresh", (False, 0), True, 1)
 def test_move_table_plays_like_per_call_filtering(kind, seed, depth, shape, game, normalize, max_depth):
     # a fresh right side is mostly told apart at once; a doubled or extended
     # left side keeps the game going for several rounds
@@ -736,14 +739,37 @@ def test_move_table_plays_like_per_call_filtering(kind, seed, depth, shape, game
 def test_move_table_builds_each_states_moves_once(monkeypatch, weak):
     fills = count_fills(monkeypatch)
     l, r = parse("dup a | dup a"), parse("dup a")
-    # normalized states, then raw ones, which grow faster, one round less
-    for normalize_states, depth in ((True, 4), (False, 3)):
+    # normalized states, then raw ones, which grow faster, one round less in
+    # the weak game; the strong game's last round fills no row, so its raw
+    # states play one round more to fill more than 10
+    for normalize_states, depth in ((True, 4), (False, 3 if weak else 4)):
         fills.clear()
         _, (trace, hit, nodes, _) = _play(_Attacker, l, r, weak, 2, normalize_states, depth, budget=2000)
         assert trace is None and hit is None and nodes > 30
         assert len({table for table, _ in fills}) == 1
         assert len(fills) > 10
         assert max(fills.values()) == 1
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_the_strong_last_round_fills_no_row(monkeypatch, weak):
+    # at depth 1 the strong game compares action sets, so a state met only
+    # there is never filled; the weak game's last round still fills it
+    l, r = parse("dup a | dup a"), parse("dup a")
+    fills = count_fills(monkeypatch)
+    attacker, (trace, hit, _, _) = _play(_Attacker, l, r, weak, 2, True, 3)
+    assert trace is None and hit is None
+    met: dict = {}
+    for x, y, depth in attacker.memo:
+        for s in (x, y):
+            met.setdefault(s, set()).add(depth)
+    last_only = {s for s, depths in met.items() if depths == {1}}
+    filled = {p for _, p in fills}
+    assert len(last_only) > 3 and filled
+    if weak:
+        assert last_only <= filled
+    else:
+        assert not last_only & filled
 
 
 def test_replies_are_distinct_after_normalization():
