@@ -135,7 +135,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_laws(args) -> int:
-    only = {part.strip() for part in args.only.split(",") if part.strip()} if args.only else None
+    only = None if args.only is None else {part.strip() for part in args.only.split(",") if part.strip()}
     report = run_laws(only=only, universe=_universe_from(args), max_pairs=args.max_pairs)
     print(format_report(report))
     return 0 if report.passed else 1

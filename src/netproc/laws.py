@@ -23,7 +23,6 @@ from .errors import NetprocError
 from .normalform import term_key
 from .semantics import DEFAULT_UNIVERSE, Mode, Universe
 from .terms import (
-    Atom,
     Distribute,
     Name,
     Parallel,
@@ -98,6 +97,15 @@ def _label(*parts: Process) -> str:
     return text if len(text) <= 72 else text[:69] + "..."
 
 
+def _pair(left: Process, right: Process) -> LawInstance:
+    return LawInstance(_label(left, right), left, right)
+
+
+def _idem(terms: list[Process]) -> list[LawInstance]:
+    """Each term beside a copy of itself, against the term."""
+    return [_pair(Parallel(t, t), t) for t in terms]
+
+
 def _nu2(template, first: Name, second: Name) -> Process:
     """Wrap template(first, second) in two restrictions, `first` outermost."""
     t = template(first, second)
@@ -110,132 +118,79 @@ def law_catalog(universe: Universe = DEFAULT_UNIVERSE) -> tuple[Law, ...]:
     corpus = _corpus(universe)
     a, b, c = Name("a"), Name("b"), Name("c")
     m0 = universe[0]
-    laws: list[Law] = []
-
-    def add(law_id: str, description: str, instances: list[LawInstance], mode: Mode = Mode.EXTENDED) -> None:
-        laws.append(Law(law_id, description, mode, tuple(instances)))
-
-    add(
-        "par-unit-left",
-        "an inert left component can be dropped",
-        [LawInstance(_label(Parallel(STOP, p), p), Parallel(STOP, p), p) for p in corpus],
-    )
-    add(
-        "par-unit-right",
-        "an inert right component can be dropped",
-        [LawInstance(_label(Parallel(p, STOP), p), Parallel(p, STOP), p) for p in corpus],
-    )
-    add(
-        "par-assoc",
-        "parallel composition is associative",
-        [
-            LawInstance(
-                _label(Parallel(Parallel(p, q), r), Parallel(p, Parallel(q, r))),
-                Parallel(Parallel(p, q), r),
-                Parallel(p, Parallel(q, r)),
-            )
-            for p in corpus[:4]
-            for q in corpus[:4]
-            for r in corpus[:4]
-        ],
-    )
-    add(
-        "par-comm",
-        "parallel composition is commutative",
-        [
-            LawInstance(_label(Parallel(p, q), Parallel(q, p)), Parallel(p, q), Parallel(q, p))
-            for p in corpus
-            for q in corpus
-        ],
-    )
-
     h0, h1 = Name("_h0"), Name("_h1")
-    swap_templates = [
+    swaps = [
         lambda x, y: Distribute(x, (y,)),
         lambda x, y: Parallel(Distribute(x, (y,)), Distribute(y, (c,))),
         lambda x, y: Parallel(Send(x, m0), Distribute(y, ())),
     ]
-    add(
-        "restrict-swap",
-        "adjacent restrictions commute",
-        [
-            LawInstance(
-                _label(_nu2(t, h0, h1), _nu2(lambda x, y: t(y, x), h0, h1)),
-                _nu2(t, h0, h1),
-                _nu2(lambda x, y: t(y, x), h0, h1),
-            )
-            for t in swap_templates
-        ],
+    relay = Send(b, ValVar(0))
+    table = [
+        ("par-unit-left", "an inert left component can be dropped", [_pair(Parallel(STOP, p), p) for p in corpus]),
+        ("par-unit-right", "an inert right component can be dropped", [_pair(Parallel(p, STOP), p) for p in corpus]),
+        (
+            "par-assoc",
+            "parallel composition is associative",
+            [
+                _pair(Parallel(Parallel(p, q), r), Parallel(p, Parallel(q, r)))
+                for p in corpus[:4]
+                for q in corpus[:4]
+                for r in corpus[:4]
+            ],
+        ),
+        (
+            "par-comm",
+            "parallel composition is commutative",
+            [_pair(Parallel(p, q), Parallel(q, p)) for p in corpus for q in corpus],
+        ),
+        (
+            "restrict-swap",
+            "adjacent restrictions commute",
+            [_pair(_nu2(t, h0, h1), _nu2(lambda x, y: t(y, x), h0, h1)) for t in swaps],
+        ),
+        (
+            "restrict-unused",
+            "restricting an unused channel is inert",
+            [_pair(Restrict(abstract_channel(p, Name("zz"))), p) for p in corpus],
+        ),
+        (
+            "distributor-idem",
+            "a distributor absorbs a copy of itself",
+            _idem([Distribute(a, ts) for ts in [(), (b,), (b, c), (a, a)]]),
+        ),
+        (
+            "bridge-idem",
+            "a one-hop forwarder absorbs a copy of itself",
+            _idem([Distribute(a, (b,)), Distribute(b, (c,))]),
+        ),
+        (
+            "bibridge-idem",
+            "a two-way forwarder absorbs a copy of itself",
+            _idem([Parallel(Distribute(a, (b,)), Distribute(b, (a,)))]),
+        ),
+        ("loser-idem", "a sink absorbs a copy of itself", _idem([Distribute(a, ())])),
+        ("duplicator-idem", "a duplicator absorbs a copy of itself", _idem([Distribute(c, (c, c))])),
+        (
+            "duploser-idem",
+            "a sink/duplicator pair absorbs a copy of itself",
+            _idem([Parallel(Distribute(a, ()), Distribute(a, (a, a)))]),
+        ),
+        (
+            "repeat-receive-idem",
+            "a repeating receiver absorbs a copy of itself",
+            _idem([RepeatReceive(a, t) for t in [STOP, relay, Parallel(relay, Send(c, ValVar(0))), Send(b, m0)]]),
+        ),
+    ]
+    # the repeating receiver's is the one law of the base calculus
+    return tuple(
+        Law(law_id, text, Mode.PI if law_id == "repeat-receive-idem" else Mode.EXTENDED, tuple(instances))
+        for law_id, text, instances in table
     )
-    add(
-        "restrict-unused",
-        "restricting an unused channel is inert",
-        [
-            LawInstance(
-                _label(Restrict(abstract_channel(p, Name("zz"))), p),
-                Restrict(abstract_channel(p, Name("zz"))),
-                p,
-            )
-            for p in corpus
-        ],
-    )
-
-    def idem(law_id: str, description: str, terms: list[Process], mode: Mode = Mode.EXTENDED) -> None:
-        laws.append(
-            Law(
-                law_id,
-                description,
-                mode,
-                tuple(
-                    LawInstance(_label(Parallel(t, t), t), Parallel(t, t), t) for t in terms
-                ),
-            )
-        )
-
-    idem(
-        "distributor-idem",
-        "a distributor absorbs a copy of itself",
-        [Distribute(a, ts) for ts in [(), (b,), (b, c), (a, a)]],
-    )
-    idem("bridge-idem", "a one-hop forwarder absorbs a copy of itself", [Distribute(a, (b,)), Distribute(b, (c,))])
-    idem(
-        "bibridge-idem",
-        "a two-way forwarder absorbs a copy of itself",
-        [Parallel(Distribute(a, (b,)), Distribute(b, (a,)))],
-    )
-    idem("loser-idem", "a sink absorbs a copy of itself", [Distribute(a, ())])
-    idem("duplicator-idem", "a duplicator absorbs a copy of itself", [Distribute(c, (c, c))])
-    idem(
-        "duploser-idem",
-        "a sink/duplicator pair absorbs a copy of itself",
-        [Parallel(Distribute(a, ()), Distribute(a, (a, a)))],
-    )
-    idem(
-        "repeat-receive-idem",
-        "a repeating receiver absorbs a copy of itself",
-        [
-            RepeatReceive(a, body)
-            for body in [
-                STOP,
-                Send(b, ValVar(0)),
-                Parallel(Send(b, ValVar(0)), Send(c, ValVar(0))),
-                Send(b, m0),
-            ]
-        ],
-        mode=Mode.PI,
-    )
-    return tuple(laws)
 
 
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
-
-
-def _run_instance(inst: LawInstance, law: Law, universe: Universe, max_pairs: int) -> LawRow:
-    res = check_strong(inst.left, inst.right, FULL_UPTO, max_pairs, universe=universe, mode=law.mode)
-    return LawRow(law.law_id, inst.label, res.verdict, res.pairs_explored, res.verdict is Verdict.PROVEN)
-
 
 # ids of the rows run_laws derives from the proven pool, after the catalog
 _CONDITIONAL_IDS = (
@@ -256,8 +211,9 @@ def run_laws(
     """Check every law instance; conditional laws consume the proven pool.
 
     The report row order is deterministic, as is the premise sampling.
-    `only` selects law ids; an id that names no law raises NetprocError,
-    so a misspelt id is never skipped silently.  A selected conditional
+    `only` selects law ids; an empty selection, or an id that names no
+    law, raises NetprocError, so a misspelt id is never skipped silently
+    and a run that checks nothing never passes.  A selected conditional
     law gets the rows it has in a full run: the laws it draws its premises
     from run too, and only the selected rows, and their proofs, are
     reported.
@@ -265,6 +221,8 @@ def run_laws(
     catalog = law_catalog(universe)
     run = None if only is None else set(only)
     if run is not None:
+        if not run:
+            raise NetprocError("no law id selected")
         unknown = run.difference(law.law_id for law in catalog).difference(_CONDITIONAL_IDS)
         if unknown:
             raise NetprocError(f"unknown law id(s): {', '.join(sorted(unknown))}")
@@ -280,116 +238,69 @@ def run_laws(
     def wanted(law_id: str) -> bool:
         return run is None or law_id in run
 
+    def check(left: Process, right: Process, mode: Mode, weak: bool) -> CheckResult:
+        if weak:
+            return check_weak(left, right, 6, max_pairs, universe=universe, mode=mode)
+        return check_strong(left, right, FULL_UPTO, max_pairs, universe=universe, mode=mode)
+
+    def row(law_id: str, label: str, verdict: Verdict, pairs: int, ok: bool, proof: tuple | None = None) -> None:
+        report.rows.append(LawRow(law_id, label, verdict, pairs, ok))
+        report.passed &= ok
+        if ok and proof is not None:
+            report.proven.append(proof)
+            proven_by.append(law_id)
+
+    def prove(law_id: str, left: Process, right: Process, mode: Mode, weak: bool = False, label: str = "") -> None:
+        """One check, one row; a strong proof joins the pool."""
+        res = check(left, right, mode, weak)
+        ok = res.verdict is Verdict.PROVEN
+        proof = None if weak else (left, right, mode)
+        row(law_id, label or _label(left, right), res.verdict, res.pairs_explored, ok, proof)
+
+    def restriction(law_id: str, entries: list[tuple[Process, Process, Mode]], weak: bool) -> None:
+        """The channel-family congruence: a premise at a fresh channel in
+        place of the first free one, the conclusion under a restriction
+        binding that channel."""
+        for p1, p2, m in entries:
+            free = sorted(free_channel_names(p1) | free_channel_names(p2))
+            target = free[0] if free else "zz"
+            fresh = fresh_channel_name(set(free), base="pc")
+            premise = check(rename_free_channel(p1, target, fresh), rename_free_channel(p2, target, fresh), m, weak)
+            left, right = (Restrict(abstract_channel(p, Name(target))) for p in (p1, p2))
+            conclusion = check(left, right, m, weak)
+            ok = premise.verdict is Verdict.PROVEN and conclusion.verdict is Verdict.PROVEN
+            pairs = premise.pairs_explored + conclusion.pairs_explored
+            row(law_id, _label(left, right), conclusion.verdict, pairs, ok)
+
     for law in catalog:
-        if not wanted(law.law_id):
-            continue
-        for inst in law.instances:
-            row = _run_instance(inst, law, universe, max_pairs)
-            report.rows.append(row)
-            report.passed &= row.ok
-            if row.ok:
-                report.proven.append((inst.left, inst.right, law.mode))
-                proven_by.append(law.law_id)
+        if wanted(law.law_id):
+            for inst in law.instances:
+                prove(law.law_id, inst.left, inst.right, law.mode, label=inst.label)
 
     rng = random.Random(seed)
-    pool = [entry for entry in report.proven if entry[2] is Mode.EXTENDED]
-    pool.sort(key=lambda e: (term_key(e[0]), term_key(e[1])))
-
-    def sample_pairs(n: int) -> list[tuple[tuple[Process, Process, Mode], tuple[Process, Process, Mode]]]:
-        if len(pool) < 2:
-            return []
-        return [(pool[rng.randrange(len(pool))], pool[rng.randrange(len(pool))]) for _ in range(n)]
-
-    if wanted("par-congruence"):
-        for (p1, p2, m), (q1, q2, _) in sample_pairs(25):
-            left, right = Parallel(p1, q1), Parallel(p2, q2)
-            inst = LawInstance(_label(left, right), left, right)
-            res = check_strong(inst.left, inst.right, FULL_UPTO, max_pairs, universe=universe, mode=m)
-            ok = res.verdict is Verdict.PROVEN
-            report.rows.append(LawRow("par-congruence", inst.label, res.verdict, res.pairs_explored, ok))
-            report.passed &= ok
-            if ok:
-                report.proven.append((inst.left, inst.right, m))
-                proven_by.append("par-congruence")
-
-    if wanted("restrict-congruence"):
-        for p1, p2, m in (pool[i % len(pool)] for i in range(0, 25)) if pool else ():
-            conclusion_ok, row = _restriction_probe(p1, p2, m, universe, max_pairs, "restrict-congruence", weak=False)
-            report.rows.append(row)
-            report.passed &= conclusion_ok
-
-    weak_pool = pool[:8]
+    pool = sorted((e for e in report.proven if e[2] is Mode.EXTENDED), key=lambda e: (term_key(e[0]), term_key(e[1])))
+    if wanted("par-congruence") and len(pool) >= 2:
+        for _ in range(25):
+            (p1, p2, m), (q1, q2, _) = pool[rng.randrange(len(pool))], pool[rng.randrange(len(pool))]
+            prove("par-congruence", Parallel(p1, q1), Parallel(p2, q2), m)
+    if wanted("restrict-congruence") and pool:
+        restriction("restrict-congruence", [pool[i % len(pool)] for i in range(25)], weak=False)
     if wanted("par-congruence-weak"):
-        for i in range(len(weak_pool) // 2):
-            p1, p2, m = weak_pool[2 * i]
-            q1, q2, _ = weak_pool[2 * i + 1]
-            inst_left, inst_right = Parallel(p1, q1), Parallel(p2, q2)
-            res = check_weak(inst_left, inst_right, 6, max_pairs, universe=universe, mode=m)
-            ok = res.verdict is Verdict.PROVEN
-            report.rows.append(
-                LawRow("par-congruence-weak", _label(inst_left, inst_right), res.verdict, res.pairs_explored, ok)
-            )
-            report.passed &= ok
-
+        for (p1, p2, m), (q1, q2, _) in zip(pool[0:8:2], pool[1:8:2]):
+            prove("par-congruence-weak", Parallel(p1, q1), Parallel(p2, q2), m, weak=True)
     if wanted("restrict-congruence-weak"):
-        for p1, p2, m in weak_pool[:4]:
-            conclusion_ok, row = _restriction_probe(p1, p2, m, universe, max_pairs, "restrict-congruence-weak", weak=True)
-            report.rows.append(row)
-            report.passed &= conclusion_ok
-
+        restriction("restrict-congruence-weak", pool[:4], weak=True)
     if wanted("strong-implies-weak"):
-        strong_pool = [e for e in report.proven]
-        failures = 0
-        for p1, p2, m in strong_pool:
-            res = check_weak(p1, p2, 6, max_pairs, universe=universe, mode=m)
-            if res.verdict is not Verdict.PROVEN:
-                failures += 1
-        ok = failures == 0
-        report.rows.append(
-            LawRow(
-                "strong-implies-weak",
-                f"{len(strong_pool)} strongly proven pairs re-proven weakly",
-                Verdict.PROVEN if ok else Verdict.INCONCLUSIVE,
-                len(strong_pool),
-                ok,
-            )
-        )
-        report.passed &= ok
+        n = len(report.proven)
+        ok = all(check(*proof, weak=True).verdict is Verdict.PROVEN for proof in report.proven)
+        label = f"{n} strongly proven pairs re-proven weakly"
+        row("strong-implies-weak", label, Verdict.PROVEN if ok else Verdict.INCONCLUSIVE, n, ok)
 
     if only is not None:
-        report.rows = [row for row in report.rows if row.law_id in only]
-        report.passed = all(row.ok for row in report.rows)
+        report.rows = [r for r in report.rows if r.law_id in only]
+        report.passed = all(r.ok for r in report.rows)
         report.proven = [e for e, law_id in zip(report.proven, proven_by) if law_id in only]
     return report
-
-
-def _restriction_probe(
-    p1: Process,
-    p2: Process,
-    mode: Mode,
-    universe: Universe,
-    max_pairs: int,
-    law_id: str,
-    weak: bool,
-) -> tuple[bool, LawRow]:
-    """Check the channel-family congruence: premises at the original and a
-    fresh channel, conclusion under a restriction binding that channel."""
-    free = sorted(free_channel_names(p1) | free_channel_names(p2))
-    target = free[0] if free else "zz"
-    fresh = fresh_channel_name(set(free), base="pc")
-
-    def check(l: Process, r: Process) -> CheckResult:
-        if weak:
-            return check_weak(l, r, 6, max_pairs, universe=universe, mode=mode)
-        return check_strong(l, r, FULL_UPTO, max_pairs, universe=universe, mode=mode)
-
-    premise = check(rename_free_channel(p1, target, fresh), rename_free_channel(p2, target, fresh))
-    left = Restrict(abstract_channel(p1, Name(target)))
-    right = Restrict(abstract_channel(p2, Name(target)))
-    conclusion = check(left, right)
-    ok = premise.verdict is Verdict.PROVEN and conclusion.verdict is Verdict.PROVEN
-    pairs = premise.pairs_explored + conclusion.pairs_explored
-    return ok, LawRow(law_id, _label(left, right), conclusion.verdict, pairs, ok)
 
 
 def format_report(report: LawReport) -> str:

@@ -47,17 +47,18 @@ the step relation through a per-call `Moves` table, which puts each
 state's steps into `step_order` once and groups the defender's replies by
 action; readers that need only a state's actions read them without
 filling its row.
-`reachable` is the breadth-first search behind explore and the CLI's LTS.
-The weak closure `_tau_reach` keeps its own loop: it runs thousands of
-times per weak check, on graphs of a few states, and calling a successor
-function per state there made weak checks several percent slower.  A
-`WeakClosure` remembers `_tau_reach` and `weak_steps` by state for one
+`reachable` is the one breadth-first search: explore's census, the CLI's
+LTS and the weak closure run on it.  `_tau_reach` is one call of it over
+the internal steps, one step deeper than the bound: a state found past
+the bound is one the closure left out.
+A `WeakClosure` remembers `_tau_reach` and `weak_steps` by state for one
 check (one universe, one bound); a check builds one and drops it when it
 returns, so nothing it remembers outlives the check.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Union
@@ -456,36 +457,18 @@ def _complementary(a1: Action, a2: Action) -> bool:
 
 
 def _tau_reach(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Process], bool]:
-    """States reachable by at most `bound` internal steps, normalized.
+    """States reachable by at most `bound` internal steps, normalized (a
+    negative bound counts as 0).
 
-    Returns the visited set and whether the frontier was still growing
-    when the bound was hit.
+    Returns the visited set and whether a state one more internal step
+    away was left out.
     """
-    # an inline loop, not `reachable`: this runs thousands of times per
-    # weak check, where a successor call per state cost several percent
-    start = normalize(p)
-    visited = {start}
-    frontier = [start]
-    for _ in range(bound):
-        nxt = []
-        for s in frontier:
-            for a, t in _step(s, universe):
-                if a is TAU:
-                    n = normalize(t)
-                    if n not in visited:
-                        visited.add(n)
-                        nxt.append(n)
-        if not nxt:
-            return frozenset(visited), False
-        frontier = nxt
-    # look for an escape in a fixed order, the frontier's states and their
-    # τ-targets by term_key, so that the work done before the first one is
-    # found does not depend on set order, which changes between processes
-    for s in sorted(frontier, key=term_key):
-        for t in sorted([t for a, t in _step(s, universe) if a is TAU], key=term_key):
-            if normalize(t) not in visited:
-                return frozenset(visited), True
-    return frozenset(visited), False
+    bound = max(bound, 0)
+    depth, _ = reachable(
+        normalize(p), lambda s: [normalize(t) for a, t in _step(s, universe) if a is TAU], sys.maxsize, bound + 1
+    )
+    visited = frozenset(s for s, d in depth.items() if d <= bound)
+    return visited, len(visited) < len(depth)
 
 
 def tau_closure(
@@ -617,14 +600,14 @@ def reachable(
     successors: Callable[[Process], Iterable[Process]],
     max_states: int,
     max_depth: int | None = None,
-) -> tuple[list[Process], bool]:
+) -> tuple[dict[Process, int], bool]:
     """Breadth-first search from `start`, expanding states fewer than
     `max_depth` steps away (all of them when None).
 
-    Returns the states found, in discovery order, and whether a new state
-    was left out because `max_states` were already found.  The start state
-    is always found, so the search keeps at least one state whatever
-    `max_states` is.
+    Returns each state found with its distance from `start`, in discovery
+    order, and whether a new state was left out because `max_states` were
+    already found.  The start state is always found, so the search keeps
+    at least one state whatever `max_states` is.
     """
     depth = {start: 0}
     order = [start]
@@ -640,4 +623,4 @@ def reachable(
                 continue
             depth[t] = depth[s] + 1
             order.append(t)
-    return order, cut
+    return depth, cut

@@ -431,6 +431,14 @@ def test_witness_file_is_only_touched_when_a_witness_is_written(capsys, tmp_path
     assert target.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("only", ["", ",", " , "])
+def test_laws_only_that_selects_no_law_exits_three(only):
+    done = run_module("netproc", "laws", "--only", only)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "error: NetprocError: no law id selected\n"
+
+
 @pytest.mark.parametrize("only", ["nosuch", "par-comm,nosuch"])
 def test_unknown_law_id_exits_three(only):
     done = run_module("netproc", "laws", "--only", only)

@@ -49,6 +49,8 @@ CASES: dict[str, list[str]] = {
     "explore-query-unsatisfied": ["explore", RELAY, "--inject", "s=m0", "--query", "total >= 2"],
     "simulate-relay": ["simulate", RELAY, "--inject", "s=m0", "--seed", "3"],
     "laws-only": ["laws", "--only", "par-comm,restrict-swap"],
+    "laws-full": ["laws"],
+    "laws-three-values": ["--values", "m0,m1,m2", "laws"],
     "bad-parse": ["transitions", "a!m0 |"],
     "bad-mode": ["check", "a ? x. 0 | a -> b", "0"],
     "bad-max-states": ["lts", "a!m0", "--max-states", "0"],

@@ -74,6 +74,13 @@ def test_only_rejects_ids_that_name_no_law():
         run_laws(only={"par-comm", "zz", "nope"})
 
 
+@pytest.mark.parametrize("only", [set(), frozenset(), []])
+def test_only_that_selects_no_law_is_refused(only):
+    # a run that checks nothing must not report a pass
+    with pytest.raises(NetprocError, match="no law id selected"):
+        run_laws(only=only)
+
+
 def test_only_accepts_conditional_law_ids(report):
     # a selected conditional law draws on the laws it needs and reports
     # exactly its rows of the full run, in their order

@@ -286,6 +286,38 @@ def test_tau_closure_exact_mode_raises_when_truncated():
         tau_closure(parse("a!m0 | dup a"), universe=UNI, bound=2, exact=True)
 
 
+def reference_tau_reach(p, universe, bound):
+    """`_tau_reach` as a level-by-level search: the levels up to `bound`
+    (at least the start's), and whether the next level has a new state."""
+    level = {normalize(p)}
+    seen = set(level)
+    for _ in range(bound):
+        level = {normalize(t) for s in level for a, t in _step(s, universe) if a is TAU} - seen
+        seen |= level
+    beyond = {normalize(t) for s in level for a, t in _step(s, universe) if a is TAU} - seen
+    return frozenset(seen), bool(beyond)
+
+
+HOPS = 3
+# a message relayed over HOPS hidden hops: one state per hop, at depth i
+HIDDEN_CHAIN = "".join(f"new c{i}. " for i in range(HOPS + 1)) + "(c0!m0 | " + " | ".join(
+    f"c{i} -> c{i + 1}" for i in range(HOPS)
+) + ")"
+
+
+@pytest.mark.parametrize("bound", range(-1, HOPS + 2))
+def test_tau_reach_is_cut_exactly_at_the_bound(bound):
+    chain, still = parse(HIDDEN_CHAIN), parse("a!m0 | b -> c")
+    for p in (chain, still):
+        assert _tau_reach(p, UNI, bound) == reference_tau_reach(p, UNI, bound)
+    # a negative bound counts as 0: the start state, cut short when it
+    # has an internal step
+    states, truncated = _tau_reach(chain, UNI, bound)
+    assert len(states) == min(max(bound, 0), HOPS) + 1
+    assert truncated == (bound < HOPS)
+    assert _tau_reach(still, UNI, bound) == (frozenset({normalize(still)}), False)
+
+
 def test_weak_actions_include_padded_output():
     p = parse("a!m0 | a -> b")
     acts = sorted({pretty_action(t.action) for t in weak_transitions(p, universe=UNI)})
