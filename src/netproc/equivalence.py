@@ -53,7 +53,7 @@ as `t => [t, t]`, would double it on every reduced pair.  The strong game
 and PLAIN fire nothing, since a τ-step is visible to the strong game.
 `audit_witness` re-derives every firing with code of its own: it opens
 the binders with fresh names where `_fire` counts de Bruijn indices, and
-requires each delivery to be a τ-step of `_step`.
+requires each delivery to be a τ-step of the step relation.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from .normalform import (
     term_key,
 )
 from .semantics import (
-    TAU,
     Action,
     Mode,
     Moves,
@@ -80,7 +79,8 @@ from .semantics import (
     action_key,
     check_mode,
     effective_universe,
-    _step,
+    _entry,
+    _is_tau,
 )
 from .terms import (
     ChanVar,
@@ -641,7 +641,8 @@ def _delivered(p: Process, uni: Universe) -> Process | None:
     It opens each top-level restriction run with fresh names, checks each
     name's one consumer by walking every node, and fires one pending send
     at a time, in the rounds and binder order `_fire` uses.  Each delivery
-    must be a τ-step of the run under `_step`; None when one is not.
+    must be a τ-step of the run under the step relation; None when one
+    is not.
     """
     p = normalize(p)
     taken = set(free_channel_names(p))
@@ -676,7 +677,7 @@ def _delivered(p: Process, uni: Universe) -> Process | None:
                     after = list(parts)
                     after.remove(send)
                     after += [Send(t, send.payload) for t in row]
-                    taus = {normalize(t) for a, t in _step(_closed(parts, names), uni) if a is TAU}
+                    taus = {normalize(t) for _, t in _entry(_closed(parts, names), uni).kept(_is_tau)}
                     if normalize(_closed(after, names)) not in taus:
                         return None
                     parts, progress = after, True

@@ -15,7 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ArityError, DistinctnessError, ParseError, ScopeError
+from .errors import ArityError, DistinctnessError, NetprocError, ParseError, ScopeError
 from .normalform import normalize
 from .semantics import (
     Action,
@@ -255,10 +255,13 @@ def explore(
     to (state, deliveries-so-far) equivalence; a run that revisits such a
     configuration is divergent.  `max_states` bounds the states counted by
     `reachable`; the start state always counts, so at least one state is
-    found whatever the bound.
+    found whatever the bound.  A negative `max_depth` is refused.
     """
     if not is_closed(p):
         raise ScopeError("explore needs a closed process")
+    if max_depth < 0:
+        # the start would count as reached already, and no path be walked
+        raise NetprocError(f"max_depth must be a non-negative integer, got {max_depth}")
     start_raw, pairs, suppressed = _inject(p, inputs)
     check_mode(mode, start_raw)
     universe = effective_universe(universe, start_raw)

@@ -21,20 +21,22 @@ channel renaming and channels are never payloads, so each target is the
 same interned node the fresh-name round trip builds.  Tests cross-check
 the two rules against each other.
 
-The step table `_STEP_CACHE` fills a term's entry from its parts'
-entries, a `Parallel` from its operands' and a `Restrict` from its
-body's, so each steps once however many terms share it.  An entry keeps
-the built steps: the τs and the actions on a free channel (`Name`).  A
-step on a bound channel (`ChanVar`) is kept apart as a recipe: its action
-and where its target comes from (a step of the left or the right operand,
-of the body, or a leaf's built target).  In a closed term such a step
-only matters as one half of a τ, since its binder drops it, so a
-`Restrict` drops the recipes on its own channel and shifts the rest
-without building anything, and a `Parallel` builds the targets of two
-recipes, down the chain and back up in a loop, only when they make a τ.
-An entry with no recipe, which is every closed term's, is the frozenset
-of its steps, and `_step` returns it as it is; `_step` of an open term
-adds its bound steps, built on each request.
+The step table `_STEP_CACHE` holds one entry per (term, universe),
+filled from its parts' entries, a `Parallel` from its operands' and a
+`Restrict` from its body's, so each term steps once however many terms
+share it.  An entry lists the term's step actions and, per step, a recipe
+and a target slot.  A leaf's targets are built with its entry; every
+other step is lifted from a step of the left operand, the right operand
+or the body, or is a τ made of one step of each operand.  τ partners are
+found through an index of the right operand's steps by (channel,
+payload), for free and bound channels alike, and a `Restrict` drops the
+steps on its own channel and shifts the rest, so an entry is filled
+without building any target.  A slot is filled on first read, by a loop
+down the recipes and back up, and kept.  Every reader builds only the
+targets it keeps: the move table those its `keep` accepts, the action
+grain none, the τ closure the τs and the weak closure the visible steps.
+`_step` returns the frozenset of all the steps, built on its first call
+and kept in the entry.
 
 Actions are interned in `terms`' table, as terms are: equal actions are
 the same object, hashed and compared by identity, and each stores its
@@ -45,8 +47,8 @@ target term); every listing, game move and exploration sorts by it.
 The game, its evidence checks, explore, simulate and the CLI's LTS read
 the step relation through a per-call `Moves` table, which puts each
 state's steps into `step_order` once and groups the defender's replies by
-action; readers that need only a state's actions read them without
-filling its row.
+action; readers that need only a state's actions read them from its
+step-table entry, with no target built.
 `reachable` is the one breadth-first search: explore's census, the CLI's
 LTS and the weak closure run on it.  `_tau_reach` is one call of it over
 the internal steps, one step deeper than the bound: a state found past
@@ -234,18 +236,143 @@ def check_mode(mode: Mode | None, *terms: Process) -> None:
 
 Step = tuple[Action, Process]
 
-# A recipe for a step on a bound channel is (action, where, x, the part's
-# recipe).  Its target is the part recipe's target put back in place: as
-# the left operand of Parallel(_, x), the right one of Parallel(x, _), or
-# the body of a Restrict; a leaf's recipe has its built target as x and
-# no part.
-_LEFT, _RIGHT, _BODY, _LEAF = "left", "right", "body", "leaf"
-_Recipe = tuple
-# A term's built steps, or (built steps, recipes) when it has steps on a
-# bound channel
-_Entry = Union[frozenset[Step], tuple[frozenset[Step], tuple[_Recipe, ...]]]
-
 _STEP_CACHE: dict[tuple[Process, Universe], _Entry] = {}
+
+
+class _Entry:
+    """A term's steps in one universe: their actions, in a fixed order,
+    and a target slot per step, filled on first read and kept.
+
+    A step's recipe is its position.  A leaf's targets are built with its
+    entry.  The steps of a `Parallel` are its left operand's, lifted, then
+    its right operand's, lifted, then one τ per (left step, right step)
+    pair in `pairs`.  Step k of a `Restrict` is its body's step `src[k]`
+    under the binder.  `parts` holds the entries of the operands or the
+    body, and `steps` the frozenset `_step` returns, once it is read.
+    """
+
+    __slots__ = ("term", "parts", "actions", "targets", "pairs", "src", "index", "steps")
+
+    def __init__(self, p: Process, universe: Universe, parts: list[_Entry]) -> None:
+        self.term, self.parts = p, parts
+        self.pairs = self.src = self.index = self.steps = None
+        kind = type(p)
+        if kind is Parallel:
+            left, right = parts
+            self.pairs = _tau_pairs(left, right)
+            self.actions = left.actions + right.actions + (TAU,) * len(self.pairs)
+            self.targets = [None] * len(self.actions)
+        elif kind is Restrict:
+            # traffic on the bound channel (index 0) stays inside, and
+            # outer bound channels move one binder out
+            actions, src = [], []
+            for i, a in enumerate(parts[0].actions):
+                c = a.channel if a is not TAU else None
+                if type(c) is ChanVar:
+                    if not c.index:
+                        continue
+                    a = type(a)(ChanVar(c.index - 1), a.payload)
+                actions.append(a)
+                src.append(i)
+            self.actions, self.src = tuple(actions), src
+            self.targets = [None] * len(src)
+        elif kind is Stop:
+            self.actions = self.targets = ()
+        elif kind in (Send, Receive, RepeatReceive, Distribute):
+            steps = list(_leaf_steps(p, universe))
+            self.actions = tuple(a for a, _ in steps)
+            self.targets = tuple(t for _, t in steps)
+        else:
+            raise TypeError(f"not a process: {p!r}")
+
+    def target(self, k: int) -> Process:
+        """Step k's target, built on first read: down its recipes to the
+        built targets they need and back up, in a loop, whatever the depth
+        of the spine."""
+        t = self.targets[k]
+        if t is not None:
+            return t
+        todo = [(self, k)]
+        while todo:
+            e, i = todo[-1]
+            if e.targets[i] is not None:
+                # built meanwhile, as another step's part
+                todo.pop()
+                continue
+            if e.src is not None:
+                j = e.src[i]
+                t = e.parts[0].targets[j]
+                if t is None:
+                    todo.append((e.parts[0], j))
+                    continue
+                t = Restrict(t)
+            else:
+                left, right = e.parts
+                nl, nr = len(left.actions), len(right.actions)
+                if i < nl:
+                    t = left.targets[i]
+                    if t is None:
+                        todo.append((left, i))
+                        continue
+                    t = Parallel(t, e.term.right)
+                elif i < nl + nr:
+                    t = right.targets[i - nl]
+                    if t is None:
+                        todo.append((right, i - nl))
+                        continue
+                    t = Parallel(e.term.left, t)
+                else:
+                    li, ri = e.pairs[i - nl - nr]
+                    t, u = left.targets[li], right.targets[ri]
+                    if t is None:
+                        todo.append((left, li))
+                    if u is None:
+                        todo.append((right, ri))
+                    if t is None or u is None:
+                        continue
+                    t = Parallel(t, u)
+            e.targets[i] = t
+            todo.pop()
+        return self.targets[k]
+
+    def kept(self, keep: Callable[[Action], bool] | None) -> set[Step]:
+        """The steps whose action `keep` accepts (all when None); only
+        their targets are built."""
+        targets, out = self.targets, set()
+        for k, a in enumerate(self.actions):
+            if keep is None or keep(a):
+                t = targets[k]
+                out.add((a, self.target(k) if t is None else t))
+        return out
+
+    def partners(self) -> dict[tuple[Channel, Atom], list[int]]:
+        """The indices of the non-τ steps by (channel, payload), indexed
+        on first use."""
+        index = self.index
+        if index is None:
+            index = self.index = {}
+            for j, a in enumerate(self.actions):
+                if a is not TAU:
+                    index.setdefault((a.channel, a.payload), []).append(j)
+        return index
+
+
+def _tau_pairs(left: _Entry, right: _Entry) -> list[tuple[int, int]]:
+    """The (left step, right step) pairs that make a τ: a send and a
+    receive of one value on one channel, free or bound."""
+    pairs: list[tuple[int, int]] = []
+    ractions = right.actions
+    if not ractions:
+        return pairs
+    index = None
+    for i, a in enumerate(left.actions):
+        if a is not TAU:
+            if index is None:
+                index = right.partners()
+            for j in index.get((a.channel, a.payload), ()):
+                if type(ractions[j]) is not type(a):
+                    pairs.append((i, j))
+    return pairs
 
 
 def transitions(p: Process, mode: Mode | None = None, universe: Universe = DEFAULT_UNIVERSE) -> frozenset[Transition]:
@@ -258,16 +385,30 @@ def transitions(p: Process, mode: Mode | None = None, universe: Universe = DEFAU
     return frozenset(Transition(p, a, t) for a, t in _step(p, universe))
 
 
-def _step(p: Process, universe: Universe) -> frozenset[Step]:
+def _entry(p: Process, universe: Universe) -> _Entry:
+    """`p`'s step-table entry in `universe`, filled on first use."""
     key = (p, universe)
     hit = _STEP_CACHE.get(key)
     if hit is None:
         # fill the table for every missing part a step of `p` is made of
         hit = post_order(key, _STEP_CACHE.get, _step_parts, _step_entry)
-    if type(hit) is frozenset:
-        return hit
-    built, bound = hit
-    return built | {(r[0], _target(r)) for r in bound}
+    return hit
+
+
+def _step(p: Process, universe: Universe) -> frozenset[Step]:
+    """All the steps of `p`, built on the first call and kept."""
+    entry = _entry(p, universe)
+    if entry.steps is None:
+        entry.steps = frozenset(entry.kept(None))
+    return entry.steps
+
+
+def _is_tau(a: Action) -> bool:
+    return a is TAU
+
+
+def _is_visible(a: Action) -> bool:
+    return a is not TAU
 
 
 def _step_parts(key: tuple[Process, Universe]) -> tuple:
@@ -280,23 +421,8 @@ def _step_parts(key: tuple[Process, Universe]) -> tuple:
 
 
 def _step_entry(key: tuple[Process, Universe], parts: list[_Entry]) -> _Entry:
-    bound: list[_Recipe] = []
-    built = frozenset(_enumerate(*key, parts, bound))
-    out = _STEP_CACHE[key] = (built, tuple(bound)) if bound else built
-    return out
-
-
-def _target(recipe: _Recipe) -> Process:
-    """The target a recipe describes, built down its chain and back up in
-    a loop, whatever the depth of the spine it runs through."""
-    chain = []
-    while recipe[1] is not _LEAF:
-        chain.append(recipe)
-        recipe = recipe[3]
-    t = recipe[2]
-    for _, where, other, _ in reversed(chain):
-        t = Parallel(t, other) if where is _LEFT else Parallel(other, t) if where is _RIGHT else Restrict(t)
-    return t
+    entry = _STEP_CACHE[key] = _Entry(*key, parts)
+    return entry
 
 
 def step_order(step: Step) -> tuple:
@@ -310,13 +436,14 @@ class Moves(dict):
 
     `moves[p]` is the steps of `p` whose action `keep` accepts (all of
     them when None) in `step_order` of their raw targets, each target
-    normalized unless the table is `raw`.  `moves.replies(p)` is the
-    defender's distinct targets per action, in `term_key` order, and
-    whether the weak closure truncated them: from `closure.steps(p)` in
-    the weak game, from `moves[p]` in the strong one (closure None).
-    `moves.actions(p)` is the action grain, the set of actions of `moves[p]`,
-    worked out with no row filled when `p` has none: the strong attacker's
-    last ply and explore's frontier test read it.
+    normalized unless the table is `raw`; only the targets of those steps
+    are built.  `moves.replies(p)` is the defender's distinct targets per
+    action, in `term_key` order, and whether the weak closure truncated
+    them: from `closure.steps(p)` in the weak game, from `moves[p]` in the
+    strong one (closure None).  `moves.actions(p)` is the action grain,
+    the set of actions of `moves[p]`, read from `p`'s step-table entry with
+    no target built and no row filled: the strong attacker's last ply and
+    explore's frontier test read it.
     A table lives as long as the call that builds it.
     """
 
@@ -331,20 +458,15 @@ class Moves(dict):
         self._replies: dict[Process, tuple[dict[Action, list[Process]], bool]] = {}
 
     def __missing__(self, p: Process) -> list[Step]:
-        steps = _step(p, self.universe)
-        out = sorted(steps if self.keep is None else [s for s in steps if self.keep(s[0])], key=step_order)
+        out = sorted(_entry(p, self.universe).kept(self.keep), key=step_order)
         out = self[p] = out if self.raw else [(a, normalize(t)) for a, t in out]
         return out
 
     def actions(self, p: Process) -> set[Action]:
-        """The actions of `p`'s steps that `keep` accepts: read from `p`'s
-        row when it is filled, else from `_step`, no target normalized or
-        sorted and no row filled."""
-        row = self.get(p)
-        if row is not None:
-            return {a for a, _ in row}
-        steps, keep = _step(p, self.universe), self.keep
-        return {a for a, _ in steps} if keep is None else {a for a, _ in steps if keep(a)}
+        """The actions of `p`'s steps that `keep` accepts, read from its
+        step-table entry: no target built and no row filled."""
+        actions, keep = _entry(p, self.universe).actions, self.keep
+        return set(actions) if keep is None else {a for a in actions if keep(a)}
 
     def replies(self, p: Process) -> tuple[dict[Action, list[Process]], bool]:
         hit = self._replies.get(p)
@@ -366,67 +488,6 @@ def _sender_row(targets: tuple, value: Atom | ValVar) -> Process:
     return row
 
 
-def _enumerate(p: Process, universe: Universe, parts: list[_Entry], bound: list[_Recipe]) -> Iterable[Step]:
-    """The built steps of `p`, given the entries of its `_step_parts`;
-    the recipes of its steps on a bound channel go to `bound`."""
-    match p:
-        case Parallel(left=l, right=r):
-            # an entry without recipes is the frozenset of its steps
-            lsteps, rsteps = parts
-            lbound = rbound = ()
-            if type(lsteps) is tuple:
-                lsteps, lbound = lsteps
-            if type(rsteps) is tuple:
-                rsteps, rbound = rsteps
-            for a, t in lsteps:
-                yield a, Parallel(t, r)
-            for a, t in rsteps:
-                yield a, Parallel(l, t)
-            for a1, t1 in lsteps:
-                for a2, t2 in rsteps:
-                    if _complementary(a1, a2):
-                        yield TAU, Parallel(t1, t2)
-            if lbound and rbound:
-                # a τ on a bound channel builds the targets of both halves,
-                # each once however many partners it meets
-                ltargets: dict[int, Process] = {}
-                rtargets: dict[int, Process] = {}
-                for i, x in enumerate(lbound):
-                    for j, y in enumerate(rbound):
-                        if _complementary(x[0], y[0]):
-                            if i not in ltargets:
-                                ltargets[i] = _target(x)
-                            if j not in rtargets:
-                                rtargets[j] = _target(y)
-                            yield TAU, Parallel(ltargets[i], rtargets[j])
-            if lbound:
-                bound += [(x[0], _LEFT, r, x) for x in lbound]
-            if rbound:
-                bound += [(y[0], _RIGHT, l, y) for y in rbound]
-        case Restrict():
-            # the body's steps under the binder, each target keeping it:
-            # traffic on the bound channel (index 0) stays inside, and
-            # outer bound channels move one binder out
-            steps, body_bound = parts[0], ()
-            if type(steps) is tuple:
-                steps, body_bound = steps
-            for a, t in steps:
-                yield a, Restrict(t)
-            for x in body_bound:
-                a = x[0]
-                if a.channel.index:
-                    bound.append((type(a)(ChanVar(a.channel.index - 1), a.payload), _BODY, None, x))
-        case Stop():
-            return
-        case Distribute(source=c) | Send(channel=c) | Receive(channel=c) | RepeatReceive(channel=c):
-            if type(c) is ChanVar:
-                bound += [(a, _LEAF, t, None) for a, t in _leaf_steps(p, universe)]
-            else:
-                yield from _leaf_steps(p, universe)
-        case _:
-            raise TypeError(f"not a process: {p!r}")
-
-
 def _leaf_steps(p: Send | Receive | RepeatReceive | Distribute, universe: Universe) -> Iterable[Step]:
     """The steps of a leaf that acts, all on one channel."""
     match p:
@@ -443,14 +504,6 @@ def _leaf_steps(p: Send | Receive | RepeatReceive | Distribute, universe: Univer
                 yield ReceiveAct(s, v), Parallel(_sender_row(ts, v), p)
 
 
-def _complementary(a1: Action, a2: Action) -> bool:
-    """A send and a receive of the same value on the same channel."""
-    return (
-        a1 is not TAU and a2 is not TAU and type(a1) is not type(a2)
-        and a1.channel is a2.channel and a1.payload is a2.payload
-    )
-
-
 # ---------------------------------------------------------------------------
 # Weak steps
 # ---------------------------------------------------------------------------
@@ -465,7 +518,7 @@ def _tau_reach(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Pr
     """
     bound = max(bound, 0)
     depth, _ = reachable(
-        normalize(p), lambda s: [normalize(t) for a, t in _step(s, universe) if a is TAU], sys.maxsize, bound + 1
+        normalize(p), lambda s: [normalize(t) for _, t in _entry(s, universe).kept(_is_tau)], sys.maxsize, bound + 1
     )
     visited = frozenset(s for s, d in depth.items() if d <= bound)
     return visited, len(visited) < len(depth)
@@ -537,9 +590,7 @@ class WeakClosure:
         pre, truncated = self.reach(p)
         out: set[Step] = {(TAU, s) for s in pre}
         for s in pre:
-            for a, t in _step(s, self.universe):
-                if a is TAU:
-                    continue
+            for a, t in _entry(s, self.universe).kept(_is_visible):
                 post, trunc2 = self.reach(t)
                 truncated |= trunc2
                 out |= {(a, u) for u in post}

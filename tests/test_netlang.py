@@ -18,6 +18,7 @@ from netproc import (
     Mode,
     ModeViolation,
     Name,
+    NetprocError,
     NetworkSpec,
     Parallel,
     Restrict,
@@ -226,6 +227,14 @@ def test_truncation_marks_report_partial():
         max_depth=2,
     )
     assert report.partial
+
+
+@pytest.mark.parametrize("max_depth", [-1, -5])
+def test_a_negative_depth_bound_is_refused(max_depth):
+    # the start would count as reached already and no path be walked, a
+    # report that looks complete
+    with pytest.raises(NetprocError, match=f"max_depth .*{max_depth}"):
+        explore(anycast3(), [("s", "m0")], max_depth=max_depth)
 
 
 def test_state_bound_cuts_the_census():

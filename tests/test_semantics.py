@@ -39,6 +39,7 @@ from netproc import (
     ValVar,
     abstract_channel,
     anycast3,
+    broadcast3_unreliable,
     effective_universe,
     explore,
     free_channel_names,
@@ -57,7 +58,7 @@ from netproc import (
     validate_mode,
     weak_transitions,
 )
-from netproc import semantics
+from netproc import equivalence, semantics
 from netproc.semantics import WeakClosure, _step, _tau_reach, reachable, step_order, weak_steps
 from helpers import random_comm, random_pi
 
@@ -228,21 +229,104 @@ def test_restriction_agrees_with_multi_probe_oracle():
 # ---------------------------------------------------------------------------
 
 
+def recipe_parts(entry, k):
+    """The (entry, step) pairs whose targets step k's target is built
+    from, read from the entry's layout."""
+    if entry.src is not None:
+        return [(entry.parts[0], entry.src[k])]
+    if type(entry.term) is not Parallel:
+        return []
+    left, right = entry.parts
+    nl, nr = len(left.actions), len(right.actions)
+    if k < nl + nr:
+        return [(left, k)] if k < nl else [(right, k - nl)]
+    i, j = entry.pairs[k - nl - nr]
+    return [(left, i), (right, j)]
+
+
+def built_steps(entry):
+    return [k for k, t in enumerate(entry.targets) if t is not None]
+
+
+def built_from(entries):
+    """The (entry id, step) pairs that built targets of `entries` were
+    built from."""
+    return {(id(part), j) for e in entries for k in built_steps(e) for part, j in recipe_parts(e, k)}
+
+
 def test_steps_on_a_bound_channel_are_built_only_for_a_tau():
     # a hidden hop's receives and sends are dropped at the binder, so the
-    # table builds no target for them, only for the τs they take part in
+    # target of a step on a bound channel is built only as a part of a
+    # built target above it, which acts on a bound channel too unless it
+    # is a τ: every chain of such builds ends in a τ
     semantics._STEP_CACHE.clear()
     report = explore(anycast3(), [("s", "m0"), ("s", "m1")], max_depth=8)
     assert (report.states, report.complete_paths) == (36, 9)
-    built = [
-        t
-        for (p, _), entry in semantics._STEP_CACHE.items()
-        if type(p) in (Parallel, Restrict)
-        for _, t in (entry if type(entry) is frozenset else entry[0])
+    entries = list(semantics._STEP_CACHE.values())
+    needed = built_from(entries)
+    bound = [
+        (e, k)
+        for e in entries
+        if type(e.term) in (Parallel, Restrict)
+        for k in built_steps(e)
+        if e.actions[k] is not TAU and type(e.actions[k].channel) is ChanVar
     ]
-    assert all(type(t) in (Parallel, Restrict) for t in built)
-    # 448 when every step on a bound channel was built at every level
-    assert len(built) == 278
+    assert bound
+    assert all((id(e), k) in needed for e, k in bound)
+
+
+def snapshot_built():
+    """Which steps of each step-table entry have a target built."""
+    return {key: built_steps(e) for key, e in semantics._STEP_CACHE.items()}
+
+
+def test_explore_builds_no_target_of_a_state_first_reached_at_the_depth_bound():
+    semantics._STEP_CACHE.clear()
+    report = explore(broadcast3_unreliable(), [("s", "m0")], max_depth=6)
+    built = snapshot_built()
+    assert report.truncated_paths > 0
+    # the census again, through the full step relation, after the snapshot
+    observable = lambda a: a is TAU or (type(a) is SendAct and a.channel != Name("s"))
+    depth, _ = reachable(
+        report.start, lambda s: [normalize(t) for a, t in _step(s, report.universe) if observable(a)], 10**6, 6
+    )
+    frontier = [s for s, d in depth.items() if d == 6]
+    assert len(depth) == report.states and frontier
+    assert all(built[s, report.universe] == [] for s in frontier)
+
+
+def test_anycast_explore_builds_a_receive_on_the_injected_port_only_for_a_tau():
+    # explore drops the receives on the port it injects on, so above the
+    # distributor leaf such a receive is built only as a half of a τ with
+    # an injected send (m0), or as a part of one
+    semantics._STEP_CACHE.clear()
+    explore(anycast3(), [("s", "m0")], max_depth=8)
+    entries = [e for e in semantics._STEP_CACHE.values() if type(e.term) in (Parallel, Restrict)]
+    needed = built_from(entries)
+    receives = [
+        (e, k, e.actions[k].payload)
+        for e in entries
+        for k in range(len(e.actions))
+        if type(e.actions[k]) is ReceiveAct and e.actions[k].channel == Name("s")
+    ]
+    assert {v for _, _, v in receives} == {Atom("m0"), Atom("m1")}
+    assert all((id(e), k) in needed for e, k, _ in receives if e.targets[k] is not None)
+    assert all(e.targets[k] is None for e, k, v in receives if v == Atom("m1"))
+
+
+def test_the_last_ply_and_the_tau_closure_build_no_visible_target():
+    semantics._STEP_CACHE.clear()
+    # the strong attacker's last ply reads the two action sets
+    p, q = parse("a!m0 | b -> c | c ? x. d!x"), parse("c ? x. d!x | b -> c | a!m0")
+    assert equivalence._Attacker(UNI, None, 100)._last_ply(p, q) is None
+    assert built_steps(semantics._STEP_CACHE[p, UNI]) == built_steps(semantics._STEP_CACHE[q, UNI]) == []
+    # the τ closure builds the targets of the τs alone
+    r = parse("a!m0 | a -> b | b -> c | c ? x. d!x | e!m1")
+    states, truncated = _tau_reach(r, UNI, 4)
+    assert len(states) == 4 and not truncated
+    for s in states:
+        entry = semantics._STEP_CACHE[s, UNI]
+        assert {entry.actions[k] for k in built_steps(entry)} == ({TAU} if TAU in entry.actions else set())
 
 
 def test_a_tau_across_a_long_restricted_spine_builds_its_halves_in_a_loop():
