@@ -12,9 +12,10 @@ The checker has two independent halves:
 
 Each half reads its moves from its own `semantics.Moves` table: the
 prover's is raw, as it reduces every pair itself, and the attacker's
-normalizes its states.  In the weak game both take their replies from the
-check's one `WeakClosure`; all three are dropped when the check returns.
-`audit_witness` and `replay_trace` build tables of their own.
+normalizes its states.  Each remembers its own replies, in the weak game
+computed through the check's one `WeakClosure`; all three are dropped
+when the check returns.  `audit_witness` and `replay_trace` build tables
+of their own.
 
 Proofs are only ever produced by the first half and refutations only by
 the second, so neither inherits the other's approximations: cancelling
@@ -325,10 +326,6 @@ class _Prover:
         self.trail: list[Pair] = []
         self.explored = 0
 
-    def _rollback(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            self.assumed.discard(self.trail.pop())
-
     def close(self, red: Pair) -> bool:
         """Try to close an already reduced pair under the game."""
         if red[0] == red[1]:
@@ -344,7 +341,8 @@ class _Prover:
         mark = len(self.trail) - 1
         if self._obligations(*key):
             return True
-        self._rollback(mark)
+        while len(self.trail) > mark:
+            self.assumed.discard(self.trail.pop())
         return False
 
     def _obligations(self, u: Process, v: Process) -> bool:
@@ -371,19 +369,15 @@ class _Prover:
         # then the rest, each group in the term_key order the options come
         # in; this keeps witnesses small and deterministic.  A known reply
         # closes with no side effect, so the first one ends the match, and
-        # the others are only opened when no reply is known.
+        # the others are only opened when no reply is known.  A failed
+        # `close` has rolled back all it added.
         opened = []
         for opt in options:
             red = _reduce(*((chal_target, opt) if forward else (opt, chal_target)), self.upto, self.weak)
             if red[0] is red[1] or _canon(red) in self.assumed:
                 return True
             opened.append(red)
-        for red in opened:
-            mark = len(self.trail)
-            if self.close(red):
-                return True
-            self._rollback(mark)
-        return False
+        return any(self.close(red) for red in opened)
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +396,9 @@ class _Attacker:
     attacker reads each state's moves from one `Moves` table, kept for
     the one check it plays.  Its states are normalized unless
     `normalize_states` is off.  Every reply lookup, first or not, ORs the
-    table's truncation flag into `tainted`.  The strong game's last ply
-    of each round, depth 1, reads the table's action grain,
-    `moves.actions`, and fills no row unless it finds a refutation; the
-    weak game's keeps the full loop, as each reply lookup may taint.
+    table's truncation flag into `tainted`.  The last ply of each round,
+    depth 1, compares action sets and fills no challenger row unless it
+    finds a refutation.
     """
 
     def __init__(
@@ -421,10 +414,10 @@ class _Attacker:
         self.nodes = 0
         self.tainted = False
 
-    def _replies(self, p: Process, a: Action) -> list[Process]:
+    def _replies(self, p: Process) -> dict[Action, list[Process]]:
         by_action, truncated = self.moves.replies(p)
         self.tainted |= truncated
-        return by_action.get(a, [])
+        return by_action
 
     def search(self, l: Process, r: Process, max_depth: int) -> tuple[TraceStep, ...] | None:
         if not self.moves.raw:
@@ -436,39 +429,40 @@ class _Attacker:
         return None
 
     def _last_ply(self, l: Process, r: Process) -> tuple[TraceStep, ...] | None:
-        """The strong game at depth 1, where only the action sets count: the
-        least action by `action_key` that one side has and the other lacks,
-        left side first, with the challenger's first step on it, which is
-        the step the full loop stops at.  Only that challenger's row fills."""
+        """The game at depth 1, where only the action sets count: the least
+        action by `action_key` that one side has and the other cannot
+        answer, left side first, with the challenger's first step on it,
+        which is the step the full loop stops at.  In the weak game the
+        responder answers with its weak replies, looked up only when the
+        challenger has an action.  Only that challenger's row fills."""
         moves = self.moves
         la, ra = moves.actions(l), moves.actions(r)
-        for side, chal, missing in (("left", l, la - ra), ("right", r, ra - la)):
+        for side, chal, resp, actions, answered in (("left", l, r, la, ra), ("right", r, l, ra, la)):
+            if actions and moves.closure is not None:
+                answered = self._replies(resp).keys()
+            missing = actions - answered
             if missing:
                 a = min(missing, key=action_key)
                 return (TraceStep(side, a, next(t for b, t in moves[chal] if b is a), None),)
         return None
 
     def _attack(self, l: Process, r: Process, depth: int) -> tuple[TraceStep, ...] | None:
-        if depth == 0:
-            return None
         key = (l, r, depth)
         if key in self.memo:
             return self.memo[key]
         self.nodes += 1
         if self.nodes > self.budget:
             raise _BoundHit("node-budget")
-        if depth == 1 and self.moves.closure is None:
+        if depth == 1:
             self.memo[key] = self._last_ply(l, r)
             return self.memo[key]
         result: tuple[TraceStep, ...] | None = None
         for side, chal, resp in (("left", l, r), ("right", r, l)):
             for a, tn in self.moves[chal]:
-                replies = self._replies(resp, a)
+                replies = self._replies(resp).get(a)
                 if not replies:
                     result = (TraceStep(side, a, tn, None),)
                     break
-                if depth == 1:
-                    continue
                 refutations = []
                 for opt in replies:
                     pair = (tn, opt) if side == "left" else (opt, tn)
@@ -554,8 +548,9 @@ def _check(
     # the weak game's closure is shared by prover and attacker; None is strong
     prover = _Prover(uni, upto, max_pairs, closure)
     bound_hit: str | None = None
-    # proof search recurses once per candidate pair plus matching overhead
-    depth_needed = 8 * max_pairs + 500
+    # proof search recurses once per candidate pair plus matching overhead;
+    # setrecursionlimit takes a C int
+    depth_needed = min(8 * max_pairs + 500, 2**31 - 1)
     old_limit = sys.getrecursionlimit()
     if depth_needed > old_limit:
         sys.setrecursionlimit(depth_needed)

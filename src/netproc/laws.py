@@ -115,6 +115,8 @@ def _nu2(template, first: Name, second: Name) -> Process:
 
 def law_catalog(universe: Universe = DEFAULT_UNIVERSE) -> tuple[Law, ...]:
     """The unconditional laws; conditional ones are added by run_laws."""
+    if not universe:
+        raise NetprocError("the law suite needs at least one value")
     corpus = _corpus(universe)
     a, b, c = Name("a"), Name("b"), Name("c")
     m0 = universe[0]

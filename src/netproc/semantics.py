@@ -53,9 +53,10 @@ step-table entry, with no target built.
 LTS and the weak closure run on it.  `_tau_reach` is one call of it over
 the internal steps, one step deeper than the bound: a state found past
 the bound is one the closure left out.
-A `WeakClosure` remembers `_tau_reach` and `weak_steps` by state for one
-check (one universe, one bound); a check builds one and drops it when it
-returns, so nothing it remembers outlives the check.
+A `WeakClosure` remembers `_tau_reach` by start state for one check (one
+universe, one bound); a check builds one and drops it when it returns,
+so nothing it remembers outlives the check.  The `Moves` tables that
+read weak steps through it remember them, grouped as replies.
 """
 
 from __future__ import annotations
@@ -439,11 +440,12 @@ class Moves(dict):
     normalized unless the table is `raw`; only the targets of those steps
     are built.  `moves.replies(p)` is the defender's distinct targets per
     action, in `term_key` order, and whether the weak closure truncated
-    them: from `closure.steps(p)` in the weak game, from `moves[p]` in the
-    strong one (closure None).  `moves.actions(p)` is the action grain,
-    the set of actions of `moves[p]`, read from `p`'s step-table entry with
-    no target built and no row filled: the strong attacker's last ply and
-    explore's frontier test read it.
+    them: from `closure.weak_steps(p)` in the weak game, from `moves[p]` in
+    the strong one (closure None), computed once per state.
+    `moves.actions(p)` is the action grain, the set of actions of
+    `moves[p]`, read from `p`'s step-table entry with no target built and
+    no row filled: the attacker's last ply and explore's frontier test
+    read it.
     A table lives as long as the call that builds it.
     """
 
@@ -471,7 +473,7 @@ class Moves(dict):
     def replies(self, p: Process) -> tuple[dict[Action, list[Process]], bool]:
         hit = self._replies.get(p)
         if hit is None:
-            steps, truncated = self.closure.steps(p) if self.closure is not None else (self[p], False)
+            steps, truncated = self.closure.weak_steps(p) if self.closure is not None else (self[p], False)
             grouped: dict[Action, set[Process]] = {}
             for a, t in steps:
                 grouped.setdefault(a, set()).add(t)
@@ -542,30 +544,21 @@ def tau_closure(
     return states
 
 
-def weak_steps(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Step], bool]:
-    """Weak step relation as (action, normalized target) pairs plus a
-    truncation flag.  The internal action includes the zero-step case.
-    Each call computes afresh; a check asks its `WeakClosure` instead.
-    """
-    return WeakClosure(universe, bound).weak_steps(p)
-
-
 class WeakClosure:
     """The weak closure for one check: one universe, one internal-step bound.
 
-    `reach` and `steps` remember each `_tau_reach` by start state and each
-    weak step set by state, truncation flags included, for as long as the
-    object lives.  A check builds one, shares it between its prover and
-    attacker, and drops it when it returns.
+    `reach` remembers each `_tau_reach` by start state, truncation flag
+    included, for as long as the object lives.  A check builds one, shares
+    it between its prover's and attacker's move tables, which remember the
+    weak steps they read, and drops it when it returns.
     """
 
-    __slots__ = ("universe", "bound", "_reach", "_steps")
+    __slots__ = ("universe", "bound", "_reach")
 
     def __init__(self, universe: Universe, bound: int) -> None:
         self.universe = universe
         self.bound = bound
         self._reach: dict[Process, tuple[frozenset[Process], bool]] = {}
-        self._steps: dict[Process, tuple[frozenset[Step], bool]] = {}
 
     def reach(self, p: Process) -> tuple[frozenset[Process], bool]:
         """`_tau_reach(p, ...)`, computed once per start state."""
@@ -574,18 +567,11 @@ class WeakClosure:
             hit = self._reach[p] = _tau_reach(p, self.universe, self.bound)
         return hit
 
-    def steps(self, p: Process) -> tuple[frozenset[Step], bool]:
-        """`weak_steps(p, ...)`, computed once per state."""
-        hit = self._steps.get(p)
-        if hit is None:
-            hit = self._steps[p] = self.weak_steps(p)
-        return hit
-
     def weak_steps(self, p: Process) -> tuple[frozenset[Step], bool]:
-        """Compute the weak steps of `p`, through the remembered closures.
-
-        Named like the module function, so that a profile counts every
-        weak step computation under one name.
+        """The weak step relation of `p` as (action, normalized target)
+        pairs plus a truncation flag, through the remembered closures.  The
+        internal action includes the zero-step case.  Each call computes
+        the set afresh.
         """
         pre, truncated = self.reach(p)
         out: set[Step] = {(TAU, s) for s in pre}
@@ -606,7 +592,7 @@ def weak_transitions(
 ) -> frozenset[Transition]:
     """Transitions of shape (internal*, visible, internal*) or internal*."""
     check_mode(mode, p)
-    steps, truncated = weak_steps(p, universe, bound)
+    steps, truncated = WeakClosure(universe, bound).weak_steps(p)
     if exact and truncated:
         raise BoundExceeded(f"internal closure still growing after {bound} steps")
     return frozenset(Transition(p, a, t) for a, t in steps)

@@ -136,6 +136,19 @@ def test_check_inconclusive_exits_two(capsys):
     assert "bound hit: max-pairs" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "a!m0", "a!m0"], ["check", "dup a | dup a", "dup a", "--weak"], ["laws", "--only", "par-comm"]],
+)
+def test_a_pair_budget_past_the_largest_recursion_limit_is_accepted(capsys, argv):
+    # 8 * max_pairs + 500 does not fit the C int setrecursionlimit takes
+    limit = sys.getrecursionlimit()
+    code, out, _ = run_cli(capsys, *argv, "--max-pairs", str(10**9))
+    assert code == 0
+    assert "verdict: proven-bisimilar" in out or "laws: PASS" in out
+    assert sys.getrecursionlimit() == limit
+
+
 def test_check_weak_flag(capsys):
     code, out, _ = run_cli(capsys, "check", "new t. (t!m0 | lose t)", "0", "--weak")
     assert code == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import time
 from collections import Counter
 
@@ -227,6 +228,24 @@ def test_plain_game_cannot_prove_idempotency():
     res = check_strong(parse("dup a | dup a"), parse("dup a"), PLAIN, max_pairs=16)
     assert res.verdict is Verdict.INCONCLUSIVE
     assert res.bound_hit == "max-pairs"
+
+
+@pytest.mark.parametrize("weak", [False, True])
+def test_a_pair_budget_past_the_largest_recursion_limit_is_accepted(monkeypatch, weak):
+    # 8 * max_pairs + 500 no longer fits the C int setrecursionlimit takes:
+    # the check raises the limit to that int's largest value, and puts the
+    # old one back
+    limit = sys.getrecursionlimit()
+    set_limit, raised = sys.setrecursionlimit, []
+    monkeypatch.setattr(sys, "setrecursionlimit", lambda n: (raised.append(n), set_limit(n)))
+    l, r = parse("dup a | dup a"), parse("dup a")
+    res = check_weak(l, r, max_pairs=10**9) if weak else check_strong(l, r, max_pairs=10**9)
+    assert res.verdict is Verdict.PROVEN
+    assert raised == [2**31 - 1, limit] and sys.getrecursionlimit() == limit
+    # a budget the current limit covers leaves it alone
+    raised.clear()
+    assert check_strong(l, r, max_pairs=16).verdict is Verdict.PROVEN
+    assert raised == [] and sys.getrecursionlimit() == limit
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +560,7 @@ def ranked_match(self, chal_target, options, forward):
         known = red[0] == red[1] or _canon(red) in self.assumed
         ranked.append(((0 if known else 1, term_key(opt)), red))
     ranked.sort(key=lambda entry: entry[0])
-    for _, red in ranked:
-        mark = len(self.trail)
-        if self.close(red):
-            return True
-        self._rollback(mark)
-    return False
+    return any(self.close(red) for _, red in ranked)
 
 
 def _outcome(res):
@@ -630,7 +644,7 @@ class _FilteringAttacker(_Attacker):
 
     def _replies(self, p, a):
         if self.closure is not None:
-            steps, truncated = self.closure.steps(p)
+            steps, truncated = self.closure.weak_steps(p)
             self.tainted |= truncated
             opts = [t for sa, t in steps if sa == a]
         else:
@@ -695,7 +709,7 @@ def _assert_table_matches_filtering(attacker):
     fresh = None if closure is None else WeakClosure(DEFAULT_UNIVERSE, closure.bound)
     reference = _FilteringAttacker(DEFAULT_UNIVERSE, fresh, 0, normalize_states=not table.raw)
     for p, (by_action, truncated) in table._replies.items():
-        steps = closure.steps(p) if closure is not None else (_step(p, DEFAULT_UNIVERSE), False)
+        steps = closure.weak_steps(p) if closure is not None else (_step(p, DEFAULT_UNIVERSE), False)
         assert truncated == steps[1]
         assert set(by_action) == {a for a, _ in steps[0]}
         for a, replies in by_action.items():
@@ -720,6 +734,10 @@ _GENERATORS = {"pi": random_pi, "comm": random_comm}
 # the left side has nine actions the right one lacks; the trace must name
 # the least, tau, which set order need not put first
 @example("comm", 1846, 3, "fresh", (False, 0), True, 1)
+# a weak game one round deep whose trace is tainted: the last ply looks the
+# responder's replies up, and so ORs in their truncation, exactly when the
+# challenger has an action
+@example("comm", 20, 1, "fresh", (True, 2), True, 1)
 def test_move_table_plays_like_per_call_filtering(kind, seed, depth, shape, game, normalize, max_depth):
     # a fresh right side is mostly told apart at once; a doubled or extended
     # left side keeps the game going for several rounds
@@ -740,8 +758,8 @@ def test_move_table_builds_each_states_moves_once(monkeypatch, weak):
     fills = count_fills(monkeypatch)
     l, r = parse("dup a | dup a"), parse("dup a")
     # normalized states, then raw ones, which grow faster, one round less in
-    # the weak game; the strong game's last round fills no row, so its raw
-    # states play one round more to fill more than 10
+    # the weak game; the last round fills no row, so raw states play as deep
+    # as the game allows to fill more than 10 (12 weak, 56 strong)
     for normalize_states, depth in ((True, 4), (False, 3 if weak else 4)):
         fills.clear()
         _, (trace, hit, nodes, _) = _play(_Attacker, l, r, weak, 2, normalize_states, depth, budget=2000)
@@ -753,8 +771,8 @@ def test_move_table_builds_each_states_moves_once(monkeypatch, weak):
 
 @pytest.mark.parametrize("weak", [False, True])
 def test_the_strong_last_round_fills_no_row(monkeypatch, weak):
-    # at depth 1 the strong game compares action sets, so a state met only
-    # there is never filled; the weak game's last round still fills it
+    # at depth 1 both games compare action sets, so a state met only there
+    # is never filled
     l, r = parse("dup a | dup a"), parse("dup a")
     fills = count_fills(monkeypatch)
     attacker, (trace, hit, _, _) = _play(_Attacker, l, r, weak, 2, True, 3)
@@ -766,10 +784,7 @@ def test_the_strong_last_round_fills_no_row(monkeypatch, weak):
     last_only = {s for s, depths in met.items() if depths == {1}}
     filled = {p for _, p in fills}
     assert len(last_only) > 3 and filled
-    if weak:
-        assert last_only <= filled
-    else:
-        assert not last_only & filled
+    assert not last_only & filled
 
 
 def test_replies_are_distinct_after_normalization():
@@ -777,19 +792,29 @@ def test_replies_are_distinct_after_normalization():
     p = normalize(parse("a?x.(0 | b!x) | a?y.(b!y | 0)"))
     attacker = _Attacker(DEFAULT_UNIVERSE, None, 10)
     receive = next(a for a, _ in sorted(_step(p, DEFAULT_UNIVERSE), key=step_order))
-    assert attacker._replies(p, receive) == [normalize(parse("a?x.b!x | b!m0"))]
+    assert attacker._replies(p)[receive] == [normalize(parse("a?x.b!x | b!m0"))]
 
 
 def test_every_reply_lookup_reports_truncation():
     p = parse("dup a | a!m0")
     attacker = _Attacker(DEFAULT_UNIVERSE, WeakClosure(DEFAULT_UNIVERSE, 1), 10)
-    assert attacker.moves.closure.steps(p)[1]
-    action = next(a for a, _ in sorted(_step(p, DEFAULT_UNIVERSE), key=step_order))
-    attacker._replies(p, action)
+    assert attacker.moves.closure.weak_steps(p)[1]
+    attacker._replies(p)
     assert attacker.tainted
     attacker.tainted = False
-    attacker._replies(p, action)  # served from the table
+    attacker._replies(p)  # served from the table
     assert attacker.tainted
+
+
+def test_the_last_ply_looks_up_no_reply_to_a_side_with_no_action():
+    # the inert left side challenges with nothing, so the right side's
+    # truncated replies are never looked up, and the play is untainted
+    p = parse("dup a | a!m0")
+    assert WeakClosure(DEFAULT_UNIVERSE, 1).weak_steps(normalize(p))[1]
+    outcome = _play(_Attacker, STOP, p, True, 1, True, 1)[1]
+    assert outcome == _play(_FilteringAttacker, STOP, p, True, 1, True, 1)[1]
+    trace, hit, nodes, tainted = outcome
+    assert trace is not None and trace[0].side == "right" and not tainted
 
 
 # a PLAIN proof of each game, with no attacker run

@@ -69,6 +69,12 @@ def test_format_report_layout(report):
     assert any(line.startswith("par-assoc") for line in lines)
 
 
+@pytest.mark.parametrize("run", [lambda: run_laws(universe=()), lambda: law_catalog(())], ids=["run", "catalog"])
+def test_the_law_suite_refuses_an_empty_universe(run):
+    with pytest.raises(NetprocError, match="the law suite needs at least one value"):
+        run()
+
+
 def test_only_rejects_ids_that_name_no_law():
     with pytest.raises(NetprocError, match="unknown law id\\(s\\): nope, zz"):
         run_laws(only={"par-comm", "zz", "nope"})

@@ -59,7 +59,7 @@ from netproc import (
     weak_transitions,
 )
 from netproc import equivalence, semantics
-from netproc.semantics import WeakClosure, _step, _tau_reach, reachable, step_order, weak_steps
+from netproc.semantics import WeakClosure, _step, _tau_reach, reachable, step_order
 from helpers import random_comm, random_pi
 
 UNI = make_universe("m0", "m1")
@@ -439,11 +439,11 @@ def test_weak_closure_answers_as_uncached_weak_steps(gen, seed, depth, bound):
     u = effective_universe(UNI, p)
     closure = WeakClosure(u, bound)
     states, _ = reachable(normalize(p), lambda s: [normalize(t) for _, t in _step(s, u)], 12)
-    for _ in range(2):  # the second pass answers from memory
+    for _ in range(2):  # the second pass reads the closures from memory
         for s in states:
             want = reference_weak_steps(s, u, bound)
-            assert closure.steps(s) == want
-            assert weak_steps(s, u, bound) == want
+            assert closure.weak_steps(s) == want
+            assert WeakClosure(u, bound).weak_steps(s) == want
             assert closure.reach(s) == _tau_reach(s, u, bound)
 
 
