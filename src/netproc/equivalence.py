@@ -64,7 +64,6 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ScopeError
 from .normalform import (
     compose_parallel,
     normalize,
@@ -100,7 +99,6 @@ from .terms import (
     free_channel_names,
     fresh_channel_name,
     instantiate_channel,
-    is_closed,
 )
 
 
@@ -163,8 +161,9 @@ def _reduce(l: Process, r: Process, upto: bool, weak: bool = False) -> Pair:
     component, so they give (STOP, STOP) at once, and identical
     restrictions are not peeled.  After a deletion every remaining
     component occurs a different number of times on the two sides, and
-    the leftovers have exactly those components (a subset of a normal
-    form's components is normal), so a second deletion can only find
+    the leftovers have exactly those components.  A subset of a normal
+    form's components, kept in order, is normal, so the leftovers are
+    composed and not normalized again.  A second deletion can only find
     something new under restrictions peeled from both leftovers: the pass
     repeats only then.
     """
@@ -188,8 +187,8 @@ def _reduce(l: Process, r: Process, upto: bool, weak: bool = False) -> Pair:
         shared = {c for c, n in counts_l.items() if counts_r.get(c) == n}
         if not shared:
             return l, r
-        l = normalize(compose_parallel([c for c in lc if c not in shared]))
-        r = normalize(compose_parallel([c for c in rc if c not in shared]))
+        l = compose_parallel([c for c in lc if c not in shared])
+        r = compose_parallel([c for c in rc if c not in shared])
         if not (isinstance(l, Restrict) and isinstance(r, Restrict)):
             return l, r
 
@@ -488,8 +487,6 @@ class _Attacker:
 
 def _prepare(p: Process, q: Process, universe: Universe | None, mode: Mode | None) -> Universe:
     """Check the pair's scope and language once; return the value universe."""
-    if not is_closed(p) or not is_closed(q):
-        raise ScopeError("bisimilarity checks require closed terms")
     check_mode(mode, p, q)
     return effective_universe(universe, p, q)
 

@@ -41,7 +41,6 @@ from .terms import (
     abstract_channel,
     free_channel_names,
     fresh_channel_name,
-    is_closed,
 )
 
 
@@ -257,8 +256,6 @@ def explore(
     `reachable`; the start state always counts, so at least one state is
     found whatever the bound.  A negative `max_depth` is refused.
     """
-    if not is_closed(p):
-        raise ScopeError("explore needs a closed process")
     if max_depth < 0:
         # the start would count as reached already, and no path be walked
         raise NetprocError(f"max_depth must be a non-negative integer, got {max_depth}")
@@ -360,8 +357,6 @@ def simulate(
     mode: Mode | None = None,
 ) -> tuple[TraceEvent, ...]:
     """One random internal-move trajectory; deterministic for a given seed."""
-    if not is_closed(p):
-        raise ScopeError("simulate needs a closed process")
     start_raw, _, _ = _inject(p, inputs)
     check_mode(mode, start_raw)
     universe = effective_universe(universe, start_raw)

@@ -31,12 +31,13 @@ or the body, or is a τ made of one step of each operand.  τ partners are
 found through an index of the right operand's steps by (channel,
 payload), for free and bound channels alike, and a `Restrict` drops the
 steps on its own channel and shifts the rest, so an entry is filled
-without building any target.  A slot is filled on first read, by a loop
-down the recipes and back up, and kept.  Every reader builds only the
-targets it keeps: the move table those its `keep` accepts, the action
-grain none, the τ closure the τs and the weak closure the visible steps.
-`_step` returns the frozenset of all the steps, built on its first call
-and kept in the entry.
+without building any target.  A slot is filled on first read and kept:
+a lifted step's slots form a chain, walked down to the first built slot
+and back up, and a τ builds its two halves the same way.  Every reader
+builds only the targets it keeps: the move table those its `keep`
+accepts, the action grain none, the τ closure the τs and the weak
+closure the visible steps.  `_step` returns the frozenset of all the
+steps, made afresh on each call.
 
 Actions are interned in `terms`' table, as terms are: equal actions are
 the same object, hashed and compared by identity, and each stores its
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Union
 
-from .errors import BoundExceeded, ModeViolation
+from .errors import BoundExceeded, ModeViolation, ScopeError
 from .normalform import normalize, term_key
 from .terms import (
     Atom,
@@ -90,6 +91,7 @@ from .terms import (
     children,
     constructs_used,
     instantiate_value,
+    is_closed,
     post_order,
     rebuild,
 )
@@ -222,8 +224,11 @@ def validate_mode(p: Process, mode: Mode) -> None:
 
 
 def check_mode(mode: Mode | None, *terms: Process) -> None:
-    """Raise ModeViolation unless the terms all belong to `mode`'s
-    language, or, with mode None, to one common language."""
+    """Raise ScopeError unless the terms are all closed, then
+    ModeViolation unless they all belong to `mode`'s language, or, with
+    mode None, to one common language."""
+    if not all(map(is_closed, terms)):
+        raise ScopeError("the step relation is defined on closed terms only")
     if mode is None:
         infer_mode(*terms)
     else:
@@ -249,14 +254,14 @@ class _Entry:
     its right operand's, lifted, then one τ per (left step, right step)
     pair in `pairs`.  Step k of a `Restrict` is its body's step `src[k]`
     under the binder.  `parts` holds the entries of the operands or the
-    body, and `steps` the frozenset `_step` returns, once it is read.
+    body, and `index` the `partners` index, once it is read.
     """
 
-    __slots__ = ("term", "parts", "actions", "targets", "pairs", "src", "index", "steps")
+    __slots__ = ("term", "parts", "actions", "targets", "pairs", "src", "index")
 
     def __init__(self, p: Process, universe: Universe, parts: list[_Entry]) -> None:
         self.term, self.parts = p, parts
-        self.pairs = self.src = self.index = self.steps = None
+        self.pairs = self.src = self.index = None
         kind = type(p)
         if kind is Parallel:
             left, right = parts
@@ -277,9 +282,7 @@ class _Entry:
                 src.append(i)
             self.actions, self.src = tuple(actions), src
             self.targets = [None] * len(src)
-        elif kind is Stop:
-            self.actions = self.targets = ()
-        elif kind in (Send, Receive, RepeatReceive, Distribute):
+        elif kind in (Stop, Send, Receive, RepeatReceive, Distribute):
             steps = list(_leaf_steps(p, universe))
             self.actions = tuple(a for a, _ in steps)
             self.targets = tuple(t for _, t in steps)
@@ -287,54 +290,37 @@ class _Entry:
             raise TypeError(f"not a process: {p!r}")
 
     def target(self, k: int) -> Process:
-        """Step k's target, built on first read: down its recipes to the
-        built targets they need and back up, in a loop, whatever the depth
-        of the spine."""
-        t = self.targets[k]
-        if t is not None:
-            return t
-        todo = [(self, k)]
-        while todo:
-            e, i = todo[-1]
-            if e.targets[i] is not None:
-                # built meanwhile, as another step's part
-                todo.pop()
-                continue
+        """Step k's target, built on first read.
+
+        A lifted step has one part, so the slots it needs form a chain:
+        down it to the first built slot, then back up, wrapping the target
+        in each level's `Restrict` or `Parallel` and filling each slot.  A
+        τ pair ends the chain with its two halves, which are no τs, so
+        their chains hold no τ pair: the call recurses one level at most.
+        """
+        chain, e = [], self
+        while (t := e.targets[k]) is None:
             if e.src is not None:
-                j = e.src[i]
-                t = e.parts[0].targets[j]
-                if t is None:
-                    todo.append((e.parts[0], j))
-                    continue
+                chain.append((e, k))
+                e, k = e.parts[0], e.src[k]
+                continue
+            left, right = e.parts
+            nl, nr = len(left.actions), len(right.actions)
+            if k >= nl + nr:
+                i, j = e.pairs[k - nl - nr]
+                t = e.targets[k] = Parallel(left.target(i), right.target(j))
+                break
+            chain.append((e, k))
+            e, k = (left, k) if k < nl else (right, k - nl)
+        for e, k in reversed(chain):
+            if e.src is not None:
                 t = Restrict(t)
+            elif k < len(e.parts[0].actions):
+                t = Parallel(t, e.term.right)
             else:
-                left, right = e.parts
-                nl, nr = len(left.actions), len(right.actions)
-                if i < nl:
-                    t = left.targets[i]
-                    if t is None:
-                        todo.append((left, i))
-                        continue
-                    t = Parallel(t, e.term.right)
-                elif i < nl + nr:
-                    t = right.targets[i - nl]
-                    if t is None:
-                        todo.append((right, i - nl))
-                        continue
-                    t = Parallel(e.term.left, t)
-                else:
-                    li, ri = e.pairs[i - nl - nr]
-                    t, u = left.targets[li], right.targets[ri]
-                    if t is None:
-                        todo.append((left, li))
-                    if u is None:
-                        todo.append((right, ri))
-                    if t is None or u is None:
-                        continue
-                    t = Parallel(t, u)
-            e.targets[i] = t
-            todo.pop()
-        return self.targets[k]
+                t = Parallel(e.term.left, t)
+            e.targets[k] = t
+        return t
 
     def kept(self, keep: Callable[[Action], bool] | None) -> set[Step]:
         """The steps whose action `keep` accepts (all when None); only
@@ -392,16 +378,16 @@ def _entry(p: Process, universe: Universe) -> _Entry:
     hit = _STEP_CACHE.get(key)
     if hit is None:
         # fill the table for every missing part a step of `p` is made of
-        hit = post_order(key, _STEP_CACHE.get, _step_parts, _step_entry)
+        hit = post_order(
+            key, _STEP_CACHE.get, _step_parts, lambda k, parts: _STEP_CACHE.setdefault(k, _Entry(*k, parts))
+        )
     return hit
 
 
 def _step(p: Process, universe: Universe) -> frozenset[Step]:
-    """All the steps of `p`, built on the first call and kept."""
-    entry = _entry(p, universe)
-    if entry.steps is None:
-        entry.steps = frozenset(entry.kept(None))
-    return entry.steps
+    """All the steps of `p`, their targets built on first read and kept
+    in `p`'s entry; the set is made afresh on each call."""
+    return frozenset(_entry(p, universe).kept(None))
 
 
 def _is_tau(a: Action) -> bool:
@@ -419,11 +405,6 @@ def _step_parts(key: tuple[Process, Universe]) -> tuple:
     if kind is Parallel:
         return ((p.left, universe), (p.right, universe))
     return ((p.body, universe),) if kind is Restrict else ()
-
-
-def _step_entry(key: tuple[Process, Universe], parts: list[_Entry]) -> _Entry:
-    entry = _STEP_CACHE[key] = _Entry(*key, parts)
-    return entry
 
 
 def step_order(step: Step) -> tuple:
@@ -490,8 +471,8 @@ def _sender_row(targets: tuple, value: Atom | ValVar) -> Process:
     return row
 
 
-def _leaf_steps(p: Send | Receive | RepeatReceive | Distribute, universe: Universe) -> Iterable[Step]:
-    """The steps of a leaf that acts, all on one channel."""
+def _leaf_steps(p: Stop | Send | Receive | RepeatReceive | Distribute, universe: Universe) -> Iterable[Step]:
+    """The steps of a leaf, all on one channel; `Stop` has none."""
     match p:
         case Send(channel=c, payload=v):
             yield SendAct(c, v), STOP

@@ -31,6 +31,7 @@ from netproc import (
     RepeatReceive,
     Restrict,
     STOP,
+    ScopeError,
     Send,
     SendAct,
     TAU,
@@ -39,7 +40,10 @@ from netproc import (
     ValVar,
     abstract_channel,
     anycast3,
+    audit_witness,
     broadcast3_unreliable,
+    check_strong,
+    check_weak,
     effective_universe,
     explore,
     free_channel_names,
@@ -51,6 +55,8 @@ from netproc import (
     normalize,
     parse,
     pretty_action,
+    replay_trace,
+    simulate,
     sorted_transitions,
     tau_closure,
     transitions,
@@ -352,6 +358,76 @@ def test_a_tau_across_a_long_restricted_spine_builds_its_halves_in_a_loop():
     }
 
 
+def recipe_closure(entry, k):
+    """The (entry id, step) pairs step k's target is built from, at any
+    depth, itself included."""
+    found, todo = set(), [(entry, k)]
+    while todo:
+        e, j = todo.pop()
+        if (id(e), j) not in found:
+            found.add((id(e), j))
+            todo += recipe_parts(e, j)
+    return found
+
+
+def rebuilt_target(entry, k):
+    """Step k's target, rebuilt by recursion over `recipe_parts` from the
+    leaves' targets, whatever the slots hold."""
+    parts = [rebuilt_target(e, j) for e, j in recipe_parts(entry, k)]
+    if not parts:
+        return entry.targets[k]
+    if entry.src is not None:
+        return Restrict(parts[0])
+    if len(parts) == 2:
+        return Parallel(*parts)
+    if k < len(entry.parts[0].actions):
+        return Parallel(parts[0], entry.term.right)
+    return Parallel(entry.term.left, parts[0])
+
+
+def filled_slots():
+    return {(id(e), k) for e in semantics._STEP_CACHE.values() for k in built_steps(e)}
+
+
+_ANYCAST_STATES = []
+
+
+def anycast_states():
+    """States the injected anycast network reaches by internal steps."""
+    if not _ANYCAST_STATES:
+        start = explore(anycast3(), [("s", "m0"), ("s", "m1")], max_depth=0).start
+        states, _ = reachable(start, lambda s: [normalize(t) for a, t in _step(s, UNI) if a is TAU], 60)
+        _ANYCAST_STATES.extend(states)
+    return _ANYCAST_STATES
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["comm", "pi", "anycast"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=4),
+)
+def test_reading_a_target_fills_exactly_its_chain(source, seed, depth):
+    rng = random.Random(seed)
+    if source == "anycast":
+        states = anycast_states()
+        p = states[rng.randrange(len(states))]
+    else:
+        p = (random_comm if source == "comm" else random_pi)(rng, depth)
+    u = effective_universe(UNI, p)
+    semantics._STEP_CACHE.clear()
+    semantics._entry(p, u)
+    # every step of every entry, read in a random order, so that later
+    # reads meet slots earlier reads filled
+    steps = [(e, k) for e in semantics._STEP_CACHE.values() for k in range(len(e.actions))]
+    rng.shuffle(steps)
+    for e, k in steps:
+        before = filled_slots()
+        unbuilt = recipe_closure(e, k) - before
+        assert e.target(k) is rebuilt_target(e, k)
+        assert filled_slots() - before == unbuilt
+
+
 # ---------------------------------------------------------------------------
 # Closures
 # ---------------------------------------------------------------------------
@@ -500,6 +576,28 @@ def test_validate_mode_rejects_foreign_constructs():
         validate_mode(parse("a => [b]"), Mode.PI)
     with pytest.raises(ModeViolation):
         transitions(parse("a => [b]"), Mode.PI, UNI)
+
+
+@pytest.mark.parametrize("index", [0, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: transitions(p),
+        lambda p: tau_closure(p),
+        lambda p: weak_transitions(p),
+        lambda p: check_strong(p, STOP),
+        lambda p: check_weak(STOP, p),
+        lambda p: audit_witness(p, STOP, frozenset()),
+        lambda p: replay_trace(STOP, p, ()),
+        lambda p: explore(p),
+        lambda p: simulate(p),
+    ],
+    ids=["transitions", "tau_closure", "weak_transitions", "check_strong", "check_weak", "audit_witness",
+         "replay_trace", "explore", "simulate"],
+)
+def test_public_entry_points_refuse_open_terms(call, index):
+    with pytest.raises(ScopeError):
+        call(Send(ChanVar(index), Atom("m0")))
 
 
 def test_step_relation_does_not_depend_on_the_mode():
