@@ -63,6 +63,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .normalform import (
     compose_parallel,
@@ -74,6 +75,7 @@ from .semantics import (
     Action,
     Mode,
     Moves,
+    TAU,
     Universe,
     WeakClosure,
     action_key,
@@ -81,6 +83,7 @@ from .semantics import (
     effective_universe,
     _entry,
     _is_tau,
+    _is_visible,
 )
 from .terms import (
     ChanVar,
@@ -307,7 +310,21 @@ class _Prover:
     is self-justifying and serves as the emitted witness.  The weak game
     takes the defender's replies from `closure`; None plays the strong one.
     The move table is raw: `_reduce` shrinks each pair afterwards, and
-    PLAIN plays the pairs as they are.
+    PLAIN plays the pairs as they are.  Under FULL_UPTO a memo kept for
+    the one check holds each reduction by the normal forms of the pair,
+    which is all `_reduce` reads.
+
+    In the weak game a pre-pass tries each challenge with the replies that
+    need no internal padding: the strong steps of the normalized responder
+    on the challenge's action, and for τ the responder itself, plus its
+    τ-steps when the bound allows one.  When every challenge has such a
+    reply whose reduced pair is identical or already assumed, the pair
+    closes and no weak closure is built.  This is exact: those replies are
+    among the weak ones, and a known reply closes a goal with no side
+    effect, which is the first thing the full search looks for, so the
+    full search would close the pair too and change nothing.  Otherwise
+    the full search runs on the weak replies, and reads from the memo the
+    reductions the pre-pass made.
     """
 
     def __init__(
@@ -324,6 +341,8 @@ class _Prover:
         self.assumed: set[Pair] = set()
         self.trail: list[Pair] = []
         self.explored = 0
+        self._reductions: dict[Pair, Pair] = {}
+        self._unpadded: dict[Process, dict[Action, set[Process]]] = {}
 
     def close(self, red: Pair) -> bool:
         """Try to close an already reduced pair under the game."""
@@ -345,23 +364,69 @@ class _Prover:
         return False
 
     def _obligations(self, u: Process, v: Process) -> bool:
+        if self.weak and self._closes_unpadded(u, v):
+            return True
         # weak defender relations include the zero-step reply to Tau
-        goals: list[tuple[Process, list[Process], bool]] = []
+        goals = self._goals(u, v, lambda p: self.moves.replies(p)[0])
+        return goals is not None and all(self._match(t, options, forward) for t, options, forward in goals)
+
+    def _closes_unpadded(self, u: Process, v: Process) -> bool:
+        """The weak game's pre-pass: whether every challenge has a known
+        reply with no internal padding.  It changes no state."""
+        goals = self._goals(u, v, self._unpadded_replies)
+        return goals is not None and all(
+            any(self._known(self._reduced(t, opt, forward)) for opt in options) for t, options, forward in goals
+        )
+
+    def _goals(self, u: Process, v: Process, replies: Callable[[Process], dict]) -> list | None:
+        """(challenger's target, responder's replies, direction) for each
+        challenge of the pair, or None when one has no reply.  A responder's
+        replies are read only when its challenger has a move."""
+        goals = []
         for forward in (True, False):
             chal, resp = (u, v) if forward else (v, u)
-            responses = self.moves.replies(resp)[0]
-            for a, t in self.moves[chal]:
-                options = responses.get(a, [])
-                if not options:
-                    return False
-                goals.append((t, options, forward))
+            challenges = self.moves[chal]
+            if challenges:
+                responses = replies(resp)
+                for a, t in challenges:
+                    options = responses.get(a)
+                    if not options:
+                        return None
+                    goals.append((t, options, forward))
         # forced and low-branching goals first, so unmatchable challenges
         # surface before deep speculative subtrees get built
         goals.sort(key=lambda g: len(g[1]))
-        for t, options, forward in goals:
-            if not self._match(t, options, forward):
-                return False
-        return True
+        return goals
+
+    def _unpadded_replies(self, p: Process) -> dict[Action, set[Process]]:
+        """The weak replies of `p` that need no internal padding, by action:
+        the normalized targets of its normal form's steps, the τ-steps only
+        when the bound allows one, and for τ the normal form itself."""
+        hit = self._unpadded.get(p)
+        if hit is None:
+            n = normalize(p)
+            hit = self._unpadded[p] = {TAU: {n}}
+            keep = None if self.moves.closure.bound >= 1 else _is_visible
+            for a, t in _entry(n, self.moves.universe).kept(keep):
+                hit.setdefault(a, set()).add(normalize(t))
+        return hit
+
+    def _reduced(self, chal_target: Process, opt: Process, forward: bool) -> Pair:
+        """The reduced pair of a challenger's target and a reply, oriented
+        as the challenge.  Under FULL_UPTO `_reduce` runs once per pair of
+        normal forms, so raw targets that differ only in which copy of a
+        component moved share one reduction."""
+        if not self.upto:
+            return (chal_target, opt) if forward else (opt, chal_target)
+        t, o = normalize(chal_target), normalize(opt)
+        pair = (t, o) if forward else (o, t)
+        hit = self._reductions.get(pair)
+        if hit is None:
+            hit = self._reductions[pair] = _reduce(*pair, FULL_UPTO, self.weak)
+        return hit
+
+    def _known(self, red: Pair) -> bool:
+        return red[0] is red[1] or _canon(red) in self.assumed
 
     def _match(self, chal_target: Process, options: list[Process], forward: bool) -> bool:
         # Replies whose reduced pair is equal or already assumed come first,
@@ -372,8 +437,8 @@ class _Prover:
         # `close` has rolled back all it added.
         opened = []
         for opt in options:
-            red = _reduce(*((chal_target, opt) if forward else (opt, chal_target)), self.upto, self.weak)
-            if red[0] is red[1] or _canon(red) in self.assumed:
+            red = self._reduced(chal_target, opt, forward)
+            if self._known(red):
                 return True
             opened.append(red)
         return any(self.close(red) for red in opened)
@@ -387,17 +452,20 @@ class _Prover:
 class _Attacker:
     """Iterative-deepening attacker for the plain (no up-to) game.
 
-    The weak game takes the defender's replies from `closure`, and a reply
-    set cut short by the internal-step bound taints every verdict; None
-    plays the strong game.
+    The weak game takes the defender's replies from `closure`; None plays
+    the strong game.  A verdict is tainted when a closure that could
+    change this ply's answer was cut by the internal-step bound.  Above
+    the last ply every reply lookup, first or not, ORs the table's
+    truncation flag into `tainted`.  The last ply reads the responder's
+    τ-closure only when an action is not answered strongly, and a cut
+    there taints only when an action stays unanswered.
 
     Iterative deepening meets the same states at every depth, so the
     attacker reads each state's moves from one `Moves` table, kept for
     the one check it plays.  Its states are normalized unless
-    `normalize_states` is off.  Every reply lookup, first or not, ORs the
-    table's truncation flag into `tainted`.  The last ply of each round,
-    depth 1, compares action sets and fills no challenger row unless it
-    finds a refutation.
+    `normalize_states` is off.  The last ply of each round, depth 1,
+    compares action sets and fills no challenger row unless it finds a
+    refutation.
     """
 
     def __init__(
@@ -431,15 +499,24 @@ class _Attacker:
         """The game at depth 1, where only the action sets count: the least
         action by `action_key` that one side has and the other cannot
         answer, left side first, with the challenger's first step on it,
-        which is the step the full loop stops at.  In the weak game the
-        responder answers with its weak replies, looked up only when the
-        challenger has an action.  Only that challenger's row fills."""
+        which is the step the full loop stops at.  The responder answers
+        with its own actions.  In the weak game τ is also answered by the
+        zero step, and only for the actions still missing are the actions
+        of the responder's τ-closure read: where a reply lands does not
+        matter here, so no closure after the visible step is built.  Only
+        that challenger's row fills."""
         moves = self.moves
         la, ra = moves.actions(l), moves.actions(r)
         for side, chal, resp, actions, answered in (("left", l, r, la, ra), ("right", r, l, ra, la)):
-            if actions and moves.closure is not None:
-                answered = self._replies(resp).keys()
             missing = actions - answered
+            if missing and moves.closure is not None:
+                missing.discard(TAU)
+                if missing:
+                    pre, cut = moves.closure.reach(resp)
+                    for s in pre:
+                        missing -= moves.actions(s)
+                    # a cut closure could hold a reply to what is missing
+                    self.tainted |= cut and bool(missing)
             if missing:
                 a = min(missing, key=action_key)
                 return (TraceStep(side, a, next(t for b, t in moves[chal] if b is a), None),)

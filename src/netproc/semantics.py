@@ -57,7 +57,11 @@ the bound is one the closure left out.
 A `WeakClosure` remembers `_tau_reach` by start state for one check (one
 universe, one bound); a check builds one and drops it when it returns,
 so nothing it remembers outlives the check.  The `Moves` tables that
-read weak steps through it remember them, grouped as replies.
+read weak steps through it remember them, grouped as replies.  The game
+reads them only where strong steps do not answer: the prover first tries
+the replies that need no internal padding, and the attacker's last ply
+reads only `reach`, the closure before the visible step, and only for
+the actions the responder has no step on.
 """
 
 from __future__ import annotations
