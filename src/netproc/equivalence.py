@@ -54,7 +54,12 @@ as `t => [t, t]`, would double it on every reduced pair.  The strong game
 and PLAIN fire nothing, since a τ-step is visible to the strong game.
 `audit_witness` re-derives every firing with code of its own: it opens
 the binders with fresh names where `_fire` counts de Bruijn indices, and
-requires each delivery to be a τ-step of the step relation.
+requires each delivery to be a τ-step of the step relation.  It derives
+each normal form's deliveries once per audit, and in the weak game tries
+the responder's replies with no internal padding before it builds the
+weak closure.  Both skip only work whose answer is already known: a
+delivery reads the normal form alone, and those replies are weak replies
+too.  So the audit answers as the full check does.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterable
 
 from .normalform import (
     compose_parallel,
@@ -674,19 +679,50 @@ def audit_witness(
     """Re-check a witness relation pair by pair, independently of the
     proof search.  Returns the first offending pair, in the order of the
     pairs' `term_key`s, or None if the witness is closed and contains the
-    reduced root."""
+    reduced root.
+
+    Two shortcuts skip only work whose answer is known, so the result is
+    the same without them.  Each normal form is delivered (`_delivered`)
+    once per call, since a delivery reads the normal form alone.  In the
+    weak game each challenge is first tried against the responder's replies
+    with no internal padding: the normalized targets of its normal form's
+    steps on the action, and for τ the normal form itself, plus its τ-steps
+    when the bound allows one.  Those are weak replies too, so the weak
+    closure is built only for a challenge they leave unanswered.
+    """
     uni = _prepare(p, q, universe, mode)
     # raw, as the prover's: `covered` reduces each pair itself
     moves = Moves(uni, raw=True, closure=WeakClosure(uni, tau_bound) if weak else None)
     fire = weak and upto
+    delivered: dict[Process, Process | None] = {}
+    unpadded: dict[Process, dict[Action, dict[Process, None]]] = {}
+
+    def deliver(x: Process) -> Process | None:
+        n = normalize(x)
+        if n not in delivered:
+            delivered[n] = _delivered(n, uni)
+        return delivered[n]
 
     def covered(l: Process, r: Process) -> bool:
         if fire:
-            l, r = _delivered(l, uni), _delivered(r, uni)
+            l, r = deliver(l), deliver(r)
             if l is None or r is None:
                 return False
         red = _reduce(l, r, upto)
         return red[0] == red[1] or _canon(red) in witness
+
+    def unpadded_replies(x: Process) -> dict[Action, dict[Process, None]]:
+        hit = unpadded.get(x)
+        if hit is None:
+            n = normalize(x)
+            hit = unpadded[x] = {TAU: {n: None}}
+            for a, t in moves[n]:
+                if tau_bound >= 1 or _is_visible(a):
+                    hit.setdefault(a, {})[normalize(t)] = None
+        return hit
+
+    def answers(t: Process, replies: Iterable[Process], forward: bool) -> bool:
+        return any(covered(*((t, d) if forward else (d, t))) for d in replies)
 
     if not covered(p, q):
         return (p, q)
@@ -695,11 +731,15 @@ def audit_witness(
     for u, v in sorted(witness, key=lambda pair: (term_key(pair[0]), term_key(pair[1]))):
         for forward in (True, False):
             chal, resp = (u, v) if forward else (v, u)
+            first = unpadded_replies(resp) if weak else moves.replies(resp)[0]
             # the table's orders, so the work done does not depend on set
-            # order either
-            replies = moves.replies(resp)[0]
+            # order either; the unpadded replies are weak replies too, so
+            # the weak closure is built only for a challenge they leave
+            # unanswered
             for a, t in moves[chal]:
-                if not any(covered(*((t, d) if forward else (d, t))) for d in replies.get(a, ())):
+                if answers(t, first.get(a, ()), forward):
+                    continue
+                if not weak or not answers(t, moves.replies(resp)[0].get(a, ()), forward):
                     return (u, v)
     return None
 
@@ -707,18 +747,24 @@ def audit_witness(
 def _delivered(p: Process, uni: Universe) -> Process | None:
     """The audit's own derivation of `_fire(normalize(p))`.
 
-    It opens each top-level restriction run with fresh names, checks each
-    name's one consumer by walking every node, and fires one pending send
-    at a time, in the rounds and binder order `_fire` uses.  Each delivery
-    must be a τ-step of the run under the step relation; None when one
-    is not.
+    It opens each top-level restriction run that has a pending send on one
+    of its own binders with fresh names, checks each name's one consumer by
+    walking every node, and fires one pending send at a time, in the rounds
+    and binder order `_fire` uses.  Each delivery must be a τ-step of the
+    run under the step relation; None when one is not.  The term after a
+    delivery, closed, is the term the next delivery steps from.
     """
     p = normalize(p)
     taken = set(free_channel_names(p))
     out: list[Process] = []
     fired = False
     for c in parallel_components(p):
-        if type(c) is not Restrict:
+        k, core = 0, c
+        while type(core) is Restrict:
+            k, core = k + 1, core.body
+        # a run with no pending send on its own binders has nothing to fire
+        if not any(type(x) is Send and type(x.channel) is ChanVar and x.channel.index < k
+                   for x in parallel_components(core)):
             out.append(c)
             continue
         names: list[Name] = []
@@ -728,9 +774,6 @@ def _delivered(p: Process, uni: Universe) -> Process | None:
             taken.add(names[-1].text)
             body = instantiate_channel(body.body, names[-1])
         parts = parallel_components(body)
-        if not any(type(x) is Send and x.channel in names for x in parts):
-            out.append(c)
-            continue
         rows = []
         # the innermost binder, de Bruijn index 0, was opened last
         for n in reversed(names):
@@ -738,6 +781,7 @@ def _delivered(p: Process, uni: Universe) -> Process | None:
             if d is not None and sum(t in names for t in d.targets) <= 1:
                 rows.append((n, d.targets))
         delivered = False
+        before = None
         for _ in names:
             progress = False
             for n, row in rows:
@@ -746,8 +790,11 @@ def _delivered(p: Process, uni: Universe) -> Process | None:
                     after = list(parts)
                     after.remove(send)
                     after += [Send(t, send.payload) for t in row]
-                    taus = {normalize(t) for _, t in _entry(_closed(parts, names), uni).kept(_is_tau)}
-                    if normalize(_closed(after, names)) not in taus:
+                    if before is None:
+                        before = _closed(parts, names)
+                    taus = {normalize(t) for _, t in _entry(before, uni).kept(_is_tau)}
+                    before = _closed(after, names)
+                    if normalize(before) not in taus:
                         return None
                     parts, progress = after, True
             if not progress:

@@ -33,7 +33,7 @@ from netproc import (
 from netproc import Atom, ChanVar, Distribute, Name, Send, Stop, equivalence, free_channel_names, fresh_channel_name, instantiate_channel, make_universe
 from netproc.equivalence import _Attacker, _BoundHit, _Prover, _canon, _fire, _reduce
 from netproc.normalform import compose_parallel, parallel_components, term_key
-from netproc.semantics import DEFAULT_UNIVERSE, TAU, Mode, WeakClosure, _step, step_order
+from netproc.semantics import DEFAULT_UNIVERSE, TAU, Mode, Moves, WeakClosure, _entry, _is_tau, _step, effective_universe, step_order
 from helpers import count_fills, random_comm, random_pi
 
 # ---------------------------------------------------------------------------
@@ -437,12 +437,13 @@ def test_strong_and_plain_games_fire_nothing():
     assert replay_trace(pending, parse("b!m0"), res.trace, weak=False)
 
 
-def _hidden_buffer(rng):
-    """A closed run of one or two restrictions over pending sends, a few
-    distributors on its channels and random network-language context."""
-    holes = [Name(f"h{i}") for i in range(rng.randrange(1, 3))]
+def _hidden_run(rng, pending):
+    """A closed run of one to three restrictions over a few distributors on
+    its channels and random network-language context, with pending sends on
+    its channels when `pending` is set."""
+    holes = [Name(f"t{i}") for i in range(rng.randrange(1, 4))]
     scope = [Name("a"), Name("b")] + holes
-    parts = [Send(rng.choice(holes), Atom(rng.choice(["m0", "m1"]))) for _ in range(rng.randrange(1, 4))]
+    parts = [Send(rng.choice(holes), Atom(rng.choice(["m0", "m1"]))) for _ in range(rng.randrange(1, 4) if pending else 0)]
     for _ in range(rng.randrange(1, 4)):
         parts.append(Distribute(rng.choice(holes), [rng.choice(scope) for _ in range(rng.randrange(3))]))
     parts.append(random_comm(rng, 2, scope))
@@ -450,7 +451,15 @@ def _hidden_buffer(rng):
     p = compose_parallel(parts)
     for hole in reversed(holes):
         p = Restrict(abstract_channel(p, hole))
-    return Parallel(p, random_comm(rng, 1))
+    return p
+
+
+def _hidden_buffer(rng):
+    """One to three top-level runs, the first with pending sends and each
+    other one with or without, in random order, beside random context."""
+    runs = [_hidden_run(rng, i == 0 or rng.random() < 0.5) for i in range(rng.randrange(1, 4))]
+    rng.shuffle(runs)
+    return compose_parallel([*runs, random_comm(rng, 1)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -458,6 +467,39 @@ def _hidden_buffer(rng):
 def test_the_audit_rederives_each_firing(seed):
     p = _hidden_buffer(random.Random(seed))
     assert equivalence._delivered(p, DEFAULT_UNIVERSE) == _fire(normalize(p))
+
+
+@pytest.mark.parametrize("text", ["new t. (a -> t | t -> b)", "new t. (b!m0 | a -> t | t -> b)"])
+def test_a_run_with_no_pending_send_on_its_binders_is_not_opened(monkeypatch, text):
+    calls = []
+    instantiate = equivalence.instantiate_channel
+    monkeypatch.setattr(equivalence, "instantiate_channel", lambda *args: calls.append(args) or instantiate(*args))
+    run = normalize(parse(text))
+    assert equivalence._delivered(run, DEFAULT_UNIVERSE) is run
+    assert calls == []
+    # a pending send on the run's own binder opens it
+    pending = normalize(parse("new t. (t!m0 | a -> t | t -> b)"))
+    assert equivalence._delivered(pending, DEFAULT_UNIVERSE) == normalize(parse("b!m0 | new t. (a -> t | t -> b)"))
+    assert len(calls) == 1
+
+
+def test_the_audit_delivers_each_normal_form_once(monkeypatch):
+    l, r = parse("new t. (a -> t | t -> b)"), parse("a -> b")
+    calls = Counter()
+    deliver = equivalence._delivered
+
+    def counting(p, uni):
+        calls[p] += 1
+        return deliver(p, uni)
+
+    monkeypatch.setattr(equivalence, "_delivered", counting)
+    for tau_bound in (2, 3, 8):
+        res = check_weak(l, r, tau_bound)
+        assert res.verdict is Verdict.PROVEN
+        calls.clear()
+        assert audit_witness(l, r, res.witness, FULL_UPTO, weak=True, tau_bound=tau_bound) is None
+        assert len(calls) > 2 and max(calls.values()) == 1
+        assert all(normalize(p) is p for p in calls)
 
 
 def test_the_audit_does_not_trust_the_provers_firing(monkeypatch):
@@ -537,6 +579,168 @@ def test_audit_names_the_first_bad_pair_by_key_not_by_set_order():
     for order in ([small, large], [large, small]):
         forged = _Listed([*order, *good])
         assert audit_witness(l, r, forged, FULL_UPTO, weak=False) == small
+
+
+def reference_delivered(p, uni):
+    """Reference `_delivered`: it opens every run, and closes the run again
+    to step from before each delivery."""
+    p = normalize(p)
+    taken = set(free_channel_names(p))
+    out, fired = [], False
+    for c in parallel_components(p):
+        if type(c) is not Restrict:
+            out.append(c)
+            continue
+        names, body = [], c
+        while type(body) is Restrict:
+            names.append(Name(fresh_channel_name(taken)))
+            taken.add(names[-1].text)
+            body = instantiate_channel(body.body, names[-1])
+        parts = parallel_components(body)
+        if not any(type(x) is Send and x.channel in names for x in parts):
+            out.append(c)
+            continue
+        rows = []
+        for n in reversed(names):
+            d = equivalence._sole_consumer(body, n)
+            if d is not None and sum(t in names for t in d.targets) <= 1:
+                rows.append((n, d.targets))
+        delivered = False
+        for _ in names:
+            progress = False
+            for n, row in rows:
+                for _ in range(sum(type(x) is Send and x.channel is n for x in parts)):
+                    send = next(x for x in parts if type(x) is Send and x.channel is n)
+                    after = list(parts)
+                    after.remove(send)
+                    after += [Send(t, send.payload) for t in row]
+                    taus = {normalize(t) for _, t in _entry(equivalence._closed(parts, names), uni).kept(_is_tau)}
+                    if normalize(equivalence._closed(after, names)) not in taus:
+                        return None
+                    parts, progress = after, True
+            if not progress:
+                break
+            delivered = True
+        if delivered:
+            inside = {n.text for n in names}
+            out += [x for x in parts if not free_channel_names(x) & inside]
+            out.append(equivalence._closed([x for x in parts if free_channel_names(x) & inside], names))
+            fired = True
+        else:
+            out.append(c)
+    return normalize(compose_parallel(out)) if fired else p
+
+
+def reference_audit(p, q, witness, upto, weak, tau_bound):
+    """Reference `audit_witness`: it reads the full replies for every
+    challenge and delivers both sides of every pair it covers."""
+    uni = effective_universe(None, p, q)
+    moves = Moves(uni, raw=True, closure=WeakClosure(uni, tau_bound) if weak else None)
+
+    def covered(l, r):
+        if weak and upto:
+            l, r = reference_delivered(l, uni), reference_delivered(r, uni)
+            if l is None or r is None:
+                return False
+        red = _reduce(l, r, upto)
+        return red[0] == red[1] or _canon(red) in witness
+
+    if not covered(p, q):
+        return (p, q)
+    for u, v in sorted(witness, key=lambda pair: (term_key(pair[0]), term_key(pair[1]))):
+        for forward in (True, False):
+            chal, resp = (u, v) if forward else (v, u)
+            replies = moves.replies(resp)[0]
+            for a, t in moves[chal]:
+                if not any(covered(*((t, d) if forward else (d, t))) for d in replies.get(a, ())):
+                    return (u, v)
+    return None
+
+
+def _weak_pair(kind, seed, depth, shape):
+    """`_random_pair`, and for kind "hidden" a `_hidden_buffer` against
+    another, against its fired form in place of itself doubled (which keeps
+    the check slow), or beside random context."""
+    if kind != "hidden":
+        return _random_pair(kind, seed, depth, shape)
+    rng = random.Random(seed)
+    l = _hidden_buffer(rng)
+    r = {"fresh": lambda: _hidden_buffer(rng), "doubled": lambda: _fire(normalize(l)),
+         "extended": lambda: Parallel(l, random_comm(rng, 1))}[shape]()
+    return l, r
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from(["pi", "comm", "hidden"]),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(["fresh", "doubled", "extended"]),
+    st.sampled_from([FULL_UPTO, PLAIN]),
+    st.sampled_from([0, 1, 4]),
+)
+def test_the_audit_answers_as_the_full_check(kind, seed, depth, shape, upto, tau_bound):
+    # delivering each normal form once, opening only runs with a pending
+    # send and trying unpadded replies first skip only work whose answer is
+    # known: the audit returns what the full check returns, on the check's
+    # own witness and on forged ones, at each τ bound.  A hidden buffer's
+    # weak closure at bound 4 can take a minute to build, as a row such as
+    # `t => [t, t]` doubles its buffer on each internal step, so hidden
+    # buffers are checked and audited at bounds 0 and 1 only.
+    l, r = _weak_pair(kind, seed, depth, shape)
+    bounds = (0, 1) if kind == "hidden" else (0, 1, 4)
+    res = check_weak(l, r, min(tau_bound, bounds[-1]), 24, upto=upto, max_trace_depth=3, node_budget=300)
+    witnesses = [frozenset({_canon(_reduce(l, r, upto, True))})]
+    if res.verdict is Verdict.PROVEN and res.witness:
+        pairs = sorted(res.witness, key=lambda pair: tuple(map(term_key, pair)))
+        foreign = (normalize(parse("a!m0")), normalize(parse("b!m0")))
+        witnesses += [res.witness, res.witness - {random.Random(seed).choice(pairs)}, res.witness | {foreign},
+                      _Listed(pairs), _Listed(pairs[::-1])]
+    for witness in witnesses:
+        for bound in bounds:
+            expected = reference_audit(l, r, witness, upto, True, bound)
+            assert audit_witness(l, r, witness, upto, weak=True, tau_bound=bound) == expected
+
+
+def _weak_closure_builds(monkeypatch) -> list:
+    built = []
+    weak_steps = WeakClosure.weak_steps
+    monkeypatch.setattr(WeakClosure, "weak_steps", lambda self, p: built.append(p) or weak_steps(self, p))
+    return built
+
+
+def test_a_tau_challenge_answered_only_by_a_tau_step_needs_bound_one(monkeypatch):
+    # an internal choice against the same choice listed in another order:
+    # each branch is answered only by the responder's own τ-step to it, as
+    # the responder itself, the zero-step reply, can still take the other
+    l = parse("new t. (t!m0 | t?x. a!x | t?y. b!y)")
+    r = parse("new t. (t?y. b!y | t?x. a!x | t!m0)")
+    res = check_weak(l, r, 1, upto=PLAIN)
+    assert res.verdict is Verdict.PROVEN
+    built = _weak_closure_builds(monkeypatch)
+    assert audit_witness(l, r, res.witness, PLAIN, weak=True, tau_bound=1) is None
+    assert built == []
+    assert audit_witness(l, r, res.witness, PLAIN, weak=True, tau_bound=0) == (l, r)
+
+
+def test_a_tau_challenge_answered_by_not_moving_builds_no_closure(monkeypatch):
+    # the hidden exchange's τ-step is answered by `0` staying put
+    l, r = parse("new t. (t!m0 | t?x. 0)"), STOP
+    res = check_weak(l, r, 0, upto=PLAIN)
+    assert res.verdict is Verdict.PROVEN
+    built = _weak_closure_builds(monkeypatch)
+    assert audit_witness(l, r, res.witness, PLAIN, weak=True, tau_bound=0) is None
+    assert built == []
+
+
+def test_a_challenge_only_a_padded_reply_answers_reads_the_weak_closure(monkeypatch):
+    # the output of `a!m0` is answered only after the relay's τ-step
+    l, r = parse("new t. (t!m0 | t?x. a!x)"), parse("a!m0")
+    res = check_weak(l, r, 1, upto=PLAIN)
+    assert res.verdict is Verdict.PROVEN
+    built = _weak_closure_builds(monkeypatch)
+    assert audit_witness(l, r, res.witness, PLAIN, weak=True, tau_bound=1) is None
+    assert normalize(l) in built
 
 
 def test_restriction_composition_of_proven_pair_stays_proven():
