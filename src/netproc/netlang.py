@@ -263,7 +263,7 @@ def explore(
     check_mode(mode, start_raw)
     universe = effective_universe(universe, start_raw)
     start = normalize(start_raw)
-    conds = _parse_query(query) if query is not None else None
+    conds = _parse_query(query, free_channel_names(start_raw)) if query is not None else None
     # each state's observable steps, targets normalized; the census and the
     # walk both read it, so a state's moves are worked out once however
     # often it is reached
@@ -388,8 +388,10 @@ class _Cond:
     count: int
 
 
-def _parse_query(text: str) -> list[_Cond]:
-    """Conjunction of `chan OP n`, `total OP n`, `distinct OP n` conditions."""
+def _parse_query(text: str, channels: frozenset[str]) -> list[_Cond]:
+    """Conjunction of `chan OP n`, `total OP n`, `distinct OP n` conditions,
+    where chan is one of `channels`: a query about a channel the network
+    does not have is refused, not answered."""
     conds = []
     offset = 0
     for part in text.split(","):
@@ -397,7 +399,13 @@ def _parse_query(text: str) -> list[_Cond]:
         if not m:
             col = offset + len(part) - len(part.lstrip()) + 1
             raise ParseError(f"bad query condition {part.strip()!r}", 1, col)
-        conds.append(_Cond(m.group(1), m.group(2), int(m.group(3))))
+        subject = m.group(1)
+        if subject not in ("total", "distinct") and subject not in channels:
+            raise ParseError(
+                f"bad query subject {subject!r}, expected total, distinct or a channel of the network",
+                1, offset + m.start(1) + 1,
+            )
+        conds.append(_Cond(subject, m.group(2), int(m.group(3))))
         offset += len(part) + 1
     return conds
 

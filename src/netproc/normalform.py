@@ -19,14 +19,23 @@ rewrites that fired.  It works on units, children first, by
 `terms.post_order`: a parallel spine's leaves, the core under a whole
 run of restrictions, or a receive prefix's body.  `_CACHE` maps every
 term and unit normalized to its normal form, so a step target built
-from parts of terms normalized before costs only its new units.  A run's
-candidate orders are normalized by nested calls, which nest only where
-an order changes a run inside it, multiplying the work at each level.
+from parts of terms normalized before costs only its new units, and
+maps each normal form it holds or `splice` returns to itself, so
+`is_normal` is one lookup.  A run's candidate orders are normalized by
+nested calls, which nest only where an order changes a run inside it,
+multiplying the work at each level.
+
+`splice` builds the normal form of a normal state's step target from
+the state's sorted components and the normal components of the moved
+ones' targets, with no raw target built: `semantics`' normalizing reads
+use it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from itertools import islice, permutations
+from operator import attrgetter
 
 from .terms import (
     CHAN,
@@ -65,6 +74,9 @@ def term_key(p: Process) -> tuple:
         return p._term_key
     except AttributeError:
         raise TypeError(f"not a process: {p!r}") from None
+
+
+_sort_key = attrgetter("_term_key")
 
 
 def term_order(p: Process, q: Process) -> int:
@@ -120,6 +132,13 @@ def normalize(p: Process) -> Process:
     return _known(p) or post_order(p, _known, _units, _normal_unit)
 
 
+def is_normal(p: Process) -> bool:
+    """Whether `p` is known to be its own normal form: a leaf, or a term
+    some normalization returned.  One lookup; a normal form that was never
+    returned reads False."""
+    return _known(p) is p
+
+
 def _known(p: Process) -> Process | None:
     return p if type(p) in _LEAVES else _CACHE.get(p)
 
@@ -151,7 +170,8 @@ def _normal_unit(p: Process, units: list[Process]) -> Process:
         out = _normal_run(p, units[0])
     else:
         out = rebuild(p, units)
-    _CACHE[p] = out
+    # a normal form is its own, so `is_normal` reads it with one lookup
+    _CACHE[p] = _CACHE[out] = out
     return out
 
 
@@ -197,3 +217,63 @@ def _renumber_run(core: Process, k: int, new: dict[int, int]) -> Process:
         return c
 
     return _map(core, CHAN, f)
+
+
+# ---------------------------------------------------------------------------
+# Splicing the normal form of a step target
+# ---------------------------------------------------------------------------
+
+
+def normal_shape(p: Process) -> tuple[int, list[Process], list[Process]]:
+    """A normal form `new^k (c1 | ... | cn)` as k, its components c1..cn
+    and its spine: `spine[i]` is the node of `ci | ... | cn`."""
+    k, core = 0, p
+    while type(core) is Restrict:
+        k += 1
+        core = core.body
+    spine = [core]
+    while type(spine[-1]) is Parallel:
+        spine.append(spine[-1].right)
+    return k, [x.left for x in spine[:-1]] + [spine[-1]], spine
+
+
+def normal_components(p: Process) -> tuple[Process, ...]:
+    """The components of `p`'s normal form: none for the inert process."""
+    return tuple(c for c in parallel_components(normalize(p)) if type(c) is not Stop)
+
+
+def splice(
+    p: Process, k: int, comps: list[Process], spine: list[Process], moved: list[tuple[int, tuple[Process, ...]]]
+) -> Process:
+    """The normal form of the normal `p`, shaped `k, comps, spine` by
+    `normal_shape`, with the component at each slot of `moved`, a list of
+    (slot, components) in slot order, replaced by those components, each
+    a normal form and none parallel or inert.
+
+    The moved components leave the sorted list and the new ones go in by
+    `term_key`.  The spine after the last slot that changes is reused,
+    and for k >= 1 the run is closed as `normalize` closes it.
+    """
+    # every slot from `last` on stays in place
+    last = moved[-1][0] + 1
+    for _, new in moved:
+        for x in new:
+            last = max(last, bisect_right(comps, x._term_key, key=_sort_key))
+    head = comps[:last]
+    for i, _ in reversed(moved):
+        del head[i]
+    for _, new in moved:
+        for x in new:
+            insort(head, x, key=_sort_key)
+    if last < len(comps):
+        node = spine[last]
+    elif head:
+        node = head.pop()
+    else:
+        node = STOP
+    for x in reversed(head):
+        node = Parallel(x, node)
+    if k:
+        node = _normal_run(p, node)
+    _CACHE[node] = node
+    return node

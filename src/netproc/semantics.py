@@ -49,7 +49,16 @@ The game, its evidence checks, explore, simulate and the CLI's LTS read
 the step relation through a per-call `Moves` table, which puts each
 state's steps into `step_order` once and groups the defender's replies by
 action; readers that need only a state's actions read them from its
-step-table entry, with no target built.
+step-table entry, with no target built.  A table that normalizes its
+targets reads a normal state `new^k (c1 | ... | cn)` that has no entry
+yet from its components' entries, as LTSmin's partitioned next-state
+function reads only the slots a transition touches (Blom, van de Pol &
+Weber, CAV 2010): a step moves one component, or two for a τ between
+components, and `normalform.splice` builds its normal target from the
+sorted components, so neither the state's entry nor any raw target is
+built.  A state that has an entry already (from a raw table, the action
+grain, or as a component of another state) is read through it, where
+its targets and their normal forms are already to be found.
 `reachable` is the one breadth-first search: explore's census, the CLI's
 LTS and the weak closure run on it.  `_tau_reach` is one call of it over
 the internal steps, one step deeper than the bound: a state found past
@@ -72,7 +81,7 @@ from enum import Enum
 from typing import Callable, Iterable, Union
 
 from .errors import BoundExceeded, ModeViolation, ScopeError
-from .normalform import normalize, term_key
+from .normalform import is_normal, normal_components, normal_shape, normalize, splice, term_key
 from .terms import (
     Atom,
     Channel,
@@ -258,14 +267,15 @@ class _Entry:
     its right operand's, lifted, then one τ per (left step, right step)
     pair in `pairs`.  Step k of a `Restrict` is its body's step `src[k]`
     under the binder.  `parts` holds the entries of the operands or the
-    body, and `index` the `partners` index, once it is read.
+    body, `index` the `partners` index, once it is read, and `normal` the
+    `normal_step`s read so far.
     """
 
-    __slots__ = ("term", "parts", "actions", "targets", "pairs", "src", "index")
+    __slots__ = ("term", "parts", "actions", "targets", "pairs", "src", "index", "normal")
 
     def __init__(self, p: Process, universe: Universe, parts: list[_Entry]) -> None:
         self.term, self.parts = p, parts
-        self.pairs = self.src = self.index = None
+        self.pairs = self.src = self.index = self.normal = None
         kind = type(p)
         if kind is Parallel:
             left, right = parts
@@ -335,6 +345,20 @@ class _Entry:
                 t = targets[k]
                 out.add((a, self.target(k) if t is None else t))
         return out
+
+    def normal_step(self, k: int) -> tuple[bool, tuple, tuple[Process, ...]]:
+        """Step k's target as `_normal_row` splices it: whether its
+        `term_key` is above the term's, that key, and the components of
+        its normal form; found on first read and kept."""
+        normal = self.normal
+        if normal is None:
+            normal = self.normal = [None] * len(self.actions)
+        hit = normal[k]
+        if hit is None:
+            t = self.target(k)
+            key = t._term_key
+            hit = normal[k] = (key > self.term._term_key, key, normal_components(t))
+        return hit
 
     def partners(self) -> dict[tuple[Channel, Atom], list[int]]:
         """The indices of the non-τ steps by (channel, payload), indexed
@@ -423,10 +447,13 @@ class Moves(dict):
     `moves[p]` is the steps of `p` whose action `keep` accepts (all of
     them when None) in `step_order` of their raw targets, each target
     normalized unless the table is `raw`; only the targets of those steps
-    are built.  `moves.replies(p)` is the defender's distinct targets per
-    action, in `term_key` order, and whether the weak closure truncated
-    them: from `closure.weak_steps(p)` in the weak game, from `moves[p]` in
-    the strong one (closure None), computed once per state.
+    are built.  A normalizing table reads a normal state with no
+    step-table entry by `_normal_row`, which builds no raw target and no
+    entry for the state, and any other state through its entry.
+    `moves.replies(p)` is the defender's distinct targets per action, in
+    `term_key` order, and whether the weak closure truncated them: from
+    `closure.weak_steps(p)` in the weak game, from `moves[p]` in the
+    strong one (closure None), computed once per state.
     `moves.actions(p)` is the action grain, the set of actions of
     `moves[p]`, read from `p`'s step-table entry with no target built and
     no row filled: the attacker's last ply and explore's frontier test
@@ -445,8 +472,13 @@ class Moves(dict):
         self._replies: dict[Process, tuple[dict[Action, list[Process]], bool]] = {}
 
     def __missing__(self, p: Process) -> list[Step]:
-        out = sorted(_entry(p, self.universe).kept(self.keep), key=step_order)
-        out = self[p] = out if self.raw else [(a, normalize(t)) for a, t in out]
+        if self.raw:
+            out = sorted(_entry(p, self.universe).kept(self.keep), key=step_order)
+        elif (p, self.universe) not in _STEP_CACHE and is_normal(p):
+            out = _normal_row(p, self.universe, self.keep)
+        else:
+            out = [(a, normalize(t)) for a, t in sorted(_entry(p, self.universe).kept(self.keep), key=step_order)]
+        self[p] = out
         return out
 
     def actions(self, p: Process) -> set[Action]:
@@ -465,6 +497,66 @@ class Moves(dict):
             # term_key order is the order in which the replies are tried
             hit = self._replies[p] = ({a: sorted(ts, key=term_key) for a, ts in grouped.items()}, truncated)
         return hit
+
+
+# ends a `_normal_row` sort key: it sorts above a lowered slot and below
+# a raised one
+_END = (1,)
+
+
+def _normal_row(p: Process, universe: Universe, keep: Callable[[Action], bool] | None) -> list[Step]:
+    """The row of the normal state `p`, `new^k (c1 | ... | cn)`, in a
+    normalizing `Moves` table, read from its components' entries.
+
+    A step moves one component, or two for a τ made of a send and a
+    receive in different components; actions on the run's k binders are
+    dropped and the other bound channels shifted out by k.  Every raw
+    target is the same spine of n slots under the same binders, so their
+    `term_key`s compare as the tuples of their slots' keys: the source's
+    keys, a moved slot holding its target's.  A step's sort key encodes
+    that tuple by its moved slots alone, `(0, i, key)` for a slot i whose
+    key is lowered and `(2, -i, key)` for one raised, then `_END`, so two
+    sort keys compare as the tuples do, and equal ones are one raw step.
+    No raw target is built: `splice` builds each normal target.
+    """
+    k, comps, spine = normal_shape(p)
+    tau = keep is None or keep(TAU)
+    keys: list[list] = []
+    steps: list[tuple[Action, list[tuple[int, tuple[Process, ...]]]]] = []
+    ends: dict[tuple[Channel, Atom], list[tuple[bool, int, _Entry, int]]] = {}
+    for i, c in enumerate(comps):
+        e = _entry(c, universe)
+        for j, a in enumerate(e.actions):
+            if a is not TAU:
+                ch = a.channel
+                if tau:
+                    ends.setdefault((ch, a.payload), []).append((type(a) is SendAct, i, e, j))
+                if type(ch) is ChanVar:
+                    if ch.index < k:
+                        continue
+                    a = type(a)(ChanVar(ch.index - k), a.payload)
+            if keep is None or keep(a):
+                up, tk, parts = e.normal_step(j)
+                keys.append([a._key, (2, -i, tk) if up else (0, i, tk), _END])
+                steps.append((a, [(i, parts)]))
+    if tau:
+        for group in ends.values():
+            for send, i, e, j in group:
+                if send:
+                    for send2, i2, e2, j2 in group:
+                        if not send2 and i != i2:
+                            up, tk, parts = e.normal_step(j)
+                            up2, tk2, parts2 = e2.normal_step(j2)
+                            x, y = (2, -i, tk) if up else (0, i, tk), (2, -i2, tk2) if up2 else (0, i2, tk2)
+                            keys.append([TAU._key, x, y, _END] if i < i2 else [TAU._key, y, x, _END])
+                            steps.append((TAU, [(i, parts), (i2, parts2)] if i < i2 else [(i2, parts2), (i, parts)]))
+    out, prev = [], None
+    for n in sorted(range(len(steps)), key=keys.__getitem__):
+        if keys[n] != prev:
+            prev = keys[n]
+            a, spliced = steps[n]
+            out.append((a, splice(p, k, comps, spine, spliced)))
+    return out
 
 
 def _sender_row(targets: tuple, value: Atom | ValVar) -> Process:

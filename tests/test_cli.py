@@ -205,6 +205,11 @@ def test_explore_query_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "explore", net, "--inject", "s=m0", "--query", "total >= 2")
     assert code == 1
     assert "unsatisfied" in out
+    # a channel the network does not have is bad input, not an answer
+    code, out, err = run_cli(capsys, "explore", net, "--inject", "s=m0", "--query", "r4 = 0")
+    assert code == 3
+    assert "satisfied" not in out
+    assert "col 1: bad query subject 'r4'" in err
 
 
 def test_simulate_prints_seeded_trace(capsys):

@@ -56,6 +56,7 @@ CASES: dict[str, list[str]] = {
     "bad-max-states": ["lts", "a!m0", "--max-states", "0"],
     "bad-values": ["--values", "m0,1x,a b", "transitions", "c ? x. d!x"],
     "bad-query-empty": ["explore", RELAY, "--inject", "s=m0", "--query", ""],
+    "bad-query-unknown-channel": ["explore", "s -> r1 | s -> r2", "--inject", "s=m0", "--query", "r3 = 0"],
     "bad-inject": ["explore", RELAY, "--inject", "s=m 0"],
 }
 

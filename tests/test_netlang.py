@@ -33,6 +33,7 @@ from netproc import (
     duplicator,
     duploser,
     explore,
+    free_channel_names,
     loser,
     parse,
     simulate,
@@ -209,9 +210,22 @@ def test_query_parse_errors():
         explore(net, inputs=[("a", "m0")], query="r1")
     # an empty query is not the absent query: it must not read as unsatisfied
     with pytest.raises(ParseError):
-        _parse_query("")
+        _parse_query("", frozenset())
     with pytest.raises(ParseError):
         explore(net, inputs=[("a", "m0")], query="")
+
+
+@pytest.mark.parametrize("query, col", [("r3 = 0", 1), ("r3 >= 1", 1), ("total >= 1,  r3 = 0", 14), ("b = 1, tota = 0", 8)])
+def test_a_query_about_a_channel_the_network_does_not_have_is_refused(query, col):
+    # it would read as satisfied (r3 = 0) or unsatisfied (a typo) with no
+    # sign that the channel does not exist
+    net = parse("s -> r1 | s -> r2 | a -> b")
+    with pytest.raises(ParseError) as err:
+        explore(net, inputs=[("s", "m0")], query=query)
+    assert (err.value.line, err.value.col) == (1, col)
+    # the injected network's free channels, the injected ones included
+    for subject in ("s", "r1", "r2", "a", "b", "total", "distinct"):
+        assert explore(net, inputs=[("s", "m0")], query=f"{subject} >= 0").query_satisfied
 
 
 def test_divergence_is_detected_on_replicated_loops():
@@ -323,7 +337,8 @@ def test_walk_loop_matches_the_recursive_walk(net, max_depth, node_budget):
         delivery_profiles={}, query_satisfied=None, query_witness=None,
     )
     suppressed = frozenset(ch for ch, _ in report.inputs)
-    ref_walk(ref, report.start, report.universe, suppressed, max_depth, node_budget, _parse_query(query))
+    conds = _parse_query(query, free_channel_names(report.start))
+    ref_walk(ref, report.start, report.universe, suppressed, max_depth, node_budget, conds)
     assert report == ref
     assert list(report.delivery_profiles.items()) == list(ref.delivery_profiles.items())
 

@@ -67,6 +67,18 @@ def test_unused_binder_is_dropped_with_index_repair():
     assert pretty(nf) == "new t. t!m0 | c => [t]"
 
 
+def test_a_normal_form_found_through_a_unit_is_known_as_normal(monkeypatch):
+    # `b!m0 | a!m0` is first normalized as the core of a run, a unit; read
+    # again, its normal form comes from the unit's entry, and is one lookup
+    # away from being known as a normal form
+    monkeypatch.setattr(normalform, "_CACHE", {})
+    core = parse("b!m0 | a!m0")
+    assert pretty(normalize(Restrict(core))) == "a!m0 | b!m0"
+    n = normalize(core)
+    assert n is not core and normalform.is_normal(n)
+    assert not normalform.is_normal(core)
+
+
 def test_used_binder_is_kept_without_rebuilding_the_body(monkeypatch):
     calls = []
     real = normalform._map

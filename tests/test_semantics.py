@@ -44,6 +44,7 @@ from netproc import (
     broadcast3_unreliable,
     check_strong,
     check_weak,
+    compose_parallel,
     effective_universe,
     explore,
     free_channel_names,
@@ -65,8 +66,10 @@ from netproc import (
     weak_transitions,
 )
 from netproc import equivalence, semantics
+from netproc.netlang import _inject, _observable
+from netproc.normalform import is_normal, normal_shape
 from netproc.semantics import WeakClosure, _step, _tau_reach, reachable, step_order
-from helpers import random_comm, random_pi
+from helpers import CHANNELS, random_comm, random_pi
 
 UNI = make_universe("m0", "m1")
 
@@ -260,14 +263,26 @@ def built_from(entries):
     return {(id(part), j) for e in entries for k in built_steps(e) for part, j in recipe_parts(e, k)}
 
 
+def raw_census(net, inputs, max_depth):
+    """Explore's census of `net` with `inputs` injected, read through a raw
+    table with explore's filter, so each state's kept steps are built
+    through its own entry's step chain: the states found, by depth."""
+    start, _, suppressed = _inject(net, inputs)
+    universe = effective_universe(None, start)
+    moves = semantics.Moves(universe, raw=True, keep=lambda a: _observable(a, suppressed))
+    depth, _ = reachable(normalize(start), lambda s: [normalize(t) for _, t in moves[s]], 512, max_depth)
+    return depth
+
+
 def test_steps_on_a_bound_channel_are_built_only_for_a_tau():
     # a hidden hop's receives and sends are dropped at the binder, so the
     # target of a step on a bound channel is built only as a part of a
     # built target above it, which acts on a bound channel too unless it
     # is a τ: every chain of such builds ends in a τ
-    semantics._STEP_CACHE.clear()
     report = explore(anycast3(), [("s", "m0"), ("s", "m1")], max_depth=8)
     assert (report.states, report.complete_paths) == (36, 9)
+    semantics._STEP_CACHE.clear()
+    assert len(raw_census(anycast3(), [("s", "m0"), ("s", "m1")], 8)) == report.states
     entries = list(semantics._STEP_CACHE.values())
     needed = built_from(entries)
     bound = [
@@ -306,7 +321,7 @@ def test_anycast_explore_builds_a_receive_on_the_injected_port_only_for_a_tau():
     # distributor leaf such a receive is built only as a half of a τ with
     # an injected send (m0), or as a part of one
     semantics._STEP_CACHE.clear()
-    explore(anycast3(), [("s", "m0")], max_depth=8)
+    raw_census(anycast3(), [("s", "m0")], 8)
     entries = [e for e in semantics._STEP_CACHE.values() if type(e.term) in (Parallel, Restrict)]
     needed = built_from(entries)
     receives = [
@@ -318,6 +333,27 @@ def test_anycast_explore_builds_a_receive_on_the_injected_port_only_for_a_tau():
     assert {v for _, _, v in receives} == {Atom("m0"), Atom("m1")}
     assert all((id(e), k) in needed for e, k, _ in receives if e.targets[k] is not None)
     assert all(e.targets[k] is None for e, k, v in receives if v == Atom("m1"))
+
+
+@pytest.mark.parametrize("net, inputs, max_depth", [
+    (anycast3, [("s", "m0"), ("s", "m1")], 8),
+    (broadcast3_unreliable, [("s", "m0")], 6),
+])
+def test_explore_builds_no_raw_target_of_a_state_it_expands(net, inputs, max_depth):
+    # a normal state's row is read from its components' entries, and its
+    # targets are spliced in normal form: a raw target of the state, the
+    # spine with one or two slots moved, is never built, unless the state
+    # was also a component of another, whose entry is its own
+    semantics._STEP_CACHE.clear()
+    report = explore(net(), inputs, max_depth=max_depth)
+    built = [t for e in semantics._STEP_CACHE.values() for t in e.targets if t is not None]
+    census = raw_census(net(), inputs, max_depth)
+    parts = {c for s in census for c in normal_shape(s)[1]}
+    expanded = [s for s, d in census.items() if d < max_depth and s not in parts]
+    assert len(expanded) > 10 and report.states > len(expanded)
+    # the targets of each expanded state's own entry, built only now
+    raw = {t for s in expanded for _, t in _step(s, report.universe)}
+    assert not raw & set(built)
 
 
 def test_the_last_ply_and_the_tau_closure_build_no_visible_target():
@@ -426,6 +462,97 @@ def test_reading_a_target_fills_exactly_its_chain(source, seed, depth):
         unbuilt = recipe_closure(e, k) - before
         assert e.target(k) is rebuilt_target(e, k)
         assert filled_slots() - before == unbuilt
+
+
+# ---------------------------------------------------------------------------
+# Normalizing reads
+# ---------------------------------------------------------------------------
+
+
+def reference_row(p, universe, keep):
+    """A normalizing table's row, read through the state's own entry: its
+    raw steps in `step_order`, each target then normalized."""
+    return [(a, normalize(t)) for a, t in sorted(semantics._entry(p, universe).kept(keep), key=step_order)]
+
+
+def hidden_run(rng, k, pi):
+    """A run of k restrictions over sends on its channels or on a and b,
+    receives or distributors on its channels, and random context."""
+    holes = [Name(f"t{i}") for i in range(k)]
+    scope = [Name("a"), Name("b")] + holes
+    parts = [Send(rng.choice(scope + holes), Atom(rng.choice(["m0", "m1"]))) for _ in range(rng.randrange(1, 4))]
+    for _ in range(rng.randrange(1, 4)):
+        parts.append(receiver(rng, rng.choice(holes), scope, pi))
+    parts.append((random_pi if pi else random_comm)(rng, 1, scope))
+    rng.shuffle(parts)
+    p = compose_parallel(parts)
+    for hole in reversed(holes):
+        p = Restrict(abstract_channel(p, hole))
+    return p
+
+
+def receiver(rng, channel, scope, pi):
+    """A receive on `channel` that forwards what it gets, or a distributor."""
+    if not pi:
+        return Distribute(channel, [rng.choice(scope) for _ in range(rng.randrange(3))])
+    body = Send(rng.choice(scope), rng.choice([Atom("m1"), ValVar(0)]))
+    return (Receive if rng.random() < 0.5 else RepeatReceive)(channel, body)
+
+
+def normal_state(rng, kind):
+    """A normal state of one of several shapes."""
+    pi = rng.random() < 0.5
+    gen = random_pi if pi else random_comm
+    if kind == "random":
+        return normalize(gen(rng, rng.randrange(1, 4)))
+    if kind == "composed":
+        return normalize(compose_parallel([gen(rng, rng.randrange(0, 3)) for _ in range(rng.randrange(2, 6))]))
+    if kind == "run":
+        # 2-5 binders, so the run's binders are put in order by permutation
+        core = hidden_run(rng, rng.randrange(2, 6), pi)
+        return normalize(Parallel(core, gen(rng, 1)) if rng.random() < 0.5 else core)
+    if kind == "crossing":
+        # receives on a and b sort before the runs whose sends they meet,
+        # so a τ's receive is often in the earlier slot
+        parts = [hidden_run(rng, rng.randrange(1, 4), pi) for _ in range(rng.randrange(1, 3))]
+        parts += [receiver(rng, rng.choice([Name("a"), Name("b")]), CHANNELS, pi) for _ in range(rng.randrange(1, 3))]
+        return normalize(compose_parallel(parts))
+    if kind == "duplicated":
+        x, y = gen(rng, rng.randrange(0, 3)), gen(rng, 1)
+        return normalize(compose_parallel([x, y, x] if rng.random() < 0.5 else [x, x, y, y]))
+    # every step ends in 0: sends, and receives with an inert body
+    chans = [Name("a"), Name("b"), ChanVar(0)]
+    parts = [
+        Send(rng.choice(chans), Atom(rng.choice(["m0", "m1"]))) if rng.random() < 0.5
+        else Receive(rng.choice(chans), STOP)
+        for _ in range(rng.randrange(1, 6))
+    ]
+    return normalize(Restrict(compose_parallel(parts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["random", "composed", "run", "crossing", "duplicated", "inert"]),
+    st.integers(0, 10**6),
+    st.sampled_from(["all", "tau", "observable"]),
+)
+def test_normalizing_reads_match_the_reference_row(kind, seed, keep):
+    # the row read from the components equals the row read from the
+    # state's own entry: the same steps, in the same order, each with the
+    # same normalized target, duplicates and all
+    p = normal_state(random.Random(seed), kind)
+    universe = effective_universe(UNI, p)
+    keep = {"all": None, "tau": lambda a: a is TAU, "observable": lambda a: _observable(a, frozenset({"a"}))}[keep]
+    semantics._STEP_CACHE.clear()
+    assert is_normal(p)
+    row = semantics.Moves(universe, keep=keep)[p]
+    # no entry for the state, unless it is its own one component
+    assert (p, universe) not in semantics._STEP_CACHE or normal_shape(p)[1] == [p]
+    ref = reference_row(p, universe, keep)
+    assert [a for a, _ in row] == [a for a, _ in ref]
+    assert all(t is u for (_, t), (_, u) in zip(row, ref))
+    # with the state's entry filled, the table reads through it
+    assert semantics.Moves(universe, keep=keep)[p] == ref
 
 
 # ---------------------------------------------------------------------------
