@@ -56,10 +56,11 @@ and PLAIN fire nothing, since a τ-step is visible to the strong game.
 the binders with fresh names where `_fire` counts de Bruijn indices, and
 requires each delivery to be a τ-step of the step relation.  It derives
 each normal form's deliveries once per audit, and in the weak game tries
-the responder's replies with no internal padding before it builds the
-weak closure.  Both skip only work whose answer is already known: a
-delivery reads the normal form alone, and those replies are weak replies
-too.  So the audit answers as the full check does.
+the responder's replies with no internal padding (`Moves.unpadded`, as
+the prover's pre-pass does) before it builds the weak closure.  Both skip
+only work whose answer is already known: a delivery reads the normal form
+alone, and those replies are weak replies too.  So the audit answers as
+the full check does.
 """
 
 from __future__ import annotations
@@ -88,7 +89,6 @@ from .semantics import (
     effective_universe,
     _entry,
     _is_tau,
-    _is_visible,
 )
 from .terms import (
     ChanVar,
@@ -320,16 +320,14 @@ class _Prover:
     which is all `_reduce` reads.
 
     In the weak game a pre-pass tries each challenge with the replies that
-    need no internal padding: the strong steps of the normalized responder
-    on the challenge's action, and for τ the responder itself, plus its
-    τ-steps when the bound allows one.  When every challenge has such a
-    reply whose reduced pair is identical or already assumed, the pair
-    closes and no weak closure is built.  This is exact: those replies are
-    among the weak ones, and a known reply closes a goal with no side
-    effect, which is the first thing the full search looks for, so the
-    full search would close the pair too and change nothing.  Otherwise
-    the full search runs on the weak replies, and reads from the memo the
-    reductions the pre-pass made.
+    need no internal padding (`Moves.unpadded`).  When every challenge has
+    such a reply whose reduced pair is identical or already assumed, the
+    pair closes and no weak closure is built.  This is exact: those
+    replies are among the weak ones, and a known reply closes a goal with
+    no side effect, which is the first thing the full search looks for,
+    so the full search would close the pair too and change nothing.
+    Otherwise the full search runs on the weak replies, and reads from the
+    memo the reductions the pre-pass made.
     """
 
     def __init__(
@@ -347,7 +345,6 @@ class _Prover:
         self.trail: list[Pair] = []
         self.explored = 0
         self._reductions: dict[Pair, Pair] = {}
-        self._unpadded: dict[Process, dict[Action, set[Process]]] = {}
 
     def close(self, red: Pair) -> bool:
         """Try to close an already reduced pair under the game."""
@@ -378,7 +375,7 @@ class _Prover:
     def _closes_unpadded(self, u: Process, v: Process) -> bool:
         """The weak game's pre-pass: whether every challenge has a known
         reply with no internal padding.  It changes no state."""
-        goals = self._goals(u, v, self._unpadded_replies)
+        goals = self._goals(u, v, self.moves.unpadded)
         return goals is not None and all(
             any(self._known(self._reduced(t, opt, forward)) for opt in options) for t, options, forward in goals
         )
@@ -402,19 +399,6 @@ class _Prover:
         # surface before deep speculative subtrees get built
         goals.sort(key=lambda g: len(g[1]))
         return goals
-
-    def _unpadded_replies(self, p: Process) -> dict[Action, set[Process]]:
-        """The weak replies of `p` that need no internal padding, by action:
-        the normalized targets of its normal form's steps, the τ-steps only
-        when the bound allows one, and for τ the normal form itself."""
-        hit = self._unpadded.get(p)
-        if hit is None:
-            n = normalize(p)
-            hit = self._unpadded[p] = {TAU: {n}}
-            keep = None if self.moves.closure.bound >= 1 else _is_visible
-            for a, t in _entry(n, self.moves.universe).kept(keep):
-                hit.setdefault(a, set()).add(normalize(t))
-        return hit
 
     def _reduced(self, chal_target: Process, opt: Process, forward: bool) -> Pair:
         """The reduced pair of a challenger's target and a reply, oriented
@@ -677,25 +661,27 @@ def audit_witness(
     mode: Mode | None = None,
 ) -> Pair | None:
     """Re-check a witness relation pair by pair, independently of the
-    proof search.  Returns the first offending pair, in the order of the
-    pairs' `term_key`s, or None if the witness is closed and contains the
-    reduced root.
+    proof search.  Returns None if the witness is closed and contains the
+    reduced root, (p, q) if it misses the root, and otherwise the first
+    pair that is not closed, in the order of the pairs' `term_key`s.  Each
+    pair is played in both directions, so a pair and its flip are one
+    pair: the witness is read in `_canon` orientation, and an offending
+    pair is reported in it.
 
     Two shortcuts skip only work whose answer is known, so the result is
     the same without them.  Each normal form is delivered (`_delivered`)
     once per call, since a delivery reads the normal form alone.  In the
     weak game each challenge is first tried against the responder's replies
-    with no internal padding: the normalized targets of its normal form's
-    steps on the action, and for τ the normal form itself, plus its τ-steps
-    when the bound allows one.  Those are weak replies too, so the weak
-    closure is built only for a challenge they leave unanswered.
+    with no internal padding (`Moves.unpadded`).  Those are weak replies
+    too, so the weak closure is built only for a challenge they leave
+    unanswered.
     """
     uni = _prepare(p, q, universe, mode)
+    witness = frozenset(map(_canon, witness))
     # raw, as the prover's: `covered` reduces each pair itself
     moves = Moves(uni, raw=True, closure=WeakClosure(uni, tau_bound) if weak else None)
     fire = weak and upto
     delivered: dict[Process, Process | None] = {}
-    unpadded: dict[Process, dict[Action, dict[Process, None]]] = {}
 
     def deliver(x: Process) -> Process | None:
         n = normalize(x)
@@ -711,31 +697,19 @@ def audit_witness(
         red = _reduce(l, r, upto)
         return red[0] == red[1] or _canon(red) in witness
 
-    def unpadded_replies(x: Process) -> dict[Action, dict[Process, None]]:
-        hit = unpadded.get(x)
-        if hit is None:
-            n = normalize(x)
-            hit = unpadded[x] = {TAU: {n: None}}
-            for a, t in moves[n]:
-                if tau_bound >= 1 or _is_visible(a):
-                    hit.setdefault(a, {})[normalize(t)] = None
-        return hit
-
     def answers(t: Process, replies: Iterable[Process], forward: bool) -> bool:
         return any(covered(*((t, d) if forward else (d, t))) for d in replies)
 
     if not covered(p, q):
         return (p, q)
     # in the order of the sides' keys, not the set's, which is not stable
-    # from one process to the next; a prover's pairs are `_canon`'s
+    # from one process to the next
     for u, v in sorted(witness, key=lambda pair: (term_key(pair[0]), term_key(pair[1]))):
         for forward in (True, False):
             chal, resp = (u, v) if forward else (v, u)
-            first = unpadded_replies(resp) if weak else moves.replies(resp)[0]
+            first = moves.unpadded(resp) if weak else moves.replies(resp)[0]
             # the table's orders, so the work done does not depend on set
-            # order either; the unpadded replies are weak replies too, so
-            # the weak closure is built only for a challenge they leave
-            # unanswered
+            # order either
             for a, t in moves[chal]:
                 if answers(t, first.get(a, ()), forward):
                     continue

@@ -210,10 +210,11 @@ class ExploreReport:
 def _inject(p: Process, inputs) -> tuple[Process, tuple[tuple[str, str], ...], frozenset[str]]:
     """`p` with one send per (channel, value) input in parallel, the
     inputs as stripped text, and the channels injected on.  Each side
-    must read back as an identifier; a ParseError gives its column in
-    the text CHANNEL=VALUE."""
+    must read back as an identifier and the channel be one of `p`'s; a
+    ParseError gives the column at fault in the text CHANNEL=VALUE."""
     pairs: list[tuple[str, str]] = []
     senders: list[Process] = []
+    channels = free_channel_names(p)
     for chan, value in inputs:
         ch = chan.text if isinstance(chan, Name) else str(chan)
         val = value.text if isinstance(value, Atom) else str(value)
@@ -221,6 +222,9 @@ def _inject(p: Process, inputs) -> tuple[Process, tuple[tuple[str, str], ...], f
             if not is_identifier(text.strip()):
                 col += len(text) - len(text.lstrip())
                 raise ParseError(f"bad injected {what} {text!r}, expected an identifier that is not a keyword", 1, col)
+        if ch.strip() not in channels:
+            col = 1 + len(ch) - len(ch.lstrip())
+            raise ParseError(f"bad injected channel {ch.strip()!r}, expected a channel of the network", 1, col)
         ch, val = ch.strip(), val.strip()
         pairs.append((ch, val))
         senders.append(Send(Name(ch), Atom(val)))

@@ -21,14 +21,15 @@ run of restrictions, or a receive prefix's body.  `_CACHE` maps every
 term and unit normalized to its normal form, so a step target built
 from parts of terms normalized before costs only its new units, and
 maps each normal form it holds or `splice` returns to itself, so
-`is_normal` is one lookup.  A run's candidate orders are normalized by
-nested calls, which nest only where an order changes a run inside it,
-multiplying the work at each level.
+normalizing a normal form met before is one lookup.  A run's candidate
+orders are normalized by nested calls, which nest only where an order
+changes a run inside it, multiplying the work at each level.
 
 `splice` builds the normal form of a normal state's step target from
 the state's sorted components and the normal components of the moved
 ones' targets, with no raw target built: `semantics`' normalizing reads
-use it.
+use it, for every state with no step-table entry, after the one lookup
+that normalizes the state.
 """
 
 from __future__ import annotations
@@ -132,13 +133,6 @@ def normalize(p: Process) -> Process:
     return _known(p) or post_order(p, _known, _units, _normal_unit)
 
 
-def is_normal(p: Process) -> bool:
-    """Whether `p` is known to be its own normal form: a leaf, or a term
-    some normalization returned.  One lookup; a normal form that was never
-    returned reads False."""
-    return _known(p) is p
-
-
 def _known(p: Process) -> Process | None:
     return p if type(p) in _LEAVES else _CACHE.get(p)
 
@@ -170,7 +164,7 @@ def _normal_unit(p: Process, units: list[Process]) -> Process:
         out = _normal_run(p, units[0])
     else:
         out = rebuild(p, units)
-    # a normal form is its own, so `is_normal` reads it with one lookup
+    # a normal form is its own, so normalizing it again is one lookup
     _CACHE[p] = _CACHE[out] = out
     return out
 

@@ -50,10 +50,11 @@ the step relation through a per-call `Moves` table, which puts each
 state's steps into `step_order` once and groups the defender's replies by
 action; readers that need only a state's actions read them from its
 step-table entry, with no target built.  A table that normalizes its
-targets reads a normal state `new^k (c1 | ... | cn)` that has no entry
-yet from its components' entries, as LTSmin's partitioned next-state
-function reads only the slots a transition touches (Blom, van de Pol &
-Weber, CAV 2010): a step moves one component, or two for a τ between
+targets is asked only for normal states `new^k (c1 | ... | cn)`, and
+reads one with no entry yet from its components' entries, as LTSmin's
+partitioned next-state function reads only the slots a transition
+touches (Blom, van de Pol & Weber, CAV 2010): a step moves one
+component, or two for a τ between
 components, and `normalform.splice` builds its normal target from the
 sorted components, so neither the state's entry nor any raw target is
 built.  A state that has an entry already (from a raw table, the action
@@ -67,10 +68,11 @@ A `WeakClosure` remembers `_tau_reach` by start state for one check (one
 universe, one bound); a check builds one and drops it when it returns,
 so nothing it remembers outlives the check.  The `Moves` tables that
 read weak steps through it remember them, grouped as replies.  The game
-reads them only where strong steps do not answer: the prover first tries
-the replies that need no internal padding, and the attacker's last ply
-reads only `reach`, the closure before the visible step, and only for
-the actions the responder has no step on.
+reads them only where strong steps do not answer: the prover and the
+audit first try the replies that need no internal padding
+(`Moves.unpadded`), and the attacker's last ply reads only `reach`, the
+closure before the visible step, and only for the actions the responder
+has no step on.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ from enum import Enum
 from typing import Callable, Iterable, Union
 
 from .errors import BoundExceeded, ModeViolation, ScopeError
-from .normalform import is_normal, normal_components, normal_shape, normalize, splice, term_key
+from .normalform import normal_components, normal_shape, normalize, splice, term_key
 from .terms import (
     Atom,
     Channel,
@@ -442,18 +444,21 @@ def step_order(step: Step) -> tuple:
 
 
 class Moves(dict):
-    """One call's table of moves, filled a state at a time on first read.
+    """One call's table of moves, filled a state at a time on first read;
+    every game, evidence check and exploration reads states through one.
 
     `moves[p]` is the steps of `p` whose action `keep` accepts (all of
     them when None) in `step_order` of their raw targets, each target
     normalized unless the table is `raw`; only the targets of those steps
-    are built.  A normalizing table reads a normal state with no
-    step-table entry by `_normal_row`, which builds no raw target and no
-    entry for the state, and any other state through its entry.
+    are built.  A normalizing table reads a state through its step-table
+    entry, or with none its normal form by `_normal_row`, which builds no
+    raw target and no entry; every state it is asked for is normal.
     `moves.replies(p)` is the defender's distinct targets per action, in
     `term_key` order, and whether the weak closure truncated them: from
     `closure.weak_steps(p)` in the weak game, from `moves[p]` in the
     strong one (closure None), computed once per state.
+    `moves.unpadded(p)` is the weak game's replies with no internal
+    padding, which the prover and the audit try first.
     `moves.actions(p)` is the action grain, the set of actions of
     `moves[p]`, read from `p`'s step-table entry with no target built and
     no row filled: the attacker's last ply and explore's frontier test
@@ -461,7 +466,7 @@ class Moves(dict):
     A table lives as long as the call that builds it.
     """
 
-    __slots__ = ("universe", "raw", "keep", "closure", "_replies")
+    __slots__ = ("universe", "raw", "keep", "closure", "_replies", "_unpadded")
 
     def __init__(
         self, universe: Universe, *, raw: bool = False, keep: Callable[[Action], bool] | None = None,
@@ -470,14 +475,15 @@ class Moves(dict):
         super().__init__()
         self.universe, self.raw, self.keep, self.closure = universe, raw, keep, closure
         self._replies: dict[Process, tuple[dict[Action, list[Process]], bool]] = {}
+        self._unpadded: dict[Process, dict[Action, dict[Process, None]]] = {}
 
     def __missing__(self, p: Process) -> list[Step]:
         if self.raw:
             out = sorted(_entry(p, self.universe).kept(self.keep), key=step_order)
-        elif (p, self.universe) not in _STEP_CACHE and is_normal(p):
-            out = _normal_row(p, self.universe, self.keep)
+        elif (e := _STEP_CACHE.get((p, self.universe))) is not None:
+            out = [(a, normalize(t)) for a, t in sorted(e.kept(self.keep), key=step_order)]
         else:
-            out = [(a, normalize(t)) for a, t in sorted(_entry(p, self.universe).kept(self.keep), key=step_order)]
+            out = _normal_row(normalize(p), self.universe, self.keep)
         self[p] = out
         return out
 
@@ -498,6 +504,28 @@ class Moves(dict):
             hit = self._replies[p] = ({a: sorted(ts, key=term_key) for a, ts in grouped.items()}, truncated)
         return hit
 
+    def unpadded(self, p: Process) -> dict[Action, dict[Process, None]]:
+        """The weak replies of `p` that need no internal padding, by action,
+        as ordered sets of normal forms; weak tables only, once per state.
+
+        With `n` the normal form of `p`, τ is answered by `n` itself and,
+        when the bound allows one internal step, by the normalized targets
+        of `n`'s τ-steps; a visible action by the normalized targets of
+        `n`'s steps on it.  These are weak replies too.  They are read from
+        `n`'s step-table entry in its order, with no row filled or sorted,
+        so the work done does not depend on set order.
+        """
+        hit = self._unpadded.get(p)
+        if hit is None:
+            n = normalize(p)
+            e = _entry(n, self.universe)
+            hit = self._unpadded[p] = {TAU: {n: None}}
+            tau = self.closure.bound >= 1
+            for k, a in enumerate(e.actions):
+                if tau or a is not TAU:
+                    hit.setdefault(a, {})[normalize(e.target(k))] = None
+        return hit
+
 
 # ends a `_normal_row` sort key: it sorts above a lowered slot and below
 # a raised one
@@ -509,8 +537,8 @@ def _normal_row(p: Process, universe: Universe, keep: Callable[[Action], bool] |
     normalizing `Moves` table, read from its components' entries.
 
     A step moves one component, or two for a τ made of a send and a
-    receive in different components; actions on the run's k binders are
-    dropped and the other bound channels shifted out by k.  Every raw
+    receive in different components.  An action on a bound channel is on
+    one of the run's k binders, as `p` is closed, and is dropped.  Every raw
     target is the same spine of n slots under the same binders, so their
     `term_key`s compare as the tuples of their slots' keys: the source's
     keys, a moved slot holding its target's.  A step's sort key encodes
@@ -528,13 +556,10 @@ def _normal_row(p: Process, universe: Universe, keep: Callable[[Action], bool] |
         e = _entry(c, universe)
         for j, a in enumerate(e.actions):
             if a is not TAU:
-                ch = a.channel
                 if tau:
-                    ends.setdefault((ch, a.payload), []).append((type(a) is SendAct, i, e, j))
-                if type(ch) is ChanVar:
-                    if ch.index < k:
-                        continue
-                    a = type(a)(ChanVar(ch.index - k), a.payload)
+                    ends.setdefault((a.channel, a.payload), []).append((type(a) is SendAct, i, e, j))
+                if type(a.channel) is ChanVar:
+                    continue
             if keep is None or keep(a):
                 up, tk, parts = e.normal_step(j)
                 keys.append([a._key, (2, -i, tk) if up else (0, i, tk), _END])

@@ -58,6 +58,7 @@ CASES: dict[str, list[str]] = {
     "bad-query-empty": ["explore", RELAY, "--inject", "s=m0", "--query", ""],
     "bad-query-unknown-channel": ["explore", "s -> r1 | s -> r2", "--inject", "s=m0", "--query", "r3 = 0"],
     "bad-inject": ["explore", RELAY, "--inject", "s=m 0"],
+    "bad-inject-unknown-channel": ["explore", RELAY, "--inject", "zz=m0"],
 }
 
 

@@ -210,6 +210,42 @@ def test_tampered_trace_fails_replay():
     )
     assert not replay_trace(l, r, flipped, weak=False)
     assert not replay_trace(l, r, trace[:1], weak=False)
+    # an empty play names no action the responder cannot answer
+    assert not replay_trace(l, r, (), weak=False)
+
+
+@pytest.mark.parametrize("ls, rs", [("a -> b | a -> c", "a => [b, c]"), ("a -> b", "a -> c")])
+def test_a_play_with_a_reply_that_is_no_reply_fails_replay(ls, rs):
+    # `c!m0` is no state the defender reaches by its first reply; in the
+    # second pair the rest of the play would replay from it
+    l, r = parse(ls), parse(rs)
+    trace = check_strong(l, r).trace
+    assert replay_trace(l, r, trace)
+    first = TraceStep(trace[0].side, trace[0].action, trace[0].challenger_target, normalize(parse("c!m0")))
+    assert not replay_trace(l, r, (first, *trace[1:]))
+
+
+def test_the_audit_refuses_a_delivery_that_is_no_tau_step(monkeypatch):
+    # the hidden relay's one consumer, given a forged row, delivers where
+    # no τ-step of the run goes: that delivery, and so the witness, fails
+    l, r = parse("new t. (a -> t | t -> b)"), parse("a -> b")
+    res = check_weak(l, r)
+    assert res.verdict is Verdict.PROVEN and len(res.witness) == 1
+    assert audit_witness(l, r, res.witness, weak=True) is None
+    sole, delivered, results = equivalence._sole_consumer, equivalence._delivered, []
+
+    def forged(body, n):
+        d = sole(body, n)
+        return d and Distribute(d.source, (Name("c"),))
+
+    def recorded(p, uni):
+        results.append(delivered(p, uni))
+        return results[-1]
+
+    monkeypatch.setattr(equivalence, "_sole_consumer", forged)
+    monkeypatch.setattr(equivalence, "_delivered", recorded)
+    assert audit_witness(l, r, res.witness, weak=True) == next(iter(res.witness))
+    assert None in results
 
 
 def test_open_terms_are_rejected():
@@ -581,6 +617,32 @@ def test_audit_names_the_first_bad_pair_by_key_not_by_set_order():
         assert audit_witness(l, r, forged, FULL_UPTO, weak=False) == small
 
 
+def _flipped(witness):
+    return frozenset((v, u) for u, v in witness)
+
+
+def test_a_flipped_witness_audits_as_the_witness():
+    # each pair is played in both directions, so a pair and its flip are
+    # one pair of the relation
+    strong = parse("a -> b | a -> b"), parse("a -> b")
+    res = check_strong(*strong)
+    assert res.verdict is Verdict.PROVEN
+    assert audit_witness(*strong, _flipped(res.witness)) is None
+    relay = parse("new t. (a -> t | t -> b)"), parse("a -> b")
+    res = check_weak(*relay)
+    assert res.verdict is Verdict.PROVEN
+    assert audit_witness(*relay, _flipped(res.witness), weak=True) is None
+    # a flipped witness that is not closed is still refused, by the pair
+    # the unflipped one is refused by
+    l, r = parse("a!m0 | b!m1"), parse("b!m1 | a!m0")
+    pairs = check_strong(l, r, PLAIN).witness
+    assert len(pairs) == 3
+    for dropped in pairs:
+        holed = pairs - {dropped}
+        assert audit_witness(l, r, holed, PLAIN) is not None
+        assert audit_witness(l, r, _flipped(holed), PLAIN) == audit_witness(l, r, holed, PLAIN)
+
+
 def reference_delivered(p, uni):
     """Reference `_delivered`: it opens every run, and closes the run again
     to step from before each delivery."""
@@ -840,12 +902,12 @@ def test_the_weak_pre_pass_changes_no_outcome(kind, seed, depth, shape, upto, ta
 )
 def test_the_unpadded_replies_are_weak_replies(kind, seed, depth, tau_bound):
     p = _GENERATORS[kind](random.Random(seed), depth)
-    prover = _Prover(DEFAULT_UNIVERSE, FULL_UPTO, 0, WeakClosure(DEFAULT_UNIVERSE, tau_bound))
-    weak = prover.moves.replies(p)[0]
-    unpadded = prover._unpadded_replies(p)
+    moves = Moves(DEFAULT_UNIVERSE, raw=True, closure=WeakClosure(DEFAULT_UNIVERSE, tau_bound))
+    weak = moves.replies(p)[0]
+    unpadded = moves.unpadded(p)
     assert normalize(p) in unpadded[TAU]
     for a, targets in unpadded.items():
-        assert targets <= set(weak[a])
+        assert set(targets) <= set(weak[a])
 
 
 def test_a_known_reply_is_taken_before_an_earlier_unknown_one():

@@ -167,6 +167,20 @@ def test_injected_text_is_stripped_and_must_be_identifiers():
             simulate(net, inputs=[bad], steps=3)
 
 
+def test_an_injection_on_a_channel_the_network_lacks_is_refused():
+    # a message on a channel of no component is delivered nowhere, and the
+    # run would read as if nothing had been injected
+    net = parse("a -> b")
+    for inputs, col in (([("zz", "m0")], 1), ([(" zz ", "m0")], 2), ([("a", "m0"), (Name("zz"), "m1")], 1)):
+        for run in (explore, simulate):
+            with pytest.raises(ParseError, match="bad injected channel 'zz', expected a channel of the network") as err:
+                run(net, inputs)
+            assert (err.value.line, err.value.col) == (1, col)
+    # a channel the network only sends on is one of its channels too
+    assert explore(net, [("b", "m0")]).inputs == (("b", "m0"),)
+    assert simulate(net, [("b", "m0")]) == ()
+
+
 def test_broadcast_can_lose_everything_and_reach_everyone():
     report = explore(
         broadcast3_unreliable("s", "r1", "r2", "r3"),

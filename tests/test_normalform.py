@@ -75,8 +75,8 @@ def test_a_normal_form_found_through_a_unit_is_known_as_normal(monkeypatch):
     core = parse("b!m0 | a!m0")
     assert pretty(normalize(Restrict(core))) == "a!m0 | b!m0"
     n = normalize(core)
-    assert n is not core and normalform.is_normal(n)
-    assert not normalform.is_normal(core)
+    assert n is not core and normalform._CACHE.get(n) is n
+    assert normalform._CACHE.get(core) is not core
 
 
 def test_used_binder_is_kept_without_rebuilding_the_body(monkeypatch):

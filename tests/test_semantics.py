@@ -67,7 +67,7 @@ from netproc import (
 )
 from netproc import equivalence, semantics
 from netproc.netlang import _inject, _observable
-from netproc.normalform import is_normal, normal_shape
+from netproc.normalform import normal_shape
 from netproc.semantics import WeakClosure, _step, _tau_reach, reachable, step_order
 from helpers import CHANNELS, random_comm, random_pi
 
@@ -544,7 +544,7 @@ def test_normalizing_reads_match_the_reference_row(kind, seed, keep):
     universe = effective_universe(UNI, p)
     keep = {"all": None, "tau": lambda a: a is TAU, "observable": lambda a: _observable(a, frozenset({"a"}))}[keep]
     semantics._STEP_CACHE.clear()
-    assert is_normal(p)
+    assert normalize(p) is p
     row = semantics.Moves(universe, keep=keep)[p]
     # no entry for the state, unless it is its own one component
     assert (p, universe) not in semantics._STEP_CACHE or normal_shape(p)[1] == [p]
