@@ -10,6 +10,13 @@ The checker has two independent halves:
   * a refutation search that plays the plain bounded game by iterative
     deepening and reports a minimal-depth distinguishing trace.
 
+In the strong game the refutation search does not expand a pair whose two
+sides are one state: the defender wins it by copying every move, which
+leaves an identical pair one round down (Stirling, "Bisimulation, modal
+logic and model checking games", 1999).  States are hash-consed, so the
+test is one pointer compare.  The weak game expands such a pair, since a
+τ-closure cut under it is what lets a check name `tau-bound`.
+
 Each half reads its moves from its own `semantics.Moves` table: the
 prover's is raw, as it reduces every pair itself, and the attacker's
 normalizes its states.  Each remembers its own replies, in the weak game
@@ -142,7 +149,9 @@ class CheckResult:
 
     `pairs_explored` is the work of both phases together: `prover_pairs`
     candidate pairs opened by the proof search plus `attacker_nodes` game
-    positions expanded by the refutation search.
+    positions expanded by the refutation search.  In the strong game a
+    position whose two sides are one state is not expanded, so it counts
+    no attacker node.
     """
 
     verdict: Verdict
@@ -455,6 +464,12 @@ class _Attacker:
     `normalize_states` is off.  The last ply of each round, depth 1,
     compares action sets and fills no challenger row unless it finds a
     refutation.
+
+    The strong game returns None for a pair whose sides are one object
+    before it looks at the memo or counts a node: the defender copies
+    every challenge into an identical pair.  A raw table compares the
+    states as played, never their normal forms.  The weak game expands
+    such a pair, because a cut τ-closure under it taints the answer.
     """
 
     def __init__(
@@ -512,6 +527,8 @@ class _Attacker:
         return None
 
     def _attack(self, l: Process, r: Process, depth: int) -> tuple[TraceStep, ...] | None:
+        if l is r and self.moves.closure is None:
+            return None
         key = (l, r, depth)
         if key in self.memo:
             return self.memo[key]
@@ -839,12 +856,13 @@ def replay_trace(
 
     Every challenger step must be an actual transition of its side and
     the final challenger action must have no reply from the other side.
+    A step on a side other than "left" or "right" fails the play.
     """
     uni = _prepare(p, q, universe, mode)
     moves = Moves(uni, closure=WeakClosure(uni, tau_bound) if weak else None)
     state = {"left": normalize(p), "right": normalize(q)}
     for i, step in enumerate(trace):
-        if (step.action, step.challenger_target) not in moves[state[step.side]]:
+        if step.side not in state or (step.action, step.challenger_target) not in moves[state[step.side]]:
             return False
         other = "right" if step.side == "left" else "left"
         replies = moves.replies(state[other])[0].get(step.action, ())

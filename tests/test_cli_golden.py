@@ -37,6 +37,7 @@ CASES: dict[str, list[str]] = {
     "check-strong-proven": ["check", "a!m0 | b!m1", "b!m1 | a!m0", "--emit-witness", WITNESS],
     "check-strong-distinguished": ["check", "a -> b", "a -> c"],
     "check-strong-inconclusive": ["check", "dup a | dup a", "dup a", "--no-upto", "--max-pairs", "4"],
+    "check-strong-plain-congruent": ["check", "a -> b | c!m0", "c!m0 | a -> b", "--no-upto", "--max-pairs", "16"],
     "check-weak-proven": ["check", "new t. (t!m0 | t -> b)", "b!m0", "--weak", "--emit-witness", WITNESS],
     "check-weak-plain-proven": ["check", "new t. (t!m0 | t -> b)", "b!m0", "--weak", "--no-upto", "--emit-witness", WITNESS],
     "check-weak-relay": ["check", "new t. (a -> t | t -> b)", "a -> b", "--weak", "--tau-bound", "4", "--max-pairs", "64"],

@@ -212,6 +212,9 @@ def test_tampered_trace_fails_replay():
     assert not replay_trace(l, r, trace[:1], weak=False)
     # an empty play names no action the responder cannot answer
     assert not replay_trace(l, r, (), weak=False)
+    # a step on neither side is a malformed play, not a crash
+    middle = tuple(TraceStep("middle", s.action, s.challenger_target, s.defender_target) for s in trace)
+    assert not replay_trace(l, r, middle, weak=False)
 
 
 @pytest.mark.parametrize("ls, rs", [("a -> b | a -> c", "a => [b, c]"), ("a -> b", "a -> c")])
@@ -952,7 +955,8 @@ def test_first_known_reply_saves_reductions(monkeypatch):
 class _FilteringAttacker(_Attacker):
     """Reference attacker: sorts and normalizes the challenger's steps at
     every node and filters the responder's steps on every reply lookup,
-    with no table; it keeps its own universe and closure."""
+    with no table; it keeps its own universe and closure.  Like the
+    attacker, it does not expand an identical pair in the strong game."""
 
     def __init__(self, universe, closure, node_budget, normalize_states=True):
         super().__init__(universe, closure, node_budget, normalize_states)
@@ -986,7 +990,7 @@ class _FilteringAttacker(_Attacker):
         return sorted(set(opts), key=term_key)
 
     def _attack(self, l, r, depth):
-        if depth == 0:
+        if depth == 0 or (l is r and self.closure is None):
             return None
         key = (l, r, depth)
         if key in self.memo:
@@ -1080,6 +1084,105 @@ def test_move_table_plays_like_per_call_filtering(kind, seed, depth, shape, game
     _, expected = _play(_FilteringAttacker, l, r, weak, tau_bound, normalize, max_depth)
     assert outcome == expected
     _assert_table_matches_filtering(attacker)
+
+
+def reference_attack(self, l, r, depth):
+    """`_Attacker._attack` with no identical-pair cut: every pair is
+    expanded and counted, in either game."""
+    key = (l, r, depth)
+    if key in self.memo:
+        return self.memo[key]
+    self.nodes += 1
+    if self.nodes > self.budget:
+        raise _BoundHit("node-budget")
+    if depth == 1:
+        self.memo[key] = self._last_ply(l, r)
+        return self.memo[key]
+    result = None
+    for side, chal, resp in (("left", l, r), ("right", r, l)):
+        for a, tn in self.moves[chal]:
+            replies = self._replies(resp).get(a)
+            if not replies:
+                result = (TraceStep(side, a, tn, None),)
+                break
+            refutations = []
+            for opt in replies:
+                pair = (tn, opt) if side == "left" else (opt, tn)
+                sub = self._attack(*pair, depth - 1)
+                if sub is None:
+                    refutations = None
+                    break
+                refutations.append((opt, sub))
+            if refutations:
+                opt, sub = refutations[0]
+                result = (TraceStep(side, a, tn, opt),) + sub
+                break
+        if result is not None:
+            break
+    self.memo[key] = result
+    return result
+
+
+class _UncutAttacker(_Attacker):
+    _attack = reference_attack
+
+
+def _replays_normalized(l, r, trace):
+    # a raw table's play names raw targets; the replay reads normal forms
+    norm = [TraceStep(s.side, s.action, normalize(s.challenger_target),
+                      s.defender_target and normalize(s.defender_target)) for s in trace]
+    return replay_trace(l, r, tuple(norm))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(_GENERATORS)),
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(["fresh", "doubled", "extended"]),
+    st.booleans(),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=3, max_value=60),
+    st.sampled_from([2, 3]),
+)
+# the uncut search runs out of its 3 nodes; the cut one finds no refutation
+@example("comm", 2250, 1, "extended", True, 3, 3, 3)
+def test_the_identical_pair_cut_loses_no_refutation(kind, seed, depth, shape, normalize_states, max_depth, budget, tau_bound):
+    l, r = _random_pair(kind, seed, depth, shape)
+    args = (l, r, False, 0, normalize_states, max_depth)
+    # with room to finish, the strong game answers as before
+    trace, hit, _, _ = _play(_Attacker, *args, budget=2000)[1]
+    assert (trace, hit) == _play(_UncutAttacker, *args, budget=2000)[1][:2]
+    # on a small budget the cut only saves nodes
+    trace, hit, _, _ = _play(_Attacker, *args, budget=budget)[1]
+    ref_trace, ref_hit, _, _ = _play(_UncutAttacker, *args, budget=budget)[1]
+    if ref_hit is None:
+        assert (trace, hit) == (ref_trace, ref_hit)
+    if hit is not None:
+        assert hit == ref_hit == "node-budget"
+    if trace is not None and ref_trace is None:
+        assert _replays_normalized(l, r, trace)
+    # the weak game expands identical pairs as before
+    weak = (l, r, True, tau_bound, normalize_states, max_depth)
+    assert _play(_Attacker, *weak, budget=budget)[1] == _play(_UncutAttacker, *weak, budget=budget)[1]
+
+
+def test_the_weak_game_expands_an_identical_pair():
+    # both sides normalize to one state, whose cut τ-closure taints the play
+    l, r = parse("c => [a] | c!m1"), parse("(c => [a] | c!m1) | 0")
+    res = check_weak(l, r, 0, 8, upto=PLAIN)
+    assert res.verdict is Verdict.INCONCLUSIVE and res.bound_hit == "tau-bound"
+    assert res.attacker_nodes > 0
+
+
+def test_a_raw_table_compares_the_states_as_played():
+    l, r = parse("a!m0 | b!m0"), parse("b!m0 | a!m0")
+    raw = _play(_Attacker, l, r, False, 0, False, 3)[1]
+    normalized = _play(_Attacker, l, r, False, 0, True, 3)[1]
+    assert raw[:2] == normalized[:2] == (None, None)
+    assert raw[2] > 0 and normalized[2] == 0
+    res = check_strong(parse("a -> b | c!m0"), parse("c!m0 | a -> b"), PLAIN, max_pairs=16)
+    assert (res.bound_hit, res.prover_pairs, res.attacker_nodes) == ("max-pairs", 16, 0)
 
 
 @pytest.mark.parametrize("weak", [False, True])
