@@ -366,14 +366,15 @@ def simulate(
     universe = effective_universe(universe, start_raw)
     rng = random.Random(seed)
     state = normalize(start_raw)
-    # raw: only the target picked is normalized
-    moves = Moves(universe, raw=True, keep=lambda a: a is TAU)
+    # a normalizing row has the raw row's length and order, so the pick
+    # is the one the raw row gives, already normalized
+    moves = Moves(universe, keep=lambda a: a is TAU)
     events: list[TraceEvent] = []
     for i in range(steps):
         taus = moves[state]
         if not taus:
             break
-        state = normalize(taus[rng.randrange(len(taus))][1])
+        state = taus[rng.randrange(len(taus))][1]
         events.append(TraceEvent(i, TAU, state_digest(state)))
     return tuple(events)
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from itertools import islice, permutations
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from .terms import (
     CHAN,
@@ -175,12 +175,18 @@ def _normal_run(p: Restrict, core: Process) -> Process:
     while type(p) is Restrict:
         k += 1
         p = p.body
+    return _close_run(k, core)
+
+
+def _close_run(k: int, core: Process) -> Process:
+    """Normal form of k restrictions over the normal `core`."""
     while type(core) is Restrict:
         k += 1
         core = core.body
     # the binders the core uses, read off its channel mask without a walk
-    used = [i for i in range(k) if core._chan_mask >> i & 1]
-    if len(used) < k:
+    mask, full = core._chan_mask, (1 << k) - 1
+    if mask & full != full:
+        used = [i for i in range(k) if mask >> i & 1]
         core = _renumber_run(core, k, {old: new for new, old in enumerate(used)})
         k = len(used)
     if 1 < k <= _MAX_SORTED_RUN:
@@ -218,56 +224,119 @@ def _renumber_run(core: Process, k: int, new: dict[int, int]) -> Process:
 # ---------------------------------------------------------------------------
 
 
-def normal_shape(p: Process) -> tuple[int, list[Process], list[Process]]:
-    """A normal form `new^k (c1 | ... | cn)` as k, its components c1..cn
-    and its spine: `spine[i]` is the node of `ci | ... | cn`."""
-    k, core = 0, p
-    while type(core) is Restrict:
-        k += 1
-        core = core.body
-    spine = [core]
-    while type(spine[-1]) is Parallel:
-        spine.append(spine[-1].right)
-    return k, [x.left for x in spine[:-1]] + [spine[-1]], spine
-
-
 def normal_components(p: Process) -> tuple[Process, ...]:
     """The components of `p`'s normal form: none for the inert process."""
     return tuple(c for c in parallel_components(normalize(p)) if type(c) is not Stop)
 
 
-def splice(
-    p: Process, k: int, comps: list[Process], spine: list[Process], moved: list[tuple[int, tuple[Process, ...]]]
-) -> Process:
-    """The normal form of the normal `p`, shaped `k, comps, spine` by
-    `normal_shape`, with the component at each slot of `moved`, a list of
-    (slot, components) in slot order, replaced by those components, each
-    a normal form and none parallel or inert.
+# A run of a normal form's run tree, `new^k (c1 | ... | cn)` with k >= 0:
+# its term, k, its components c1..cn, its core `c1 | ... | cn`, the index
+# of the run that holds it and its slot there (-1 and -1 for the form
+# itself), and its path, the slots from the form down to it
+Run = tuple[Process, int, list[Process], Process, int, int, tuple[int, ...]]
 
-    The moved components leave the sorted list and the new ones go in by
-    `term_key`.  The spine after the last slot that changes is reused,
-    and for k >= 1 the run is closed as `normalize` closes it.
+
+def normal_runs(p: Process) -> tuple[list[Run], list[tuple[int, int, Process]]]:
+    """The run tree of the normal form `p`, walked with no recursion, and
+    its leaf units.
+
+    `runs[0]` is `p` itself, `new^k (c1 | ... | cn)` with k >= 0; each
+    component that is a run `new^j (d1 | ... | dm)` is a run one level
+    down, listed after the run that holds it.  A leaf is (run, slot, unit)
+    for each component that is no run: a send, a receive, a repeating
+    receive, a distributor, or the inert process when `p` is.
     """
-    # every slot from `last` on stays in place
-    last = moved[-1][0] + 1
-    for _, new in moved:
-        for x in new:
-            last = max(last, bisect_right(comps, x._term_key, key=_sort_key))
-    head = comps[:last]
-    for i, _ in reversed(moved):
-        del head[i]
-    for _, new in moved:
-        for x in new:
+    runs: list[Run] = []
+    leaves: list[tuple[int, int, Process]] = []
+    todo = [(p, -1, -1, ())]
+    for term, parent, slot, path in todo:  # grows while it is walked
+        r, k, core = len(runs), 0, term
+        while type(core) is Restrict:
+            k += 1
+            core = core.body
+        comps, i, c = [], 0, core
+        while True:
+            last = type(c) is not Parallel
+            x = c if last else c.left
+            if type(x) is Restrict:
+                todo.append((x, r, i, path + (i,)))
+            else:
+                leaves.append((r, i, x))
+            comps.append(x)
+            if last:
+                break
+            c, i = c.right, i + 1
+        runs.append((term, k, comps, core, parent, slot, path))
+    return runs, leaves
+
+
+def splice(runs: list[Run], moved: list[tuple[int, int, tuple[Process, ...]]]) -> Process:
+    """The normal form of the normal state `runs[0][0]`, its run tree by
+    `normal_runs`, with the leaf at each (run, slot) of `moved` replaced
+    by the given components, each a normal form and none parallel or
+    inert.
+
+    Runs are spliced from the innermost out.  In each, the moved slots'
+    components leave the sorted list and the new ones go in by
+    `term_key`, and the spine after the last slot that changes is
+    reused.  A run with binders is closed by `_normal_run`, as `normalize`
+    closes it (dropping, renumbering and ordering its binders), and its
+    normal form's components replace it in its slot one level up: a run
+    whose binders all fall unused dissolves into the slot list above it,
+    and an empty one into nothing.
+    """
+    # the moved slots by run, then slot: a run is listed after the run
+    # that holds it, so the last run has no moved run below it
+    moved = sorted(moved, key=_run_slot)
+    while True:
+        r, n = moved[-1][0], len(moved) - 1
+        while n and moved[n - 1][0] == r:
+            n -= 1
+        at = moved[n:]
+        del moved[n:]
+        _, k, comps, node, parent, slot, _ = runs[r]
+        # the slots that go and the components that come; a leaf that
+        # re-arms, found again among its own components, stays in place
+        gone, added = [], []
+        for _, i, new in at:
+            c = comps[i]
+            if c in new:
+                new = list(new)
+                new.remove(c)
+            else:
+                gone.append(i)
+            added += new
+        # the slots before `last`, less those that go, take the new
+        # components in order, and every slot from `last` on stays in
+        # place; a new component is never compared with one that goes
+        last = gone[-1] + 1 if gone else 0
+        head = comps[:last]
+        for i in reversed(gone):
+            del head[i]
+        for x in added:
+            key = x._term_key
+            if last < len(comps) and not key < comps[last]._term_key:
+                b = bisect_right(comps, key, last, key=_sort_key)
+                head += comps[last:b]
+                last = b
             insort(head, x, key=_sort_key)
-    if last < len(comps):
-        node = spine[last]
-    elif head:
-        node = head.pop()
-    else:
-        node = STOP
-    for x in reversed(head):
-        node = Parallel(x, node)
-    if k:
-        node = _normal_run(p, node)
-    _CACHE[node] = node
-    return node
+        if last < len(comps):
+            # the spine node of the slots from `last` on
+            for _ in range(last):
+                node = node.right
+        elif head:
+            node = head.pop()
+        else:
+            node = STOP
+        for x in reversed(head):
+            node = Parallel(x, node)
+        if k:
+            node = _close_run(k, node)
+        if parent < 0:
+            _CACHE[node] = node
+            return node
+        new = (node,) if type(node) is Restrict else () if node is STOP else tuple(parallel_components(node))
+        insort(moved, (parent, slot, new), key=_run_slot)
+
+
+_run_slot = itemgetter(0, 1)

@@ -79,11 +79,13 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from enum import Enum
 from typing import Callable, Iterable, Union
 
 from .errors import BoundExceeded, ModeViolation, ScopeError
-from .normalform import normal_components, normal_shape, normalize, splice, term_key
+from .normalform import normal_components, normal_runs, normalize, splice, term_key
 from .terms import (
     Atom,
     Channel,
@@ -466,7 +468,7 @@ class Moves(dict):
     A table lives as long as the call that builds it.
     """
 
-    __slots__ = ("universe", "raw", "keep", "closure", "_replies", "_unpadded")
+    __slots__ = ("universe", "raw", "keep", "closure", "_replies", "_unpadded", "_units", "_tau")
 
     def __init__(
         self, universe: Universe, *, raw: bool = False, keep: Callable[[Action], bool] | None = None,
@@ -476,6 +478,8 @@ class Moves(dict):
         self.universe, self.raw, self.keep, self.closure = universe, raw, keep, closure
         self._replies: dict[Process, tuple[dict[Action, list[Process]], bool]] = {}
         self._unpadded: dict[Process, dict[Action, dict[Process, None]]] = {}
+        self._units: dict[Process, tuple] = {}
+        self._tau = keep is None or keep(TAU)
 
     def __missing__(self, p: Process) -> list[Step]:
         if self.raw:
@@ -483,15 +487,42 @@ class Moves(dict):
         elif (e := _STEP_CACHE.get((p, self.universe))) is not None:
             out = [(a, normalize(t)) for a, t in sorted(e.kept(self.keep), key=step_order)]
         else:
-            out = _normal_row(normalize(p), self.universe, self.keep)
+            out = _normal_row(normalize(p), self)
         self[p] = out
         return out
 
     def actions(self, p: Process) -> set[Action]:
-        """The actions of `p`'s steps that `keep` accepts, read from its
-        step-table entry: no target built and no row filled."""
-        actions, keep = _entry(p, self.universe).actions, self.keep
-        return set(actions) if keep is None else {a for a in actions if keep(a)}
+        """The actions of `p`'s steps that `keep` accepts, with no target
+        built and no row filled: read from `p`'s step-table entry in a raw
+        table or when it has one, else by `_read_runs` from the leaf units
+        of its normal form, with τ when a send and a receive can meet."""
+        e = _entry(p, self.universe) if self.raw else _STEP_CACHE.get((p, self.universe))
+        if e is None:
+            _, visible, ends = _read_runs(normalize(p), self)
+            out = {a for a, *_ in visible}
+            universe = self.universe
+            for sends, receives in ends.values():
+                if receives and any(e.actions[0].payload in universe for _, _, e in sends):
+                    out.add(TAU)
+                    break
+            return out
+        keep = self.keep
+        return set(e.actions) if keep is None else {a for a in e.actions if keep(a)}
+
+    def _unit(self, c: Process) -> tuple:
+        """The leaf unit `c` as `_read_runs` reads it, once per table: its
+        entry, its steps on a free name that `keep` accepts, as (action,
+        step), and the channel all its steps are on, with whether they
+        send (None and False for the inert process)."""
+        hit = self._units.get(c)
+        if hit is None:
+            e, keep = _entry(c, self.universe), self.keep
+            channel = e.actions[0].channel if e.actions else None
+            kept = tuple(
+                (a, j) for j, a in enumerate(e.actions) if type(channel) is Name and (keep is None or keep(a))
+            )
+            hit = self._units[c] = (e, kept, channel, type(c) is Send)
+        return hit
 
     def replies(self, p: Process) -> tuple[dict[Action, list[Process]], bool]:
         hit = self._replies.get(p)
@@ -527,60 +558,121 @@ class Moves(dict):
         return hit
 
 
-# ends a `_normal_row` sort key: it sorts above a lowered slot and below
-# a raised one
-_END = (1,)
+# closes one run's slots in a `_normal_row` sort key: it sorts above a
+# lowered slot's flag (0) and below a raised one's (2)
+_END = 1
+_path = itemgetter(0)
 
 
-def _normal_row(p: Process, universe: Universe, keep: Callable[[Action], bool] | None) -> list[Step]:
-    """The row of the normal state `p`, `new^k (c1 | ... | cn)`, in a
-    normalizing `Moves` table, read from its components' entries.
+def _read_runs(p: Process, moves: Moves) -> tuple[list, list, dict]:
+    """The normal state `p`'s run tree by `normal_runs`, its visible steps
+    and its ends, read from its leaf units' entries alone.
 
-    A step moves one component, or two for a τ made of a send and a
-    receive in different components.  An action on a bound channel is on
-    one of the run's k binders, as `p` is closed, and is dropped.  Every raw
-    target is the same spine of n slots under the same binders, so their
-    `term_key`s compare as the tuples of their slots' keys: the source's
-    keys, a moved slot holding its target's.  A step's sort key encodes
-    that tuple by its moved slots alone, `(0, i, key)` for a slot i whose
-    key is lowered and `(2, -i, key)` for one raised, then `_END`, so two
-    sort keys compare as the tuples do, and equal ones are one raw step.
-    No raw target is built: `splice` builds each normal target.
+    A visible step is (action, run, slot, entry, step) for a leaf's step
+    on a free name that the table keeps.  An action on a bound channel is
+    dropped, as `p` is closed: it names a binder of a run on the leaf's
+    path, found by moving the channel out one run's binders at a time.
+    When the table keeps τ, every leaf with a step is an end, (run, slot,
+    entry), listed under its channel, resolved to a free name or to
+    (run, binder), among the sends or the receives: a send and a receive
+    on one channel meet in a τ, wherever their leaves sit.
     """
-    k, comps, spine = normal_shape(p)
-    tau = keep is None or keep(TAU)
-    keys: list[list] = []
-    steps: list[tuple[Action, list[tuple[int, tuple[Process, ...]]]]] = []
-    ends: dict[tuple[Channel, Atom], list[tuple[bool, int, _Entry, int]]] = {}
-    for i, c in enumerate(comps):
-        e = _entry(c, universe)
-        for j, a in enumerate(e.actions):
-            if a is not TAU:
-                if tau:
-                    ends.setdefault((a.channel, a.payload), []).append((type(a) is SendAct, i, e, j))
-                if type(a.channel) is ChanVar:
-                    continue
-            if keep is None or keep(a):
-                up, tk, parts = e.normal_step(j)
-                keys.append([a._key, (2, -i, tk) if up else (0, i, tk), _END])
-                steps.append((a, [(i, parts)]))
-    if tau:
-        for group in ends.values():
-            for send, i, e, j in group:
-                if send:
-                    for send2, i2, e2, j2 in group:
-                        if not send2 and i != i2:
-                            up, tk, parts = e.normal_step(j)
-                            up2, tk2, parts2 = e2.normal_step(j2)
-                            x, y = (2, -i, tk) if up else (0, i, tk), (2, -i2, tk2) if up2 else (0, i2, tk2)
-                            keys.append([TAU._key, x, y, _END] if i < i2 else [TAU._key, y, x, _END])
-                            steps.append((TAU, [(i, parts), (i2, parts2)] if i < i2 else [(i2, parts2), (i, parts)]))
-    out, prev = [], None
+    runs, leaves = normal_runs(p)
+    tau, units, unit = moves._tau, moves._units, moves._unit
+    visible: list[tuple[Action, int, int, _Entry, int]] = []
+    ends: dict[Channel | tuple[int, int], tuple[list, list]] = {}
+    for r, i, c in leaves:
+        e, kept, channel, send = units.get(c) or unit(c)
+        for a, j in kept:
+            visible.append((a, r, i, e, j))
+        if tau and channel is not None:
+            if type(channel) is ChanVar:
+                x, s = channel.index, r
+                while x >= runs[s][1]:
+                    x -= runs[s][1]
+                    s = runs[s][4]
+                channel = (s, x)
+            group = ends.get(channel)
+            if group is None:
+                group = ends[channel] = ([], [])
+            group[not send].append((r, i, e))
+    return runs, visible, ends
+
+
+def _normal_row(p: Process, moves: Moves) -> list[Step]:
+    """The row of the normal state `p` in the normalizing table `moves`,
+    read through its run tree from its leaf units' entries
+    (`_read_runs`), with no entry built for `p` or any run in it.
+
+    A step moves one leaf, or two for a τ.  A run `new^j (d1 | ... | dm)`
+    in a slot is read as `p` itself, `new^k (c1 | ... | cn)`, is: every
+    raw target is the same tree of spines under the same binders, so
+    their `term_key`s compare slot by slot in the tree's pre-order, a
+    moved run's slot by its own slots.  A step's sort key encodes that by
+    its moved slots alone: slot i is `0, i` when its key is lowered and
+    `2, -i` when raised, then the leaf's target key or the moved run's
+    own slots, and `_END` closes each run's slots.  A moved run's key is
+    lowered or raised as its first moved slot's is, so every slot on a
+    leaf's path takes the leaf's flag.  Two sort keys compare as the raw
+    targets do, and equal ones are one raw step.  No raw target is built:
+    `splice` builds each normal target, the runs innermost first.
+    """
+    runs, visible, ends = _read_runs(p, moves)
+    # per run: the flags of the slots on its path, lowered and raised,
+    # and the ends closing it and the runs above it
+    low, high, close = [()], [()], [(_END,)]
+    for _, _, _, _, parent, slot, _ in islice(runs, 1, None):
+        low.append(low[parent] + (0, slot))
+        high.append(high[parent] + (2, -slot))
+        close.append(close[parent] + (_END,))
+    # a step is (action, what it moves, moved): equal leaves moved alike
+    # in one run give one target, wherever the leaves sit
+    keys: list[tuple] = []
+    steps: list[tuple[Action, tuple, list[tuple[int, int, tuple[Process, ...]]]]] = []
+    for a, r, i, e, j in visible:
+        up, tk, parts = e.normal_step(j)
+        keys.append((a._key,) + (high[r] + (2, -i, tk) if up else low[r] + (0, i, tk)) + close[r])
+        steps.append((a, (r, e, j), [(r, i, parts)]))
+    universe, tau = moves.universe, TAU._key
+    for sends, receives in ends.values():
+        for r, i, e in sends:
+            # a receive's steps are on the universe's values, in order
+            v = e.actions[0].payload
+            if v not in universe:
+                continue
+            j = universe.index(v)
+            up, tk, parts = e.normal_step(0)
+            x = (2, -i, tk) if up else (0, i, tk)
+            for r2, i2, e2 in receives:
+                up2, tk2, parts2 = e2.normal_step(j)
+                y = (2, -i2, tk2) if up2 else (0, i2, tk2)
+                if r == r2:
+                    key = (high[r] + x + y if up else low[r] + x + y) if i < i2 else (
+                        high[r] + y + x if up2 else low[r] + y + x)
+                    keys.append((tau,) + key + close[r])
+                else:
+                    # the first leaf's slots down from the run that holds
+                    # both, closed, then the second's
+                    (pa, ua, xa, ra), (pb, ub, xb, rb) = sorted(
+                        [(runs[r][6] + (i,), up, x, r), (runs[r2][6] + (i2,), up2, y, r2)], key=_path
+                    )
+                    c = 0
+                    while pa[c] == pb[c]:
+                        c += 1
+                    keys.append(
+                        (tau,) + (high if ua else low)[ra] + xa + (_END,) * (len(pa) - c - 1)
+                        + (high if ub else low)[rb][2 * c:] + xb + close[rb]
+                    )
+                steps.append((TAU, (r, e, r2, e2, j), [(r, i, parts), (r2, i2, parts2)]))
+    out, prev, made = [], None, {}
     for n in sorted(range(len(steps)), key=keys.__getitem__):
         if keys[n] != prev:
             prev = keys[n]
-            a, spliced = steps[n]
-            out.append((a, splice(p, k, comps, spine, spliced)))
+            a, what, moved = steps[n]
+            t = made.get(what)
+            if t is None:
+                t = made[what] = splice(runs, moved)
+            out.append((a, t))
     return out
 
 

@@ -36,7 +36,7 @@ from netproc import (
     unfold_comm,
 )
 from netproc.cli import main
-from netproc.equivalence import _Attacker, _BoundHit
+from netproc.equivalence import TraceStep, _Attacker, _BoundHit
 from netproc.semantics import DEFAULT_UNIVERSE, action_key, infer_mode
 
 from helpers import CHANNELS, random_comm, random_pi
@@ -183,12 +183,24 @@ def test_criterion_09_normalization_is_idempotent_and_sound(capsys):
     _report(capsys, 9, "normalization is idempotent and meaning preserving", ok)
 
 
+def _normalized_play(trace: list[TraceStep]) -> list[TraceStep]:
+    """A play with every target normalized.  Structural congruence is a
+    strong bisimulation, so the normalized play is as valid as the raw one,
+    and it names the states `replay_trace` compares against."""
+    return [
+        TraceStep(s.side, s.action, normalize(s.challenger_target),
+                  None if s.defender_target is None else normalize(s.defender_target))
+        for s in trace
+    ]
+
+
 def _plain_attack_refutes(l, r, mode) -> tuple[bool, int]:
     """Whether a plain attacker refutes the pair, and how many of its
     probes ran out of budget before deciding.
 
     Two probes: raw states, then normalized states (a deeper search with
-    a larger budget); a found trace must also replay to count."""
+    a larger budget); a found trace, normalized, must also replay to
+    count."""
     exhausted = 0
     for norm, depth, budget in ((False, 3, 800), (True, 6, 20_000)):
         attacker = _Attacker(DEFAULT_UNIVERSE, None, budget, normalize_states=norm)
@@ -197,9 +209,28 @@ def _plain_attack_refutes(l, r, mode) -> tuple[bool, int]:
         except _BoundHit:
             exhausted += 1
             continue
-        if trace is not None and replay_trace(l, r, trace, weak=False):
+        if trace is not None and replay_trace(l, r, _normalized_play(trace), weak=False):
             return True, exhausted
     return False, exhausted
+
+
+def test_the_raw_probe_counts_every_refutation_it_finds():
+    # a raw-table play names raw targets, which `replay_trace` does not
+    # find among its normalized rows: most raw refutations replay only
+    # once their targets are normalized
+    rng = random.Random(5)
+    found = raw = normalized = 0
+    for _ in range(400):
+        p, q = random_comm(rng, 2), random_comm(rng, 2)
+        try:
+            trace = _Attacker(DEFAULT_UNIVERSE, None, 800, normalize_states=False).search(p, q, 3)
+        except _BoundHit:
+            continue
+        if trace is not None:
+            found += 1
+            raw += replay_trace(p, q, trace, weak=False)
+            normalized += replay_trace(p, q, _normalized_play(trace), weak=False)
+    assert (found, raw, normalized) == (348, 96, 348)
 
 
 def test_criterion_10_upto_proofs_agree_with_plain_game(capsys, laws_report):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 
@@ -39,9 +40,9 @@ from netproc import (
     simulate,
 )
 import netproc
-from netproc.netlang import TraceEvent, _eval_query, _parse_query, state_digest
+from netproc.netlang import TraceEvent, _eval_query, _inject, _parse_query, state_digest
 from netproc.normalform import normalize
-from netproc.semantics import TAU, _step, step_order
+from netproc.semantics import TAU, Moves, _step, effective_universe, step_order
 from helpers import count_fills
 
 a, b, c, d = Name("a"), Name("b"), Name("c"), Name("d")
@@ -419,6 +420,40 @@ def test_simulate_seed_changes_schedule():
     net = anycast3("s", "r1", "r2", "r3")
     runs = {tuple(e.digest for e in simulate(net, [("s", "m0")], 16, seed)) for seed in range(12)}
     assert len(runs) > 1
+
+
+def reference_simulate(p, inputs, steps, seed):
+    """`simulate` read through a raw table: each state's τ-steps in
+    `step_order` of their raw targets, and only the target picked
+    normalized."""
+    start, _, _ = _inject(p, inputs)
+    universe = effective_universe(None, start)
+    rng = random.Random(seed)
+    state = normalize(start)
+    moves = Moves(universe, raw=True, keep=lambda a: a is TAU)
+    events = []
+    for i in range(steps):
+        taus = moves[state]
+        if not taus:
+            break
+        state = normalize(taus[rng.randrange(len(taus))][1])
+        events.append(TraceEvent(i, TAU, state_digest(state)))
+    return tuple(events)
+
+
+@pytest.mark.parametrize("net, inputs", [
+    ("s => [r1] | s => [r2]", [("s", "m0"), ("s", "m1")]),
+    ("new t. (s -> t | t -> r1 | t -> r2 | t -> r3)", [("s", "m0"), ("s", "m1"), ("s", "m0")]),
+    ("new t. (s -> t | duplose t | t -> r1 | t -> r2 | t -> r3)", [("s", "m1")]),
+    ("new s. (s!m0 | s!m1 | new t. (s -> t | t -> r1 | t -> r2))", []),
+    ("new s. (s!m0 | s!m1 | new t. (s -> t | t => [r1, r2] | t -> r1))", []),
+    ("new t. (a!m0 | a ? x. t!x | t ? y. (b!y | new u. (u!y | u ? z. c!z)))", []),
+])
+def test_simulate_picks_as_the_raw_row_does(net, inputs):
+    # a normalizing row has the raw row's length and order, so a seeded
+    # run picks the same steps and reaches the same states
+    for seed in range(6):
+        assert simulate(parse(net), inputs, 24, seed) == reference_simulate(parse(net), inputs, 24, seed)
 
 
 def test_simulate_halts_when_no_internal_step_remains():

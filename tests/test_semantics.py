@@ -12,6 +12,7 @@ fresh-name restriction rule, compared state by state on random terms.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,7 +68,7 @@ from netproc import (
 )
 from netproc import equivalence, semantics
 from netproc.netlang import _inject, _observable
-from netproc.normalform import normal_shape
+from netproc.normalform import normal_runs
 from netproc.semantics import WeakClosure, _step, _tau_reach, reachable, step_order
 from helpers import CHANNELS, random_comm, random_pi
 
@@ -313,7 +314,9 @@ def test_explore_builds_no_target_of_a_state_first_reached_at_the_depth_bound():
     )
     frontier = [s for s, d in depth.items() if d == 6]
     assert len(depth) == report.states and frontier
-    assert all(built[s, report.universe] == [] for s in frontier)
+    # a frontier state's actions are read from its leaf units' entries:
+    # it gets no entry of its own
+    assert all((s, report.universe) not in built for s in frontier)
 
 
 def test_anycast_explore_builds_a_receive_on_the_injected_port_only_for_a_tau():
@@ -348,7 +351,7 @@ def test_explore_builds_no_raw_target_of_a_state_it_expands(net, inputs, max_dep
     report = explore(net(), inputs, max_depth=max_depth)
     built = [t for e in semantics._STEP_CACHE.values() for t in e.targets if t is not None]
     census = raw_census(net(), inputs, max_depth)
-    parts = {c for s in census for c in normal_shape(s)[1]}
+    parts = {c for s in census for c in normal_runs(s)[0][0][2]}
     expanded = [s for s, d in census.items() if d < max_depth and s not in parts]
     assert len(expanded) > 10 and report.states > len(expanded)
     # the targets of each expanded state's own entry, built only now
@@ -356,12 +359,26 @@ def test_explore_builds_no_raw_target_of_a_state_it_expands(net, inputs, max_dep
     assert not raw & set(built)
 
 
+@pytest.mark.parametrize("net, inputs, max_depth", [
+    (anycast3, [("s", "m0"), ("s", "m1")], 8),
+    (broadcast3_unreliable, [("s", "m0")], 6),
+])
+def test_explore_builds_no_spine_entry(net, inputs, max_depth):
+    # every row and action set is read through the states' run trees from
+    # their leaf units' entries, runs in runs included
+    semantics._STEP_CACHE.clear()
+    report = explore(net(), inputs, max_depth=max_depth)
+    assert report.states > 10
+    assert {type(e.term) for e in semantics._STEP_CACHE.values()} <= {Send, Receive, RepeatReceive, Distribute}
+
+
 def test_the_last_ply_and_the_tau_closure_build_no_visible_target():
     semantics._STEP_CACHE.clear()
     # the strong attacker's last ply reads the two action sets
     p, q = parse("a!m0 | b -> c | c ? x. d!x"), parse("c ? x. d!x | b -> c | a!m0")
     assert equivalence._Attacker(UNI, None, 100)._last_ply(p, q) is None
-    assert built_steps(semantics._STEP_CACHE[p, UNI]) == built_steps(semantics._STEP_CACHE[q, UNI]) == []
+    # read from the leaf units' entries, whose targets are built with them
+    assert all(type(e.term) not in (Parallel, Restrict) for e in semantics._STEP_CACHE.values())
     # the τ closure builds the targets of the τs alone
     r = parse("a!m0 | a -> b | b -> c | c ? x. d!x | e!m1")
     states, truncated = _tau_reach(r, UNI, 4)
@@ -499,10 +516,47 @@ def receiver(rng, channel, scope, pi):
     return (Receive if rng.random() < 0.5 else RepeatReceive)(channel, body)
 
 
+def nested_run(rng, depth, free, outer, pi):
+    """A run of restrictions over sends on its own, outer and free
+    channels, receivers on them, and, for depth > 1, runs further in.
+
+    Sends on an outer binder are consumed here or further out, and sends
+    here by receivers further in: their τs cross levels.  In the base
+    calculus a run may also hold `new u. (u!m | u ? x. c!x)`, whose binder
+    falls unused once the send is received.
+    """
+    # 2-5 binders are put in order by permutation, each a normalization:
+    # a run holding other runs takes at most 3
+    holes = [Name(f"t{depth}_{i}") for i in range(rng.choice([1, 2, 3] if depth > 1 else [1, 2, 3, 4, 5]))]
+    scope = free + outer + holes
+    parts = [Send(rng.choice(scope), Atom(rng.choice(["m0", "m1"]))) for _ in range(rng.randrange(1, 4))]
+    for _ in range(rng.randrange(1, 3)):
+        parts.append(receiver(rng, rng.choice(holes + outer + free), scope, pi))
+    if pi and rng.random() < 0.5:
+        u = Name(f"u{depth}")
+        once = Parallel(Send(u, Atom("m0")), Receive(u, Send(rng.choice(scope), ValVar(0))))
+        parts.append(Restrict(abstract_channel(once, u)))
+    if depth > 1:
+        parts += [nested_run(rng, depth - 1, free, outer + holes, pi) for _ in range(rng.randrange(1, 3))]
+    rng.shuffle(parts)
+    p = compose_parallel(parts)
+    for hole in reversed(holes):
+        p = Restrict(abstract_channel(p, hole))
+    return p
+
+
 def normal_state(rng, kind):
     """A normal state of one of several shapes."""
     pi = rng.random() < 0.5
     gen = random_pi if pi else random_comm
+    if kind == "nested":
+        # runs in runs, next to sends and a receiver on the free channels
+        free = [Name("a"), Name("b")]
+        parts = [nested_run(rng, rng.randrange(2, 4), free, [], pi) for _ in range(rng.randrange(1, 3))]
+        parts += [Send(rng.choice(free), Atom(rng.choice(["m0", "m1"]))) for _ in range(rng.randrange(0, 3))]
+        if rng.random() < 0.5:
+            parts.append(receiver(rng, rng.choice(free), free, pi))
+        return normalize(compose_parallel(parts))
     if kind == "random":
         return normalize(gen(rng, rng.randrange(1, 4)))
     if kind == "composed":
@@ -530,29 +584,68 @@ def normal_state(rng, kind):
     return normalize(Restrict(compose_parallel(parts)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.sampled_from(["random", "composed", "run", "crossing", "duplicated", "inert"]),
-    st.integers(0, 10**6),
-    st.sampled_from(["all", "tau", "observable"]),
-)
+KINDS = ["random", "composed", "run", "crossing", "duplicated", "inert", "nested"]
+KEEPS = {"all": None, "tau": lambda a: a is TAU, "observable": lambda a: _observable(a, frozenset({"a"}))}
+
+
+def spine_entries():
+    """The step-table entries of terms that are no leaf unit."""
+    return [key for key, e in semantics._STEP_CACHE.items() if type(e.term) in (Parallel, Restrict)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(0, 10**6), st.sampled_from(list(KEEPS)))
 def test_normalizing_reads_match_the_reference_row(kind, seed, keep):
-    # the row read from the components equals the row read from the
-    # state's own entry: the same steps, in the same order, each with the
-    # same normalized target, duplicates and all
+    # the row read through the run tree from the leaf units equals the row
+    # read from the state's own entry: the same steps, in the same order,
+    # each with the same normalized target, duplicates and all
     p = normal_state(random.Random(seed), kind)
     universe = effective_universe(UNI, p)
-    keep = {"all": None, "tau": lambda a: a is TAU, "observable": lambda a: _observable(a, frozenset({"a"}))}[keep]
+    keep = KEEPS[keep]
     semantics._STEP_CACHE.clear()
     assert normalize(p) is p
     row = semantics.Moves(universe, keep=keep)[p]
-    # no entry for the state, unless it is its own one component
-    assert (p, universe) not in semantics._STEP_CACHE or normal_shape(p)[1] == [p]
+    # no entry for the state or any run in it
+    assert spine_entries() == []
     ref = reference_row(p, universe, keep)
     assert [a for a, _ in row] == [a for a, _ in ref]
     assert all(t is u for (_, t), (_, u) in zip(row, ref))
     # with the state's entry filled, the table reads through it
     assert semantics.Moves(universe, keep=keep)[p] == ref
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(0, 10**6), st.sampled_from(list(KEEPS)))
+def test_the_action_grain_is_the_row_s_actions(kind, seed, keep):
+    # read through the run tree with no target built and no entry above a
+    # leaf, the action set is the set of the row's actions
+    p = normal_state(random.Random(seed), kind)
+    universe = effective_universe(UNI, p)
+    moves = semantics.Moves(universe, keep=KEEPS[keep])
+    semantics._STEP_CACHE.clear()
+    actions = moves.actions(p)
+    assert spine_entries() == []
+    assert actions == {a for a, _ in moves[p]}
+
+
+def test_a_200_deep_nest_of_runs_is_read_without_recursion():
+    # new t1. (a!m0 | t1 => [b] | new t2. (t1!m0 | t2 => [b] | new t3. ...)),
+    # 200 runs deep: each run's send meets the distributor one run out
+    limit = sys.getrecursionlimit()
+    p = STOP
+    for d in reversed(range(200)):
+        outer = Name("a") if d == 0 else ChanVar(1)
+        body = [Send(outer, Atom("m0")), Distribute(ChanVar(0), (Name("b"),))]
+        p = Restrict(compose_parallel(body + ([p] if p is not STOP else [])))
+    p = normalize(p)
+    semantics._STEP_CACHE.clear()
+    row = semantics.Moves(UNI)[p]
+    assert spine_entries() == []
+    assert len(row) == 200 and sum(a is TAU for a, _ in row) == 199
+    ref = reference_row(p, UNI, None)
+    assert [a for a, _ in row] == [a for a, _ in ref]
+    assert all(t is u for (_, t), (_, u) in zip(row, ref))
+    assert sys.getrecursionlimit() == limit
 
 
 # ---------------------------------------------------------------------------
