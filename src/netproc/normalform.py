@@ -25,9 +25,16 @@ normalizing a normal form met before is one lookup.  A run's candidate
 orders are normalized by nested calls, which nest only where an order
 changes a run inside it, multiplying the work at each level.
 
+`normal_runs` walks a normal form's restriction runs: the form itself,
+`new^k (c1 | ... | cn)` with k >= 0, and each component that is a run
+`new^j (d1 | ... | dm)`, down to the leaf units, with no recursion.
 `splice` builds the normal form of a normal state's step target from
-the state's sorted components and the normal components of the moved
-ones' targets, with no raw target built: `semantics`' normalizing reads
+that tree and the normal components of the moved leaves' targets, with
+no raw target built.  It splices the innermost moved run first, closes
+it as `normalize` closes a run (dropping, renumbering and, for 2-5
+binders, ordering its binders), and puts its components in its slot one
+level up, so a run whose binders all fall unused dissolves into the run
+above it and an empty one into nothing.  `semantics`' normalizing reads
 use it, for every state with no step-table entry, after the one lookup
 that normalizes the state.
 """
@@ -279,11 +286,12 @@ def splice(runs: list[Run], moved: list[tuple[int, int, tuple[Process, ...]]]) -
     Runs are spliced from the innermost out.  In each, the moved slots'
     components leave the sorted list and the new ones go in by
     `term_key`, and the spine after the last slot that changes is
-    reused.  A run with binders is closed by `_normal_run`, as `normalize`
+    reused.  A run with binders is closed by `_close_run`, as `normalize`
     closes it (dropping, renumbering and ordering its binders), and its
     normal form's components replace it in its slot one level up: a run
     whose binders all fall unused dissolves into the slot list above it,
-    and an empty one into nothing.
+    and an empty one into nothing.  The moved runs are walked in a loop,
+    however deep they sit.
     """
     # the moved slots by run, then slot: a run is listed after the run
     # that holds it, so the last run has no moved run below it

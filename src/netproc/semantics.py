@@ -48,18 +48,20 @@ target term); every listing, game move and exploration sorts by it.
 The game, its evidence checks, explore, simulate and the CLI's LTS read
 the step relation through a per-call `Moves` table, which puts each
 state's steps into `step_order` once and groups the defender's replies by
-action; readers that need only a state's actions read them from its
-step-table entry, with no target built.  A table that normalizes its
-targets is asked only for normal states `new^k (c1 | ... | cn)`, and
-reads one with no entry yet from its components' entries, as LTSmin's
-partitioned next-state function reads only the slots a transition
-touches (Blom, van de Pol & Weber, CAV 2010): a step moves one
-component, or two for a τ between
-components, and `normalform.splice` builds its normal target from the
-sorted components, so neither the state's entry nor any raw target is
-built.  A state that has an entry already (from a raw table, the action
-grain, or as a component of another state) is read through it, where
-its targets and their normal forms are already to be found.
+action; readers that need only a state's actions read its action grain,
+with no target built.  A table that normalizes its targets is asked only
+for normal states `new^k (c1 | ... | cn)`, and reads one with no entry
+through the tree of its restriction runs, from its leaf units' entries
+alone, as LTSmin's partitioned next-state function reads only the slots
+a transition touches (Blom, van de Pol & Weber, CAV 2010).  A component
+that is a run `new^j (d1 | ... | dm)` is read as the state is, down to
+its sends, receives, repeating receives and distributors, whose entries
+every state of the call shares: a step moves one leaf, or two for a τ,
+wherever in the tree they sit, and `normalform.splice` builds its normal
+target run by run from the sorted components, so no entry above a leaf
+and no raw target is built.  A state that has an entry already (from a
+raw table or the weak closure) is read through it, where its targets
+and their normal forms are already to be found.
 `reachable` is the one breadth-first search: explore's census, the CLI's
 LTS and the weak closure run on it.  `_tau_reach` is one call of it over
 the internal steps, one step deeper than the bound: a state found past
@@ -80,7 +82,6 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from itertools import islice
-from operator import itemgetter
 from enum import Enum
 from typing import Callable, Iterable, Union
 
@@ -453,8 +454,9 @@ class Moves(dict):
     them when None) in `step_order` of their raw targets, each target
     normalized unless the table is `raw`; only the targets of those steps
     are built.  A normalizing table reads a state through its step-table
-    entry, or with none its normal form by `_normal_row`, which builds no
-    raw target and no entry; every state it is asked for is normal.
+    entry, or with none its normal form by `_normal_row`, through its
+    restriction runs down to its leaf units, which builds no raw target
+    and no entry above a leaf; every state it is asked for is normal.
     `moves.replies(p)` is the defender's distinct targets per action, in
     `term_key` order, and whether the weak closure truncated them: from
     `closure.weak_steps(p)` in the weak game, from `moves[p]` in the
@@ -462,9 +464,10 @@ class Moves(dict):
     `moves.unpadded(p)` is the weak game's replies with no internal
     padding, which the prover and the audit try first.
     `moves.actions(p)` is the action grain, the set of actions of
-    `moves[p]`, read from `p`'s step-table entry with no target built and
-    no row filled: the attacker's last ply and explore's frontier test
-    read it.
+    `moves[p]`, with no target built and no row filled: read from `p`'s
+    step-table entry, or with none by the same walk through the runs,
+    which builds no entry.  The attacker's last ply and explore's
+    frontier test read it.
     A table lives as long as the call that builds it.
     """
 
@@ -496,8 +499,8 @@ class Moves(dict):
         built and no row filled: read from `p`'s step-table entry in a raw
         table or when it has one, else by `_read_runs` from the leaf units
         of its normal form, with τ when a send and a receive can meet."""
-        e = _entry(p, self.universe) if self.raw else _STEP_CACHE.get((p, self.universe))
-        if e is None:
+        entry = _entry(p, self.universe) if self.raw else _STEP_CACHE.get((p, self.universe))
+        if entry is None:
             _, visible, ends = _read_runs(normalize(p), self)
             out = {a for a, *_ in visible}
             universe = self.universe
@@ -507,7 +510,7 @@ class Moves(dict):
                     break
             return out
         keep = self.keep
-        return set(e.actions) if keep is None else {a for a in e.actions if keep(a)}
+        return set(entry.actions) if keep is None else {a for a in entry.actions if keep(a)}
 
     def _unit(self, c: Process) -> tuple:
         """The leaf unit `c` as `_read_runs` reads it, once per table: its
@@ -561,7 +564,6 @@ class Moves(dict):
 # closes one run's slots in a `_normal_row` sort key: it sorts above a
 # lowered slot's flag (0) and below a raised one's (2)
 _END = 1
-_path = itemgetter(0)
 
 
 def _read_runs(p: Process, moves: Moves) -> tuple[list, list, dict]:
@@ -608,14 +610,19 @@ def _normal_row(p: Process, moves: Moves) -> list[Step]:
     in a slot is read as `p` itself, `new^k (c1 | ... | cn)`, is: every
     raw target is the same tree of spines under the same binders, so
     their `term_key`s compare slot by slot in the tree's pre-order, a
-    moved run's slot by its own slots.  A step's sort key encodes that by
-    its moved slots alone: slot i is `0, i` when its key is lowered and
-    `2, -i` when raised, then the leaf's target key or the moved run's
-    own slots, and `_END` closes each run's slots.  A moved run's key is
-    lowered or raised as its first moved slot's is, so every slot on a
-    leaf's path takes the leaf's flag.  Two sort keys compare as the raw
-    targets do, and equal ones are one raw step.  No raw target is built:
-    `splice` builds each normal target, the runs innermost first.
+    moved run's slot by its own moved slots.  A step's sort key encodes
+    that by its moved slots alone, flat: slot i is `0, i` when its key is
+    lowered and `2, -i` when raised, then the leaf's target key, or the
+    moved run's own slots, and `_END` closes each run's slots.  A moved
+    run's key is lowered or raised as its first moved slot's is, so every
+    slot on a leaf's path takes the leaf's flag.  Two sort keys compare
+    as the raw targets do, and equal ones are one raw step; being flat,
+    they compare in time linear in the nesting depth, where the nested
+    `term_key`s of deep raw targets take quadratic time.
+
+    No raw target is built: `splice` builds each normal target, the runs
+    innermost first, once for the steps that move equal leaves of one
+    run alike, whose targets are one normal form.
     """
     runs, visible, ends = _read_runs(p, moves)
     # per run: the flags of the slots on its path, lowered and raised,
@@ -653,9 +660,8 @@ def _normal_row(p: Process, moves: Moves) -> list[Step]:
                 else:
                     # the first leaf's slots down from the run that holds
                     # both, closed, then the second's
-                    (pa, ua, xa, ra), (pb, ub, xb, rb) = sorted(
-                        [(runs[r][6] + (i,), up, x, r), (runs[r2][6] + (i2,), up2, y, r2)], key=_path
-                    )
+                    first, second = (runs[r][6] + (i,), up, x, r), (runs[r2][6] + (i2,), up2, y, r2)
+                    (pa, ua, xa, ra), (pb, ub, xb, rb) = (first, second) if first[0] < second[0] else (second, first)
                     c = 0
                     while pa[c] == pb[c]:
                         c += 1
