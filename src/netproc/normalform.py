@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from itertools import islice, permutations
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from .terms import (
     CHAN,
@@ -295,7 +295,7 @@ def splice(runs: list[Run], moved: list[tuple[int, int, tuple[Process, ...]]]) -
     """
     # the moved slots by run, then slot: a run is listed after the run
     # that holds it, so the last run has no moved run below it
-    moved = sorted(moved, key=_run_slot)
+    moved = sorted(moved)
     while True:
         r, n = moved[-1][0], len(moved) - 1
         while n and moved[n - 1][0] == r:
@@ -344,7 +344,5 @@ def splice(runs: list[Run], moved: list[tuple[int, int, tuple[Process, ...]]]) -
             _CACHE[node] = node
             return node
         new = (node,) if type(node) is Restrict else () if node is STOP else tuple(parallel_components(node))
-        insort(moved, (parent, slot, new), key=_run_slot)
+        insort(moved, (parent, slot, new))
 
-
-_run_slot = itemgetter(0, 1)
