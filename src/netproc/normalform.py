@@ -237,27 +237,27 @@ def normal_components(p: Process) -> tuple[Process, ...]:
 
 
 # A run of a normal form's run tree, `new^k (c1 | ... | cn)` with k >= 0:
-# its term, k, its components c1..cn, its core `c1 | ... | cn`, the index
-# of the run that holds it and its slot there (-1 and -1 for the form
-# itself), and its path, the slots from the form down to it
-Run = tuple[Process, int, list[Process], Process, int, int, tuple[int, ...]]
+# k, its components c1..cn, its core `c1 | ... | cn`, the index of the
+# run that holds it and its slot there (-1 and -1 for the form itself),
+# and its path, the slots from the form down to it
+Run = tuple[int, list[Process], Process, int, int, tuple[int, ...]]
 
 
 def normal_runs(p: Process) -> tuple[list[Run], list[tuple[int, int, Process]]]:
     """The run tree of the normal form `p`, walked with no recursion, and
     its leaf units.
 
-    `runs[0]` is `p` itself, `new^k (c1 | ... | cn)` with k >= 0; each
-    component that is a run `new^j (d1 | ... | dm)` is a run one level
-    down, listed after the run that holds it.  A leaf is (run, slot, unit)
+    `runs[0]` is `p`'s own run, `new^k (c1 | ... | cn)` with k >= 0;
+    each component that is a run `new^j (d1 | ... | dm)` is a run one
+    level down, listed after the run that holds it.  A leaf is (run, slot, unit)
     for each component that is no run: a send, a receive, a repeating
     receive, a distributor, or the inert process when `p` is.
     """
     runs: list[Run] = []
     leaves: list[tuple[int, int, Process]] = []
     todo = [(p, -1, -1, ())]
-    for term, parent, slot, path in todo:  # grows while it is walked
-        r, k, core = len(runs), 0, term
+    for core, parent, slot, path in todo:  # grows while it is walked
+        r, k = len(runs), 0
         while type(core) is Restrict:
             k += 1
             core = core.body
@@ -273,15 +273,15 @@ def normal_runs(p: Process) -> tuple[list[Run], list[tuple[int, int, Process]]]:
             if last:
                 break
             c, i = c.right, i + 1
-        runs.append((term, k, comps, core, parent, slot, path))
+        runs.append((k, comps, core, parent, slot, path))
     return runs, leaves
 
 
 def splice(runs: list[Run], moved: list[tuple[int, int, tuple[Process, ...]]]) -> Process:
-    """The normal form of the normal state `runs[0][0]`, its run tree by
-    `normal_runs`, with the leaf at each (run, slot) of `moved` replaced
-    by the given components, each a normal form and none parallel or
-    inert.
+    """The normal form of a normal state whose run tree `normal_runs`
+    gives as `runs`, with the leaf at each (run, slot) of `moved`
+    replaced by the given components, each a normal form and none
+    parallel or inert.
 
     Runs are spliced from the innermost out.  In each, the moved slots'
     components leave the sorted list and the new ones go in by
@@ -302,7 +302,7 @@ def splice(runs: list[Run], moved: list[tuple[int, int, tuple[Process, ...]]]) -
             n -= 1
         at = moved[n:]
         del moved[n:]
-        _, k, comps, node, parent, slot, _ = runs[r]
+        k, comps, node, parent, slot, _ = runs[r]
         # the slots that go and the components that come; a leaf that
         # re-arms, found again among its own components, stays in place
         gone, added = [], []

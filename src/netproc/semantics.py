@@ -590,9 +590,9 @@ def _read_runs(p: Process, moves: Moves) -> tuple[list, list, dict]:
         if tau and channel is not None:
             if type(channel) is ChanVar:
                 x, s = channel.index, r
-                while x >= runs[s][1]:
-                    x -= runs[s][1]
-                    s = runs[s][4]
+                while x >= runs[s][0]:
+                    x -= runs[s][0]
+                    s = runs[s][3]
                 channel = (s, x)
             group = ends.get(channel)
             if group is None:
@@ -628,7 +628,7 @@ def _normal_row(p: Process, moves: Moves) -> list[Step]:
     # per run: the flags of the slots on its path, lowered and raised,
     # and the ends closing it and the runs above it
     low, high, close = [()], [()], [(_END,)]
-    for _, _, _, _, parent, slot, _ in islice(runs, 1, None):
+    for _, _, _, parent, slot, _ in islice(runs, 1, None):
         low.append(low[parent] + (0, slot))
         high.append(high[parent] + (2, -slot))
         close.append(close[parent] + (_END,))
@@ -660,7 +660,7 @@ def _normal_row(p: Process, moves: Moves) -> list[Step]:
                 else:
                     # the first leaf's slots down from the run that holds
                     # both, closed, then the second's
-                    first, second = (runs[r][6] + (i,), up, x, r), (runs[r2][6] + (i2,), up2, y, r2)
+                    first, second = (runs[r][5] + (i,), up, x, r), (runs[r2][5] + (i2,), up2, y, r2)
                     (pa, ua, xa, ra), (pb, ub, xb, rb) = (first, second) if first[0] < second[0] else (second, first)
                     c = 0
                     while pa[c] == pb[c]:

@@ -351,7 +351,7 @@ def test_explore_builds_no_raw_target_of_a_state_it_expands(net, inputs, max_dep
     report = explore(net(), inputs, max_depth=max_depth)
     built = [t for e in semantics._STEP_CACHE.values() for t in e.targets if t is not None]
     census = raw_census(net(), inputs, max_depth)
-    parts = {c for s in census for c in normal_runs(s)[0][0][2]}
+    parts = {c for s in census for c in normal_runs(s)[0][0][1]}
     expanded = [s for s, d in census.items() if d < max_depth and s not in parts]
     assert len(expanded) > 10 and report.states > len(expanded)
     # the targets of each expanded state's own entry, built only now
