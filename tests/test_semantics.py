@@ -343,12 +343,14 @@ def test_anycast_explore_builds_a_receive_on_the_injected_port_only_for_a_tau():
     (broadcast3_unreliable, [("s", "m0")], 6),
 ])
 def test_explore_builds_no_raw_target_of_a_state_it_expands(net, inputs, max_depth):
-    # a normal state's row is read from its components' entries, and its
+    # a normal state's row is read from its leaf units' entries, and its
     # targets are spliced in normal form: a raw target of the state, the
-    # spine with one or two slots moved, is never built, unless the state
-    # was also a component of another, whose entry is its own
+    # spine with one or two slots moved, is never built
     semantics._STEP_CACHE.clear()
     report = explore(net(), inputs, max_depth=max_depth)
+    # every row and action set is read through the states' run trees from
+    # their leaf units' entries: no entry above a leaf is built
+    assert {type(e.term) for e in semantics._STEP_CACHE.values()} <= {Send, Receive, RepeatReceive, Distribute}
     built = [t for e in semantics._STEP_CACHE.values() for t in e.targets if t is not None]
     census = raw_census(net(), inputs, max_depth)
     parts = {c for s in census for c in normal_runs(s)[0][0][1]}
@@ -357,19 +359,6 @@ def test_explore_builds_no_raw_target_of_a_state_it_expands(net, inputs, max_dep
     # the targets of each expanded state's own entry, built only now
     raw = {t for s in expanded for _, t in _step(s, report.universe)}
     assert not raw & set(built)
-
-
-@pytest.mark.parametrize("net, inputs, max_depth", [
-    (anycast3, [("s", "m0"), ("s", "m1")], 8),
-    (broadcast3_unreliable, [("s", "m0")], 6),
-])
-def test_explore_builds_no_spine_entry(net, inputs, max_depth):
-    # every row and action set is read through the states' run trees from
-    # their leaf units' entries, runs in runs included
-    semantics._STEP_CACHE.clear()
-    report = explore(net(), inputs, max_depth=max_depth)
-    assert report.states > 10
-    assert {type(e.term) for e in semantics._STEP_CACHE.values()} <= {Send, Receive, RepeatReceive, Distribute}
 
 
 def test_the_last_ply_and_the_tau_closure_build_no_visible_target():
