@@ -81,8 +81,8 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import islice
 from enum import Enum
+from itertools import islice
 from typing import Callable, Iterable, Union
 
 from .errors import BoundExceeded, ModeViolation, ScopeError
