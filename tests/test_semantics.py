@@ -511,8 +511,9 @@ def nested_run(rng, depth, free, outer, pi):
 
     Sends on an outer binder are consumed here or further out, and sends
     here by receivers further in: their τs cross levels.  In the base
-    calculus a run may also hold `new u. (u!m | u ? x. c!x)`, whose binder
-    falls unused once the send is received.
+    calculus a run may also hold `new u. (u!m | u ? x. P)`, whose binder
+    falls unused once the send is received, so that it dissolves into one
+    send, two or none.
     """
     # 2-5 binders are put in order by permutation, each a normalization:
     # a run holding other runs takes at most 3
@@ -522,9 +523,10 @@ def nested_run(rng, depth, free, outer, pi):
     for _ in range(rng.randrange(1, 3)):
         parts.append(receiver(rng, rng.choice(holes + outer + free), scope, pi))
     if pi and rng.random() < 0.5:
-        u = Name(f"u{depth}")
-        once = Parallel(Send(u, Atom("m0")), Receive(u, Send(rng.choice(scope), ValVar(0))))
-        parts.append(Restrict(abstract_channel(once, u)))
+        # what is left once u's binder falls unused: one send, two, or 0
+        u, c = Name(f"u{depth}"), rng.choice(scope)
+        rest = rng.choice([Send(c, ValVar(0)), Parallel(Send(c, ValVar(0)), Send(rng.choice(scope), ValVar(0))), STOP])
+        parts.append(Restrict(abstract_channel(Parallel(Send(u, Atom("m0")), Receive(u, rest)), u)))
     if depth > 1:
         parts += [nested_run(rng, depth - 1, free, outer + holes, pi) for _ in range(rng.randrange(1, 3))]
     rng.shuffle(parts)
@@ -615,6 +617,24 @@ def test_the_action_grain_is_the_row_s_actions(kind, seed, keep):
     actions = moves.actions(p)
     assert spine_entries() == []
     assert actions == {a for a, _ in moves[p]}
+
+
+@pytest.mark.parametrize("text", [
+    "a!m0 | new u. (u!m1 | u ? x. (b!x | c!x))",
+    "a!m0 | new u. (u!m1 | u ? x. 0)",
+    "new s. (s!m0 | new u. (u!m1 | u ? x. (s!x | b!x)) | s ? y. c!y)",
+    "new s. new t. (s!m0 | t!m1 | new u. (u!m0 | u ? x. (s!x | t!x)) | s ? y. t ? z. c!y)",
+])
+def test_a_run_whose_binders_fall_unused_dissolves_into_the_run_above(text):
+    # the τ on u leaves the inner run with no use of its binder: its
+    # components, two sends or none, join the slot list one level up
+    p = normalize(parse(text))
+    semantics._STEP_CACHE.clear()
+    row = semantics.Moves(UNI)[p]
+    assert spine_entries() == []
+    ref = reference_row(p, UNI, None)
+    assert [a for a, _ in row] == [a for a, _ in ref] and TAU in {a for a, _ in row}
+    assert all(t is u for (_, t), (_, u) in zip(row, ref))
 
 
 def test_a_200_deep_nest_of_runs_is_read_without_recursion():
