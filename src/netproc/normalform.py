@@ -304,7 +304,8 @@ def splice(runs: list[Run], moved: list[tuple[int, int, tuple[Process, ...]]]) -
         del moved[n:]
         k, comps, node, parent, slot, _ = runs[r]
         # the slots that go and the components that come; a leaf that
-        # re-arms, found again among its own components, stays in place
+        # re-arms, found again among its own components, stays in place,
+        # so the spine after it can be reused
         gone, added = [], []
         for _, i, new in at:
             c = comps[i]
@@ -316,17 +317,16 @@ def splice(runs: list[Run], moved: list[tuple[int, int, tuple[Process, ...]]]) -
             added += new
         # the slots before `last`, less those that go, take the new
         # components in order, and every slot from `last` on stays in
-        # place; a new component is never compared with one that goes
+        # place; a new component is compared only with slots that stay,
+        # as the key of a deep run that goes may share a long prefix with it
         last = gone[-1] + 1 if gone else 0
         head = comps[:last]
         for i in reversed(gone):
             del head[i]
         for x in added:
-            key = x._term_key
-            if last < len(comps) and not key < comps[last]._term_key:
-                b = bisect_right(comps, key, last, key=_sort_key)
-                head += comps[last:b]
-                last = b
+            b = bisect_right(comps, x._term_key, last, key=_sort_key)
+            head += comps[last:b]
+            last = b
             insort(head, x, key=_sort_key)
         if last < len(comps):
             # the spine node of the slots from `last` on

@@ -465,9 +465,9 @@ class Moves(dict):
     padding, which the prover and the audit try first.
     `moves.actions(p)` is the action grain, the set of actions of
     `moves[p]`, with no target built and no row filled: read from `p`'s
-    step-table entry, or with none by the same walk through the runs,
-    which builds no entry.  The attacker's last ply and explore's
-    frontier test read it.
+    step-table entry in a raw table, else by the same walk through the
+    runs, which builds no entry above a leaf.  The attacker's last ply
+    and explore's frontier test read it.
     A table lives as long as the call that builds it.
     """
 
@@ -488,6 +488,8 @@ class Moves(dict):
         if self.raw:
             out = sorted(_entry(p, self.universe).kept(self.keep), key=step_order)
         elif (e := _STEP_CACHE.get((p, self.universe))) is not None:
+            # the prover's raw table or the weak closure built this entry,
+            # and with it targets and their normal forms
             out = [(a, normalize(t)) for a, t in sorted(e.kept(self.keep), key=step_order)]
         else:
             out = _normal_row(normalize(p), self)
@@ -497,20 +499,19 @@ class Moves(dict):
     def actions(self, p: Process) -> set[Action]:
         """The actions of `p`'s steps that `keep` accepts, with no target
         built and no row filled: read from `p`'s step-table entry in a raw
-        table or when it has one, else by `_read_runs` from the leaf units
-        of its normal form, with τ when a send and a receive can meet."""
-        entry = _entry(p, self.universe) if self.raw else _STEP_CACHE.get((p, self.universe))
-        if entry is None:
-            _, visible, ends = _read_runs(normalize(p), self)
-            out = {a for a, *_ in visible}
-            universe = self.universe
-            for sends, receives in ends.values():
-                if receives and any(e.actions[0].payload in universe for _, _, e in sends):
-                    out.add(TAU)
-                    break
-            return out
-        keep = self.keep
-        return set(entry.actions) if keep is None else {a for a in entry.actions if keep(a)}
+        table, else by `_read_runs` from the leaf units of its normal form,
+        with τ when a send and a receive can meet."""
+        if self.raw:
+            actions, keep = _entry(p, self.universe).actions, self.keep
+            return set(actions) if keep is None else {a for a in actions if keep(a)}
+        _, visible, ends = _read_runs(normalize(p), self)
+        out = {a for a, *_ in visible}
+        universe = self.universe
+        for sends, receives in ends.values():
+            if receives and any(e.actions[0].payload in universe for _, _, e in sends):
+                out.add(TAU)
+                break
+        return out
 
     def _unit(self, c: Process) -> tuple:
         """The leaf unit `c` as `_read_runs` reads it, once per table: its

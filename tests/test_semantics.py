@@ -617,6 +617,10 @@ def test_the_action_grain_is_the_row_s_actions(kind, seed, keep):
     actions = moves.actions(p)
     assert spine_entries() == []
     assert actions == {a for a, _ in moves[p]}
+    # a state with an entry is read through the runs all the same, and
+    # agrees with the entry's actions
+    entry, keep = semantics._entry(p, universe), KEEPS[keep]
+    assert semantics.Moves(universe, keep=keep).actions(p) == {a for a in entry.actions if keep is None or keep(a)}
 
 
 @pytest.mark.parametrize("text", [
