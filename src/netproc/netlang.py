@@ -8,7 +8,6 @@ messages on input channels; `simulate` follows one random trajectory.
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import random
 import re
@@ -167,6 +166,9 @@ class TraceEvent:
 
 
 def state_digest(p: Process) -> str:
+    # imported here: hashlib loads OpenSSL, which only a digest needs
+    import hashlib
+
     return hashlib.sha256(pretty(normalize(p)).encode()).hexdigest()[:12]
 
 

@@ -24,7 +24,6 @@ terms no matter which binder names the printer invents.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import chain, count
 
 from .errors import ParseError, ScopeError
@@ -73,12 +72,16 @@ def is_identifier(text: str) -> bool:
     return m is not None and m.lastgroup == "ident" and text not in _KEYWORDS
 
 
-@dataclass(frozen=True)
 class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+    # a plain slotted record: a frozen dataclass's __init__ costs three
+    # times as much, and the tokenizer makes one per token of every parsed term
+    __slots__ = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int) -> None:
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -259,14 +262,18 @@ _VALUE_NAMES = ("x", "y", "z", "w")
 _CHANNEL_NAMES = ("t", "u", "s", "r")
 
 
-def _bind(candidates: tuple[str, ...], used: set[str], root: Process) -> str:
+def _bind(candidates: tuple[str, ...], used: set[str], root: Process, around: list[str]) -> str:
     """Name a binder: its first candidate not in `used` (the free names
     and atoms of the `root` being printed, read at its first binder, and
     the binders around it), else the first free base1, base2, ... of its
-    first candidate."""
+    first candidate.  `around` lists the binders of its sort around it.
+    Binders are released innermost first, and a numbered name is taken
+    only when every candidate is in use, so at least len(around) -
+    len(candidates) numbered names are in use, the least ones that are
+    not names in the root: the search starts after that many."""
     if not used:
         used |= free_channel_names(root) | atoms_used(root)
-    numbered = (f"{candidates[0]}{i}" for i in count(1))
+    numbered = (f"{candidates[0]}{i}" for i in count(max(1, len(around) - len(candidates) + 1)))
     name = next(n for n in chain(candidates, numbered) if n not in used)
     used.add(name)
     return name
@@ -302,12 +309,12 @@ def pretty(p: Process) -> str:
             out.append("" if group else "(")
             todo += reversed(items)
         elif kind is Restrict:
-            name = _bind(_CHANNEL_NAMES, used, p)
+            name = _bind(_CHANNEL_NAMES, used, p, chans)
             out.append(f"new {name}. " if group else f"(new {name}. ")
             chans.append(name)
             todo += [("" if group else ")", None), (chans, None), (x.body, True)]
         elif kind is Receive or kind is RepeatReceive:
-            name = _bind(_VALUE_NAMES, used, p)
+            name = _bind(_VALUE_NAMES, used, p, vals)
             b = x.body
             parens = type(b) is Parallel or type(b) is Restrict
             out.append(f"{_pc(x.channel, chans)}{'?' if kind is Receive else '?*'}{name}. {'(' if parens else ''}")

@@ -15,10 +15,14 @@ the next, so every order that is shown or that decides an answer comes
 from `term_key` or `semantics.action_key`, never from set or dict order.
 A process node stores its sort key `term_key`, its channel mask (bit i
 set when the bound channel `ChanVar(i)` occurs free in it) and its value
-mask (the same for `ValVar(i)`), all set when it is built.  The table
-holds its objects weakly, so one is dropped once nothing else refers to
-it.  They must be built through their constructors; copying and pickling
-go through them too.  All operations here are pure.
+mask (the same for `ValVar(i)`), all set when it is built.  A new object
+is filled in one step, by straight-line code made once for its class:
+its fields, then those stored values.  The table holds its objects
+weakly, so one is dropped once nothing else refers to it.  A new entry
+goes in with one atomic `setdefault`; the table's lock is taken only to
+replace an entry whose object has died.  Objects must be built through
+their constructors; copying and pickling go through them too.  All
+operations here are pure.
 
 Each constructor declares the kind of each field and the sort its binder
 binds.  The traversals read those declarations rather than match on
@@ -54,10 +58,14 @@ class _Ref(weakref.ref):
 
 # (class, *fields) -> weak reference to the live object with that structure
 _TABLE: dict[tuple, _Ref] = {}
-# Held while an entry is inserted or replaced, so that of two threads that
-# built an object for one key, both return the one that went in.
-# Re-entrant because an object freed while it is held runs _drop in the
-# same thread.
+# Taken only to replace a dead entry, and by _drop.  A key's fields hash
+# and compare in C (by identity, or as ints and strs), so inserting a new
+# entry with `setdefault` is one step: under the GIL, and under the dict's
+# own lock on a free-threaded build.  Of two threads that miss on one key,
+# both therefore return the object that went in.  Only replacing a dead
+# entry is a check followed by a write, so it runs under the lock, as
+# _drop's check and delete do.  Re-entrant because an object freed while
+# it is held runs _drop in the same thread.
 _LOCK = threading.RLock()
 
 
@@ -76,16 +84,17 @@ def _intern(key: tuple) -> _Interned:
     node = None if ref is None else ref()
     if node is not None:
         return node
-    cls, fields = key[0], key[1:]
+    cls = key[0]
     node = object.__new__(cls)
-    for put, value in zip(cls._put_fields, fields):
-        put(node, value)
-    for put, value in zip(cls._put_derived, node._derive()):
-        put(node, value)
+    cls._fill(node, key)
     ref = _Ref(node, _drop)
     ref.key = key
+    held = _TABLE.setdefault(key, ref)
+    if held is ref:
+        return node
     with _LOCK:
-        # another thread may have built the same object since the get above
+        # another thread built the same object since the get above, or the
+        # entry is dead; look again, since either may have changed
         held = _TABLE.setdefault(key, ref)
         if held is not ref:
             live = held()
@@ -99,11 +108,12 @@ class _Interned:
     """Base of every hash-consed class: processes, their channels and
     values, and `semantics`' actions.
 
-    A subclass is a slotted frozen dataclass made by `_interned`, whose
-    `__new__` returns `_intern((cls, *fields))`.  Equality and the hash
-    are identity's, inherited from `object`.  `_derive` gives the values
-    of the slots named in `_derived`, which are filled once, after the
-    fields.
+    A subclass is a slotted dataclass made by `_interned`, whose `__new__`
+    returns `_intern((cls, *fields))`.  Equality and the hash are
+    identity's, inherited from `object`, and every assignment or deletion
+    raises FrozenInstanceError.  `_derive` gives the values of the slots
+    named in `_derived` from the fields.  A new object is filled in one
+    step by its class's `_fill`: the fields, then the derived slots.
     """
 
     __slots__ = ("__weakref__",)
@@ -121,6 +131,10 @@ class _Interned:
         # so they return the interned object rather than a twin
         return type(self), self._values(self)
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
     def _derive(self) -> tuple:
         return ()
 
@@ -132,20 +146,30 @@ def _getter(names: list[str]) -> Callable:
     return attrgetter(*names) if names else lambda p: ()
 
 
+def _filler(cls: type) -> Callable:
+    # fill(node, key): straight-line code for the class's arity, made once
+    # with exec as dataclasses makes __init__, so that a miss runs no loop.
+    # It puts each field from the key, then each value of _derive, through
+    # the slot's setter (which skips object.__setattr__'s lookup).
+    n, m = len(cls.__match_args__), len(cls._derived)
+    space = {f"put{i}": getattr(cls, name).__set__ for i, name in enumerate(cls.__match_args__ + cls._derived)}
+    space["derive"] = cls._derive
+    lines = [f"put{i}(node, key[{i + 1}])" for i in range(n)]
+    if m:
+        lines.append("".join(f"d{j}, " for j in range(m)) + "= derive(node)")
+        lines += [f"put{n + j}(node, d{j})" for j in range(m)]
+    params = "".join(f", {name}={name}" for name in space)
+    exec(f"def fill(node, key{params}):\n    " + "\n    ".join(lines), space)
+    return space["fill"]
+
+
 def _interned(cls: type) -> type:
-    # identity equality and hash come from object; the generated __init__
-    # is replaced by the class's __new__, which returns the interned object
-    cls = dataclass(frozen=True, slots=True, eq=False, init=False)(cls)
-    # the generated __setattr__ and __delattr__ refer to the class that
-    # slots=True replaced, and raise TypeError for names not in the
-    # fields; the inherited ones raise FrozenInstanceError for any name
-    del cls.__setattr__, cls.__delattr__
-    names = cls.__match_args__
-    # slot setters, which write a frozen object's slots without the
-    # attribute lookup of object.__setattr__ (half its cost)
-    cls._put_fields = tuple(getattr(cls, name).__set__ for name in names)
-    cls._put_derived = tuple(getattr(cls, name).__set__ for name in cls._derived)
-    cls._values = staticmethod(_getter(names))
+    # identity equality and hash come from object, repr and the refusal
+    # to assign from _Interned; the generated __init__ is replaced by the
+    # class's __new__, which returns the interned object
+    cls = dataclass(slots=True, eq=False, init=False, repr=False)(cls)
+    cls._values = staticmethod(_getter(cls.__match_args__))
+    cls._fill = staticmethod(_filler(cls))
     return cls
 
 

@@ -5,7 +5,8 @@ The reference sort key below is the recursive definition the stored
 `term_key` must reproduce exactly; it is kept here, independent of the
 per-node cache.  Likewise the reference channel and value masks walk the
 term with the substitution traversal, independent of the masks stored on
-each node.
+each node, and the field-by-field fill is the reference for each class's
+one-step fill.
 """
 
 from __future__ import annotations
@@ -287,6 +288,61 @@ def test_stored_term_key_matches_reference_and_equality(kind, s1, d1, s2, d2):
     assert (p == q) is (reference_key(p) == reference_key(q))
     assert (p is q) is (p == q)
     assert _build(kind, s1, d1) is p
+
+
+# ---------------------------------------------------------------------------
+# the one-step fill against a field-by-field fill
+# ---------------------------------------------------------------------------
+
+
+def reference_slots(key) -> dict:
+    """The fields and derived slots of a node built from `key` by putting
+    each field and then each value of `_derive`, one by one."""
+    cls = key[0]
+    twin = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, key[1:]):
+        getattr(cls, name).__set__(twin, value)
+    for name, value in zip(cls._derived, twin._derive()):
+        getattr(cls, name).__set__(twin, value)
+    return {name: getattr(twin, name) for name in cls.__match_args__ + cls._derived}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["pi", "comm"]), _seeds, _depths, _seeds, _depths)
+def test_each_node_is_filled_as_field_by_field_from_its_table_key(kind, s1, d1, s2, d2):
+    p, q = _build(kind, s1, d1), _build(kind, s2, d2)
+    for t in (p, q, Parallel(p, q), Restrict(Parallel(q, p)), Receive(a, Parallel(p, Send(b, ValVar(0))))):
+        for sub in subterms(t):
+            # the node is the table's entry for its own fields
+            key = (type(sub), *sub._values(sub))
+            assert terms._TABLE[key]() is sub
+            slots = {name: getattr(sub, name) for name in sub.__match_args__ + sub._derived}
+            assert slots == reference_slots(key)
+
+
+# one sample of each interned class, and its text
+REPRS = [
+    (Name("a"), "Name(text='a')"),
+    (ChanVar(1), "ChanVar(index=1)"),
+    (Atom("m0"), "Atom(text='m0')"),
+    (ValVar(0), "ValVar(index=0)"),
+    (STOP, "Stop()"),
+    (Send(a, m0), "Send(channel=Name(text='a'), payload=Atom(text='m0'))"),
+    (Receive(a, Send(b, ValVar(0))), "Receive(channel=Name(text='a'), body=Send(channel=Name(text='b'), payload=ValVar(index=0)))"),
+    (RepeatReceive(ChanVar(0), STOP), "RepeatReceive(channel=ChanVar(index=0), body=Stop())"),
+    (Parallel(STOP, Send(a, m0)), "Parallel(left=Stop(), right=Send(channel=Name(text='a'), payload=Atom(text='m0')))"),
+    (Restrict(STOP), "Restrict(body=Stop())"),
+    (Distribute(a, [b, ChanVar(0)]), "Distribute(source=Name(text='a'), targets=(Name(text='b'), ChanVar(index=0)))"),
+    (SendAct(a, m0), "SendAct(channel=Name(text='a'), payload=Atom(text='m0'))"),
+    (ReceiveAct(ChanVar(0), ValVar(1)), "ReceiveAct(channel=ChanVar(index=0), payload=ValVar(index=1))"),
+    (TAU, "Tau()"),
+]
+
+
+def test_repr_of_each_interned_class():
+    assert [type(thing) for thing, _ in REPRS] == list(INTERNED)
+    for thing, text in REPRS:
+        assert repr(thing) == text
 
 
 # ---------------------------------------------------------------------------

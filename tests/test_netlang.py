@@ -392,6 +392,22 @@ print(r.states, r.complete_paths)
     assert done.stdout.split() == ["202", "200"]
 
 
+def test_importing_netproc_loads_no_hashlib_and_digests_are_unchanged():
+    # hashlib loads OpenSSL, which only a state digest needs
+    code = """
+import sys
+import netproc
+from netproc.netlang import state_digest
+print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+print(state_digest(netproc.parse("new t. (a -> t | t => [b, c] | a!m0)")))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(netproc.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == ["[]", "a96017ffcc98"]
+
+
 @pytest.mark.parametrize(
     "term, mode",
     [("a ? x. b!x", Mode.EXTENDED), ("a => [b] | a!m0", Mode.PI), ("a ? x. b!x | a => [b]", None)],

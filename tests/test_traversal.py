@@ -15,6 +15,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import permutations
 
 import pytest
@@ -492,6 +493,34 @@ def test_printer_reuses_released_numbered_names():
     text = pretty(Parallel(nest, nest))
     assert text == ref_pretty(Parallel(nest, nest))
     assert text.count("new t2.") == 2 and "t3" not in text
+
+
+def test_a_4000_deep_nest_prints_fast_with_the_reference_names():
+    # binders t, u, s, r, t1, t2, ...: at a scan from t1 per binder the
+    # 4,000-deep nest takes seconds
+    def nest(n):
+        p = parse("a!m0")
+        for _ in range(n):
+            p = Restrict(Parallel(Send(ChanVar(0), Atom("m0")), p))
+        return p
+
+    def text(n):
+        names = ["t", "u", "s", "r", *(f"t{i}" for i in range(1, n - 3))]
+        return "".join(f"new {x}. {x}!m0 | " for x in names) + "a!m0"
+
+    # the reference printer recurses, so it is compared where it can
+    assert ref_pretty(nest(200)) == text(200)
+    assert ref_pretty(Parallel(nest(200), nest(200))) == f"({text(200)}) | {text(200)}"
+    deep = nest(4000)
+    took = []
+    for _ in range(3):
+        start = time.perf_counter()
+        printed = pretty(deep)
+        took.append(time.perf_counter() - start)
+    assert printed == text(4000)
+    assert min(took) < 0.2, took
+    # a sibling nest takes the released numbers again
+    assert pretty(Parallel(deep, deep)) == f"({text(4000)}) | {text(4000)}"
 
 
 # ---------------------------------------------------------------------------
