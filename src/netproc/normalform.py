@@ -35,8 +35,8 @@ it as `normalize` closes a run (dropping, renumbering and, for 2-5
 binders, ordering its binders), and puts its components in its slot one
 level up, so a run whose binders all fall unused dissolves into the run
 above it and an empty one into nothing.  `semantics`' normalizing reads
-use it, for every state with no step-table entry, after the one lookup
-that normalizes the state.
+use it for every state they read, after the one lookup that normalizes
+the state.
 """
 
 from __future__ import annotations

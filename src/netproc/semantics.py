@@ -10,34 +10,25 @@ language check, not a rule set: each public entry point checks its terms
 once, and since no rule introduces a construct of the other language,
 every state reached from a checked term is in the same language.
 
-Restriction steps its body in place, under the binder, with no fresh
-names.  Inside the body the restricted channel is de Bruijn index 0: a
-visible action on `ChanVar(0)` is traffic on the hidden channel and is
-dropped, a visible action on `ChanVar(k)` names a channel bound further
-out and leaves as `ChanVar(k-1)`, and every target keeps the binder.
-This is the textbook rule (open the binder with a fresh name, step,
-re-abstract the name) without the renaming: stepping commutes with
-channel renaming and channels are never payloads, so each target is the
-same interned node the fresh-name round trip builds.  Tests cross-check
-the two rules against each other.
-
-The step table `_STEP_CACHE` holds one entry per (term, universe),
-filled from its parts' entries, a `Parallel` from its operands' and a
-`Restrict` from its body's, so each term steps once however many terms
-share it.  An entry lists the term's step actions and, per step, a recipe
-and a target slot.  A leaf's targets are built with its entry; every
-other step is lifted from a step of the left operand, the right operand
-or the body, or is a τ made of one step of each operand.  τ partners are
-found through an index of the right operand's steps by (channel,
-payload), for free and bound channels alike, and a `Restrict` drops the
-steps on its own channel and shifts the rest, so an entry is filled
-without building any target.  A slot is filled on first read and kept:
-a lifted step's slots form a chain, walked down to the first built slot
-and back up, and a τ builds its two halves the same way.  Every reader
-builds only the targets it keeps: the move table those its `keep`
-accepts, the action grain none, the τ closure the τs and the weak
-closure the visible steps.  `_step` returns the frozenset of all the
-steps, made afresh on each call.
+Restriction steps with no fresh names.  The step table `_STEP_CACHE`
+holds an entry per (leaf, universe) for the sends, receives, repeating
+receives, distributors and the inert process: the leaf's steps, all on
+one channel, their targets built with it.  No term above a leaf has one.
+A term is read in one walk of its tree (`_read_tree`) that keeps a parent
+link per node and the binders above each leaf, as LTSmin's partitioned
+next-state function reads only the slots a transition touches (Blom, van
+de Pol & Weber, CAV 2010).  A leaf's channel is a free name, a de Bruijn
+index a binder above the leaf binds, whose traffic stays inside and is
+dropped, or an index bound outside the term, which moves out past those
+binders: the textbook rule (open the binder with a fresh name, step,
+re-abstract) without the renaming, which tests cross-check.  A send and a
+receive whose channels resolve to the same name or binder meet in a τ,
+wherever their leaves sit.  A target is rebuilt up the parent links
+(`_rebuild`), binders and all, only for a step the reader keeps, a τ's
+two halves up to the `Parallel` they join at: the move table builds those
+its `keep` accepts, the action grain none, the τ closure the τs and the
+weak closure the visible steps.  `_step` returns the frozenset of all
+the steps, made afresh on each call.
 
 Actions are interned in `terms`' table, as terms are: equal actions are
 the same object, hashed and compared by identity, and each stores its
@@ -50,18 +41,10 @@ the step relation through a per-call `Moves` table, which puts each
 state's steps into `step_order` once and groups the defender's replies by
 action; readers that need only a state's actions read its action grain,
 with no target built.  A table that normalizes its targets is asked only
-for normal states `new^k (c1 | ... | cn)`, and reads one with no entry
-through the tree of its restriction runs, from its leaf units' entries
-alone, as LTSmin's partitioned next-state function reads only the slots
-a transition touches (Blom, van de Pol & Weber, CAV 2010).  A component
-that is a run `new^j (d1 | ... | dm)` is read as the state is, down to
-its sends, receives, repeating receives and distributors, whose entries
-every state of the call shares: a step moves one leaf, or two for a τ,
-wherever in the tree they sit, and `normalform.splice` builds its normal
-target run by run from the sorted components, so no entry above a leaf
-and no raw target is built.  A state that has an entry already (from a
-raw table or the weak closure) is read through it, where its targets
-and their normal forms are already to be found.
+for normal states `new^k (c1 | ... | cn)`, and reads each through the
+tree of its restriction runs instead (`_read_runs`), down to its leaf
+units: `normalform.splice` builds a step's normal target run by run from
+the sorted components, so no raw target is built.
 `reachable` is the one breadth-first search: explore's census, the CLI's
 LTS and the weak closure run on it.  `_tau_reach` is one call of it over
 the internal steps, one step deeper than the bound: a state found past
@@ -264,92 +247,31 @@ _STEP_CACHE: dict[tuple[Process, Universe], _Entry] = {}
 
 
 class _Entry:
-    """A term's steps in one universe: their actions, in a fixed order,
-    and a target slot per step, filled on first read and kept.
+    """A leaf's steps in one universe, all on one channel: their actions,
+    a receive's in the universe's order, and their targets.  `channel` is
+    that channel (None when there is no step), `send` whether the leaf
+    sends, and `normal` holds the `normal_step`s read so far."""
 
-    A step's recipe is its position.  A leaf's targets are built with its
-    entry.  The steps of a `Parallel` are its left operand's, lifted, then
-    its right operand's, lifted, then one τ per (left step, right step)
-    pair in `pairs`.  Step k of a `Restrict` is its body's step `src[k]`
-    under the binder.  `parts` holds the entries of the operands or the
-    body, `index` the `partners` index, once it is read, and `normal` the
-    `normal_step`s read so far.
-    """
+    __slots__ = ("term", "actions", "targets", "channel", "send", "normal")
 
-    __slots__ = ("term", "parts", "actions", "targets", "pairs", "src", "index", "normal")
-
-    def __init__(self, p: Process, universe: Universe, parts: list[_Entry]) -> None:
-        self.term, self.parts = p, parts
-        self.pairs = self.src = self.index = self.normal = None
-        kind = type(p)
-        if kind is Parallel:
-            left, right = parts
-            self.pairs = _tau_pairs(left, right)
-            self.actions = left.actions + right.actions + (TAU,) * len(self.pairs)
-            self.targets = [None] * len(self.actions)
-        elif kind is Restrict:
-            # traffic on the bound channel (index 0) stays inside, and
-            # outer bound channels move one binder out
-            actions, src = [], []
-            for i, a in enumerate(parts[0].actions):
-                c = a.channel if a is not TAU else None
-                if type(c) is ChanVar:
-                    if not c.index:
-                        continue
-                    a = type(a)(ChanVar(c.index - 1), a.payload)
-                actions.append(a)
-                src.append(i)
-            self.actions, self.src = tuple(actions), src
-            self.targets = [None] * len(src)
-        elif kind in (Stop, Send, Receive, RepeatReceive, Distribute):
-            steps = list(_leaf_steps(p, universe))
-            self.actions = tuple(a for a, _ in steps)
-            self.targets = tuple(t for _, t in steps)
-        else:
-            raise TypeError(f"not a process: {p!r}")
-
-    def target(self, k: int) -> Process:
-        """Step k's target, built on first read.
-
-        A lifted step has one part, so the slots it needs form a chain:
-        down it to the first built slot, then back up, wrapping the target
-        in each level's `Restrict` or `Parallel` and filling each slot.  A
-        τ pair ends the chain with its two halves, which are no τs, so
-        their chains hold no τ pair: the call recurses one level at most.
-        """
-        chain, e = [], self
-        while (t := e.targets[k]) is None:
-            if e.src is not None:
-                chain.append((e, k))
-                e, k = e.parts[0], e.src[k]
-                continue
-            left, right = e.parts
-            nl, nr = len(left.actions), len(right.actions)
-            if k >= nl + nr:
-                i, j = e.pairs[k - nl - nr]
-                t = e.targets[k] = Parallel(left.target(i), right.target(j))
-                break
-            chain.append((e, k))
-            e, k = (left, k) if k < nl else (right, k - nl)
-        for e, k in reversed(chain):
-            if e.src is not None:
-                t = Restrict(t)
-            elif k < len(e.parts[0].actions):
-                t = Parallel(t, e.term.right)
-            else:
-                t = Parallel(e.term.left, t)
-            e.targets[k] = t
-        return t
-
-    def kept(self, keep: Callable[[Action], bool] | None) -> set[Step]:
-        """The steps whose action `keep` accepts (all when None); only
-        their targets are built."""
-        targets, out = self.targets, set()
-        for k, a in enumerate(self.actions):
-            if keep is None or keep(a):
-                t = targets[k]
-                out.add((a, self.target(k) if t is None else t))
-        return out
+    def __init__(self, p: Process, universe: Universe) -> None:
+        match p:
+            case Send(channel=c, payload=v):
+                steps = [(SendAct(c, v), STOP)]
+            case Receive(channel=c, body=b):
+                steps = [(ReceiveAct(c, v), instantiate_value(b, v)) for v in universe]
+            case RepeatReceive(channel=c, body=b):
+                steps = [(ReceiveAct(c, v), Parallel(instantiate_value(b, v), p)) for v in universe]
+            case Distribute(source=c, targets=ts):
+                steps = [(ReceiveAct(c, v), Parallel(_sender_row(ts, v), p)) for v in universe]
+            case Stop():
+                steps = []
+            case _:
+                raise TypeError(f"not a leaf: {p!r}")
+        self.term, self.normal, self.send = p, None, type(p) is Send
+        self.actions = tuple(a for a, _ in steps)
+        self.targets = tuple(t for _, t in steps)
+        self.channel = self.actions[0].channel if steps else None
 
     def normal_step(self, k: int) -> tuple[bool, tuple, tuple[Process, ...]]:
         """Step k's target as `_normal_row` splices it: whether its
@@ -360,39 +282,18 @@ class _Entry:
             normal = self.normal = [None] * len(self.actions)
         hit = normal[k]
         if hit is None:
-            t = self.target(k)
+            t = self.targets[k]
             key = t._term_key
             hit = normal[k] = (key > self.term._term_key, key, normal_components(t))
         return hit
 
-    def partners(self) -> dict[tuple[Channel, Atom], list[int]]:
-        """The indices of the non-τ steps by (channel, payload), indexed
-        on first use."""
-        index = self.index
-        if index is None:
-            index = self.index = {}
-            for j, a in enumerate(self.actions):
-                if a is not TAU:
-                    index.setdefault((a.channel, a.payload), []).append(j)
-        return index
 
-
-def _tau_pairs(left: _Entry, right: _Entry) -> list[tuple[int, int]]:
-    """The (left step, right step) pairs that make a τ: a send and a
-    receive of one value on one channel, free or bound."""
-    pairs: list[tuple[int, int]] = []
-    ractions = right.actions
-    if not ractions:
-        return pairs
-    index = None
-    for i, a in enumerate(left.actions):
-        if a is not TAU:
-            if index is None:
-                index = right.partners()
-            for j in index.get((a.channel, a.payload), ()):
-                if type(ractions[j]) is not type(a):
-                    pairs.append((i, j))
-    return pairs
+def _entry(p: Process, universe: Universe) -> _Entry:
+    """The leaf `p`'s step-table entry in `universe`, filled on first use."""
+    hit = _STEP_CACHE.get((p, universe))
+    if hit is None:
+        hit = _STEP_CACHE[p, universe] = _Entry(p, universe)
+    return hit
 
 
 def transitions(p: Process, mode: Mode | None = None, universe: Universe = DEFAULT_UNIVERSE) -> frozenset[Transition]:
@@ -405,22 +306,9 @@ def transitions(p: Process, mode: Mode | None = None, universe: Universe = DEFAU
     return frozenset(Transition(p, a, t) for a, t in _step(p, universe))
 
 
-def _entry(p: Process, universe: Universe) -> _Entry:
-    """`p`'s step-table entry in `universe`, filled on first use."""
-    key = (p, universe)
-    hit = _STEP_CACHE.get(key)
-    if hit is None:
-        # fill the table for every missing part a step of `p` is made of
-        hit = post_order(
-            key, _STEP_CACHE.get, _step_parts, lambda k, parts: _STEP_CACHE.setdefault(k, _Entry(*k, parts))
-        )
-    return hit
-
-
 def _step(p: Process, universe: Universe) -> frozenset[Step]:
-    """All the steps of `p`, their targets built on first read and kept
-    in `p`'s entry; the set is made afresh on each call."""
-    return frozenset(_entry(p, universe).kept(None))
+    """All the steps of `p`, made afresh on each call."""
+    return frozenset(_steps(p, universe))
 
 
 def _is_tau(a: Action) -> bool:
@@ -431,13 +319,114 @@ def _is_visible(a: Action) -> bool:
     return a is not TAU
 
 
-def _step_parts(key: tuple[Process, Universe]) -> tuple:
-    # a prefix's body steps only once instantiated, so it is no part
-    p, universe = key
-    kind = type(p)
-    if kind is Parallel:
-        return ((p.left, universe), (p.right, universe))
-    return ((p.body, universe),) if kind is Restrict else ()
+def _read_tree(p: Process, universe: Universe, keep: Callable[[Action], bool] | None, tau: bool) -> tuple:
+    """The term `p`'s tree, its visible steps and its ends, read from its
+    leaves' entries in one walk with no recursion.
+
+    The tree is `(terms, up)`: its nodes in pre-order, so that a node's
+    left operand or body is the node after it, and each node's parent
+    (-1 for `p`).  A visible step is (action, leaf node, leaf target) for
+    a step that `keep` accepts (all when None, none when it is `_is_tau`)
+    on a free name, or on a channel bound outside `p`, moved out past the
+    binders above the leaf.  When `tau` is set, every leaf with a step is
+    an end, (node, entry), listed under its channel, resolved to a free
+    name, an outer channel or its binder's node, among the sends or the
+    receives."""
+    # `_is_tau` reads no visible step and `_is_visible` every one
+    read = keep is not _is_tau
+    if keep is _is_visible:
+        keep = None
+    # binders: those on the path to the node being read, outermost first
+    terms, up, binders, visible, ends = [], [], [], [], {}
+    cache, todo = _STEP_CACHE, [(p, -1, 0)]
+    while todo:
+        x, parent, d = todo.pop()
+        while True:
+            n = len(terms)
+            terms.append(x)
+            up.append(parent)
+            kind = type(x)
+            if kind is Parallel:
+                todo.append((x.right, n, d))
+                x, parent = x.left, n
+            elif kind is Restrict:
+                # a node taken off `todo` at depth d finds binders[:d] as
+                # its path left them: the walk in between went deeper
+                del binders[d:]
+                binders.append(n)
+                x, parent, d = x.body, n, d + 1
+            else:
+                break
+        e = cache.get((x, universe)) or _entry(x, universe)
+        channel = e.channel
+        if channel is None:
+            continue
+        if type(channel) is ChanVar:
+            i = channel.index
+            if i < d:
+                # bound in `p`: its binder's node, and no visible step
+                channel = binders[d - 1 - i]
+            elif d:
+                # bound outside `p`: the steps move out past d binders
+                channel = ChanVar(i - d)
+        if read and type(channel) is not int:
+            actions = e.actions
+            if channel is not e.channel:
+                actions = [type(a)(channel, a.payload) for a in actions]
+            visible += [(a, n, t) for a, t in zip(actions, e.targets) if keep is None or keep(a)]
+        if tau:
+            group = ends.get(channel)
+            if group is None:
+                group = ends[channel] = ([], [])
+            group[not e.send].append((n, e))
+    return (terms, up), visible, ends
+
+
+def _rebuild(terms: list[Process], up: list[int], n: int, t: Process, m: int = -1, u: Process | None = None) -> Process:
+    """The root of the tree `terms`, `up` with its leaf node n replaced by
+    `t` and, for a τ, its leaf node m by `u`: the later leaf's half is
+    wrapped up to the `Parallel` the two paths join at, and the earlier
+    one's up to the root, taking the other in at the join.  A level is
+    interned by `_intern`, as the constructors do, without their call."""
+    join = -1
+    if m >= 0:
+        if m < n:
+            n, t, m, u = m, u, n, t
+        # the join is before n in pre-order, m's ancestors below it after n
+        while (q := up[m]) > n:
+            x = terms[q]
+            u = _intern(
+                (Restrict, u) if type(x) is Restrict
+                else (Parallel, u, x.right) if m == q + 1
+                else (Parallel, x.left, u)
+            )
+            m = q
+        join = q
+    while (q := up[n]) >= 0:
+        x = terms[q]
+        t = _intern(
+            (Restrict, t) if type(x) is Restrict
+            else (Parallel, t, u if q == join else x.right) if n == q + 1
+            else (Parallel, x.left, t)
+        )
+        n = q
+    return t
+
+
+def _steps(p: Process, universe: Universe, keep: Callable[[Action], bool] | None = None) -> list[Step]:
+    """The steps of `p` whose action `keep` accepts (all when None), in
+    the walk's order, duplicates and all; only their targets are built."""
+    (terms, up), visible, ends = _read_tree(p, universe, keep, keep is None or keep(TAU))
+    out = [(a, _rebuild(terms, up, n, t)) for a, n, t in visible]
+    for sends, receives in ends.values():
+        if receives:
+            for n, e in sends:
+                # a receive's steps are on the universe's values, in order
+                v = e.actions[0].payload
+                if v in universe:
+                    j, t = universe.index(v), e.targets[0]
+                    out += [(TAU, _rebuild(terms, up, n, t, m, f.targets[j])) for m, f in receives]
+    return out
 
 
 def step_order(step: Step) -> tuple:
@@ -451,12 +440,10 @@ class Moves(dict):
     every game, evidence check and exploration reads states through one.
 
     `moves[p]` is the steps of `p` whose action `keep` accepts (all of
-    them when None) in `step_order` of their raw targets, each target
-    normalized unless the table is `raw`; only the targets of those steps
-    are built.  A normalizing table reads a state through its step-table
-    entry, or with none its normal form by `_normal_row`, through its
-    restriction runs down to its leaf units, which builds no raw target
-    and no entry above a leaf; every state it is asked for is normal.
+    them when None) in `step_order` of their raw targets: read by `_steps`
+    in a `raw` table, which builds only those targets, else by
+    `_normal_row` from the normal form's run tree, each target normalized
+    and no raw target built.
     `moves.replies(p)` is the defender's distinct targets per action, in
     `term_key` order, and whether the weak closure truncated them: from
     `closure.weak_steps(p)` in the weak game, from `moves[p]` in the
@@ -464,10 +451,8 @@ class Moves(dict):
     `moves.unpadded(p)` is the weak game's replies with no internal
     padding, which the prover and the audit try first.
     `moves.actions(p)` is the action grain, the set of actions of
-    `moves[p]`, with no target built and no row filled: read from `p`'s
-    step-table entry in a raw table, else by the same walk through the
-    runs, which builds no entry above a leaf.  The attacker's last ply
-    and explore's frontier test read it.
+    `moves[p]`, with no target built and no row filled; the attacker's
+    last ply and explore's frontier test read it.
     A table lives as long as the call that builds it.
     """
 
@@ -486,11 +471,7 @@ class Moves(dict):
 
     def __missing__(self, p: Process) -> list[Step]:
         if self.raw:
-            out = sorted(_entry(p, self.universe).kept(self.keep), key=step_order)
-        elif (e := _STEP_CACHE.get((p, self.universe))) is not None:
-            # the prover's raw table or the weak closure built this entry,
-            # and with it targets and their normal forms
-            out = [(a, normalize(t)) for a, t in sorted(e.kept(self.keep), key=step_order)]
+            out = sorted(set(_steps(p, self.universe, self.keep)), key=step_order)
         else:
             out = _normal_row(normalize(p), self)
         self[p] = out
@@ -498,34 +479,28 @@ class Moves(dict):
 
     def actions(self, p: Process) -> set[Action]:
         """The actions of `p`'s steps that `keep` accepts, with no target
-        built and no row filled: read from `p`'s step-table entry in a raw
-        table, else by `_read_runs` from the leaf units of its normal form,
-        with τ when a send and a receive can meet."""
-        if self.raw:
-            actions, keep = _entry(p, self.universe).actions, self.keep
-            return set(actions) if keep is None else {a for a in actions if keep(a)}
-        _, visible, ends = _read_runs(normalize(p), self)
-        out = {a for a, *_ in visible}
+        built and no row filled: read by `_read_tree` from `p`'s leaves in
+        a raw table, else by `_read_runs` from the leaf units of its normal
+        form, with τ when a send and a receive can meet."""
         universe = self.universe
+        _, visible, ends = _read_tree(p, universe, self.keep, self._tau) if self.raw else _read_runs(normalize(p), self)
+        out = {a for a, *_ in visible}
         for sends, receives in ends.values():
-            if receives and any(e.actions[0].payload in universe for _, _, e in sends):
+            if receives and any(e.actions[0].payload in universe for *_, e in sends):
                 out.add(TAU)
                 break
         return out
 
-    def _unit(self, c: Process) -> tuple:
+    def _unit(self, c: Process) -> tuple[_Entry, tuple]:
         """The leaf unit `c` as `_read_runs` reads it, once per table: its
-        entry, its steps on a free name that `keep` accepts, as (action,
-        step), and the channel all its steps are on, with whether they
-        send (None and False for the inert process)."""
+        entry and its steps on a free name that `keep` accepts, as
+        (action, step)."""
         hit = self._units.get(c)
         if hit is None:
             e, keep = _entry(c, self.universe), self.keep
-            channel = e.actions[0].channel if e.actions else None
-            kept = tuple(
-                (a, j) for j, a in enumerate(e.actions) if type(channel) is Name and (keep is None or keep(a))
-            )
-            hit = self._units[c] = (e, kept, channel, type(c) is Send)
+            free = type(e.channel) is Name
+            kept = tuple((a, j) for j, a in enumerate(e.actions) if free and (keep is None or keep(a)))
+            hit = self._units[c] = (e, kept)
         return hit
 
     def replies(self, p: Process) -> tuple[dict[Action, list[Process]], bool]:
@@ -546,19 +521,16 @@ class Moves(dict):
         With `n` the normal form of `p`, τ is answered by `n` itself and,
         when the bound allows one internal step, by the normalized targets
         of `n`'s τ-steps; a visible action by the normalized targets of
-        `n`'s steps on it.  These are weak replies too.  They are read from
-        `n`'s step-table entry in its order, with no row filled or sorted,
-        so the work done does not depend on set order.
+        `n`'s steps on it.  These are weak replies too.  They are read by
+        `_steps` in its walk's order, with no row filled or sorted, so the
+        work done does not depend on set order.
         """
         hit = self._unpadded.get(p)
         if hit is None:
             n = normalize(p)
-            e = _entry(n, self.universe)
             hit = self._unpadded[p] = {TAU: {n: None}}
-            tau = self.closure.bound >= 1
-            for k, a in enumerate(e.actions):
-                if tau or a is not TAU:
-                    hit.setdefault(a, {})[normalize(e.target(k))] = None
+            for a, t in _steps(n, self.universe, None if self.closure.bound >= 1 else _is_visible):
+                hit.setdefault(a, {})[normalize(t)] = None
         return hit
 
 
@@ -569,25 +541,20 @@ _END = 1
 
 def _read_runs(p: Process, moves: Moves) -> tuple[list, list, dict]:
     """The normal state `p`'s run tree by `normal_runs`, its visible steps
-    and its ends, read from its leaf units' entries alone.
-
-    A visible step is (action, run, slot, entry, step) for a leaf's step
-    on a free name that the table keeps.  An action on a bound channel is
-    dropped, as `p` is closed: it names a binder of a run on the leaf's
-    path, found by moving the channel out one run's binders at a time.
-    When the table keeps τ, every leaf with a step is an end, (run, slot,
-    entry), listed under its channel, resolved to a free name or to
-    (run, binder), among the sends or the receives: a send and a receive
-    on one channel meet in a τ, wherever their leaves sit.
-    """
+    and its ends, read from its leaf units' entries as `_read_tree` reads
+    a term's: a visible step is (action, run, slot, entry, step), for a
+    step on a free name that the table keeps, as `p` is closed, and an end
+    (run, slot, entry), its channel resolved to a free name or to (run,
+    binder) by moving it out one run's binders at a time."""
     runs, leaves = normal_runs(p)
     tau, units, unit = moves._tau, moves._units, moves._unit
     visible: list[tuple[Action, int, int, _Entry, int]] = []
     ends: dict[Channel | tuple[int, int], tuple[list, list]] = {}
     for r, i, c in leaves:
-        e, kept, channel, send = units.get(c) or unit(c)
+        e, kept = units.get(c) or unit(c)
         for a, j in kept:
             visible.append((a, r, i, e, j))
+        channel = e.channel
         if tau and channel is not None:
             if type(channel) is ChanVar:
                 x, s = channel.index, r
@@ -598,14 +565,13 @@ def _read_runs(p: Process, moves: Moves) -> tuple[list, list, dict]:
             group = ends.get(channel)
             if group is None:
                 group = ends[channel] = ([], [])
-            group[not send].append((r, i, e))
+            group[not e.send].append((r, i, e))
     return runs, visible, ends
 
 
 def _normal_row(p: Process, moves: Moves) -> list[Step]:
     """The row of the normal state `p` in the normalizing table `moves`,
-    read through its run tree from its leaf units' entries
-    (`_read_runs`), with no entry built for `p` or any run in it.
+    read through its run tree from its leaf units' entries (`_read_runs`).
 
     A step moves one leaf, or two for a τ.  A run `new^j (d1 | ... | dm)`
     in a slot is read as `p` itself, `new^k (c1 | ... | cn)`, is: every
@@ -691,22 +657,6 @@ def _sender_row(targets: tuple, value: Atom | ValVar) -> Process:
     return row
 
 
-def _leaf_steps(p: Stop | Send | Receive | RepeatReceive | Distribute, universe: Universe) -> Iterable[Step]:
-    """The steps of a leaf, all on one channel; `Stop` has none."""
-    match p:
-        case Send(channel=c, payload=v):
-            yield SendAct(c, v), STOP
-        case Receive(channel=c, body=b):
-            for v in universe:
-                yield ReceiveAct(c, v), instantiate_value(b, v)
-        case RepeatReceive(channel=c, body=b):
-            for v in universe:
-                yield ReceiveAct(c, v), Parallel(instantiate_value(b, v), p)
-        case Distribute(source=s, targets=ts):
-            for v in universe:
-                yield ReceiveAct(s, v), Parallel(_sender_row(ts, v), p)
-
-
 # ---------------------------------------------------------------------------
 # Weak steps
 # ---------------------------------------------------------------------------
@@ -721,7 +671,7 @@ def _tau_reach(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Pr
     """
     bound = max(bound, 0)
     depth, _ = reachable(
-        normalize(p), lambda s: [normalize(t) for _, t in _entry(s, universe).kept(_is_tau)], sys.maxsize, bound + 1
+        normalize(p), lambda s: [normalize(t) for _, t in _steps(s, universe, _is_tau)], sys.maxsize, bound + 1
     )
     visited = frozenset(s for s, d in depth.items() if d <= bound)
     return visited, len(visited) < len(depth)
@@ -777,7 +727,7 @@ class WeakClosure:
         pre, truncated = self.reach(p)
         out: set[Step] = {(TAU, s) for s in pre}
         for s in pre:
-            for a, t in _entry(s, self.universe).kept(_is_visible):
+            for a, t in _steps(s, self.universe, _is_visible):
                 post, trunc2 = self.reach(t)
                 truncated |= trunc2
                 out |= {(a, u) for u in post}

@@ -33,7 +33,7 @@ from netproc import (
 from netproc import Atom, ChanVar, Distribute, Name, Send, Stop, equivalence, free_channel_names, fresh_channel_name, instantiate_channel, make_universe
 from netproc.equivalence import _Attacker, _BoundHit, _Prover, _canon, _fire, _reduce
 from netproc.normalform import compose_parallel, parallel_components, term_key
-from netproc.semantics import DEFAULT_UNIVERSE, TAU, Mode, Moves, WeakClosure, _entry, _is_tau, _step, effective_universe, step_order
+from netproc.semantics import DEFAULT_UNIVERSE, TAU, Mode, Moves, WeakClosure, _step, effective_universe, step_order
 from helpers import count_fills, random_comm, random_pi
 
 # ---------------------------------------------------------------------------
@@ -679,7 +679,7 @@ def reference_delivered(p, uni):
                     after = list(parts)
                     after.remove(send)
                     after += [Send(t, send.payload) for t in row]
-                    taus = {normalize(t) for _, t in _entry(equivalence._closed(parts, names), uni).kept(_is_tau)}
+                    taus = {normalize(t) for a, t in _step(equivalence._closed(parts, names), uni) if a is TAU}
                     if normalize(equivalence._closed(after, names)) not in taus:
                         return None
                     parts, progress = after, True

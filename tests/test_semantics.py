@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import random
 import sys
+import timeit
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,9 +24,11 @@ from netproc import (
     BoundExceeded,
     ChanVar,
     Distribute,
+    FULL_UPTO,
     Mode,
     ModeViolation,
     Name,
+    PLAIN,
     Parallel,
     Process,
     Receive,
@@ -35,10 +39,12 @@ from netproc import (
     ScopeError,
     Send,
     SendAct,
+    Stop,
     TAU,
     Tau,
     Transition,
     ValVar,
+    Verdict,
     abstract_channel,
     anycast3,
     audit_witness,
@@ -239,35 +245,31 @@ def test_restriction_agrees_with_multi_probe_oracle():
 # ---------------------------------------------------------------------------
 
 
-def recipe_parts(entry, k):
-    """The (entry, step) pairs whose targets step k's target is built
-    from, read from the entry's layout."""
-    if entry.src is not None:
-        return [(entry.parts[0], entry.src[k])]
-    if type(entry.term) is not Parallel:
-        return []
-    left, right = entry.parts
-    nl, nr = len(left.actions), len(right.actions)
-    if k < nl + nr:
-        return [(left, k)] if k < nl else [(right, k - nl)]
-    i, j = entry.pairs[k - nl - nr]
-    return [(left, i), (right, j)]
+def channel_of(leaf):
+    return leaf.source if type(leaf) is Distribute else leaf.channel
 
 
-def built_steps(entry):
-    return [k for k, t in enumerate(entry.targets) if t is not None]
+@contextmanager
+def rebuilds():
+    """Count the walk's target builds: per call of its rebuild helper, the
+    leaf it moves, or the two leaves of a τ."""
+    calls, rebuild = [], semantics._rebuild
 
+    def counted(terms, up, n, t, m=-1, u=None):
+        calls.append((terms[n],) if m < 0 else (terms[n], terms[m]))
+        return rebuild(terms, up, n, t, m, u)
 
-def built_from(entries):
-    """The (entry id, step) pairs that built targets of `entries` were
-    built from."""
-    return {(id(part), j) for e in entries for k in built_steps(e) for part, j in recipe_parts(e, k)}
+    semantics._rebuild = counted
+    try:
+        yield calls
+    finally:
+        semantics._rebuild = rebuild
 
 
 def raw_census(net, inputs, max_depth):
     """Explore's census of `net` with `inputs` injected, read through a raw
     table with explore's filter, so each state's kept steps are built
-    through its own entry's step chain: the states found, by depth."""
+    from its own tree: the states found, by depth."""
     start, _, suppressed = _inject(net, inputs)
     universe = effective_universe(None, start)
     moves = semantics.Moves(universe, raw=True, keep=lambda a: _observable(a, suppressed))
@@ -276,36 +278,20 @@ def raw_census(net, inputs, max_depth):
 
 
 def test_steps_on_a_bound_channel_are_built_only_for_a_tau():
-    # a hidden hop's receives and sends are dropped at the binder, so the
-    # target of a step on a bound channel is built only as a part of a
-    # built target above it, which acts on a bound channel too unless it
-    # is a τ: every chain of such builds ends in a τ
+    # a hidden hop's receives and sends are dropped at the binder, so a
+    # leaf on a bound channel is moved only as a half of a τ
     report = explore(anycast3(), [("s", "m0"), ("s", "m1")], max_depth=8)
     assert (report.states, report.complete_paths) == (36, 9)
-    semantics._STEP_CACHE.clear()
-    assert len(raw_census(anycast3(), [("s", "m0"), ("s", "m1")], 8)) == report.states
-    entries = list(semantics._STEP_CACHE.values())
-    needed = built_from(entries)
-    bound = [
-        (e, k)
-        for e in entries
-        if type(e.term) in (Parallel, Restrict)
-        for k in built_steps(e)
-        if e.actions[k] is not TAU and type(e.actions[k].channel) is ChanVar
-    ]
-    assert bound
-    assert all((id(e), k) in needed for e, k in bound)
-
-
-def snapshot_built():
-    """Which steps of each step-table entry have a target built."""
-    return {key: built_steps(e) for key, e in semantics._STEP_CACHE.items()}
+    with rebuilds() as calls:
+        assert len(raw_census(anycast3(), [("s", "m0"), ("s", "m1")], 8)) == report.states
+    assert all(type(channel_of(leaf)) is Name for leaf, *tau in calls if not tau)
+    assert any(type(channel_of(leaf)) is ChanVar for call in calls if len(call) == 2 for leaf in call)
 
 
 def test_explore_builds_no_target_of_a_state_first_reached_at_the_depth_bound():
     semantics._STEP_CACHE.clear()
     report = explore(broadcast3_unreliable(), [("s", "m0")], max_depth=6)
-    built = snapshot_built()
+    built = set(semantics._STEP_CACHE)
     assert report.truncated_paths > 0
     # the census again, through the full step relation, after the snapshot
     observable = lambda a: a is TAU or (type(a) is SendAct and a.channel != Name("s"))
@@ -320,22 +306,15 @@ def test_explore_builds_no_target_of_a_state_first_reached_at_the_depth_bound():
 
 
 def test_anycast_explore_builds_a_receive_on_the_injected_port_only_for_a_tau():
-    # explore drops the receives on the port it injects on, so above the
-    # distributor leaf such a receive is built only as a half of a τ with
-    # an injected send (m0), or as a part of one
-    semantics._STEP_CACHE.clear()
-    raw_census(anycast3(), [("s", "m0")], 8)
-    entries = [e for e in semantics._STEP_CACHE.values() if type(e.term) in (Parallel, Restrict)]
-    needed = built_from(entries)
-    receives = [
-        (e, k, e.actions[k].payload)
-        for e in entries
-        for k in range(len(e.actions))
-        if type(e.actions[k]) is ReceiveAct and e.actions[k].channel == Name("s")
-    ]
-    assert {v for _, _, v in receives} == {Atom("m0"), Atom("m1")}
-    assert all((id(e), k) in needed for e, k, _ in receives if e.targets[k] is not None)
-    assert all(e.targets[k] is None for e, k, v in receives if v == Atom("m1"))
+    # explore drops the receives on the port it injects on, so such a
+    # receive is moved only as a half of a τ with an injected send (m0)
+    with rebuilds() as calls:
+        raw_census(anycast3(), [("s", "m0")], 8)
+    on_port = lambda leaf: type(leaf) is not Send and channel_of(leaf) == Name("s")
+    assert not any(on_port(leaf) for leaf, *tau in calls if not tau)
+    halves = [call for call in calls if len(call) == 2 and any(map(on_port, call))]
+    assert halves
+    assert all({x.payload for x in call if type(x) is Send} == {Atom("m0")} for call in halves)
 
 
 @pytest.mark.parametrize("net, inputs, max_depth", [
@@ -348,126 +327,103 @@ def test_explore_builds_no_raw_target_of_a_state_it_expands(net, inputs, max_dep
     # spine with one or two slots moved, is never built
     semantics._STEP_CACHE.clear()
     report = explore(net(), inputs, max_depth=max_depth)
-    # every row and action set is read through the states' run trees from
-    # their leaf units' entries: no entry above a leaf is built
-    assert {type(e.term) for e in semantics._STEP_CACHE.values()} <= {Send, Receive, RepeatReceive, Distribute}
-    built = [t for e in semantics._STEP_CACHE.values() for t in e.targets if t is not None]
+    built = [t for e in semantics._STEP_CACHE.values() for t in e.targets]
     census = raw_census(net(), inputs, max_depth)
     parts = {c for s in census for c in normal_runs(s)[0][0][1]}
     expanded = [s for s, d in census.items() if d < max_depth and s not in parts]
     assert len(expanded) > 10 and report.states > len(expanded)
-    # the targets of each expanded state's own entry, built only now
+    # the targets of each expanded state's steps, built only now
     raw = {t for s in expanded for _, t in _step(s, report.universe)}
     assert not raw & set(built)
 
 
-def test_the_last_ply_and_the_tau_closure_build_no_visible_target():
+LEAVES = (Stop, Send, Receive, RepeatReceive, Distribute)
+
+
+def test_the_step_table_holds_leaves_only():
+    # every public entry point reads its steps from leaf entries alone
     semantics._STEP_CACHE.clear()
-    # the strong attacker's last ply reads the two action sets
+    p, q = parse("a!m0 | a ? x. b!x"), parse("a ? x. b!x | a!m0")
+    hidden, relay = parse("new t. (a -> t | t -> b)"), parse("a -> b")
+    for upto in (FULL_UPTO, PLAIN):
+        proof = check_strong(p, q, upto=upto)
+        assert proof.verdict is Verdict.PROVEN
+        assert audit_witness(p, q, proof.witness, upto) is None
+    weak = check_weak(hidden, relay)
+    assert weak.verdict is Verdict.PROVEN
+    assert audit_witness(hidden, relay, weak.witness, weak=True) is None
+    refuted = check_strong(hidden, relay, upto=PLAIN)
+    assert refuted.verdict is Verdict.DISTINGUISHED and replay_trace(hidden, relay, refuted.trace)
+    explore(anycast3(), [("s", "m0")], max_depth=4)
+    simulate(anycast3(), [("s", "m0")], steps=4)
+    transitions(hidden, universe=UNI)
+    tau_closure(p, universe=UNI)
+    weak_transitions(hidden, universe=UNI)
+    assert semantics._STEP_CACHE
+    assert all(type(term) in LEAVES for term, _ in semantics._STEP_CACHE)
+    with pytest.raises(TypeError):
+        semantics._entry(p, UNI)
+
+
+def test_the_last_ply_and_the_tau_closure_build_no_visible_target():
     p, q = parse("a!m0 | b -> c | c ? x. d!x"), parse("c ? x. d!x | b -> c | a!m0")
-    assert equivalence._Attacker(UNI, None, 100)._last_ply(p, q) is None
-    # read from the leaf units' entries, whose targets are built with them
-    assert all(type(e.term) not in (Parallel, Restrict) for e in semantics._STEP_CACHE.values())
-    # the τ closure builds the targets of the τs alone
     r = parse("a!m0 | a -> b | b -> c | c ? x. d!x | e!m1")
-    states, truncated = _tau_reach(r, UNI, 4)
+    with rebuilds() as calls:
+        # the strong attacker's last ply reads the two action sets, and
+        # fills no row
+        attacker = equivalence._Attacker(UNI, None, 100)
+        assert attacker._last_ply(p, q) is None
+        assert not attacker.moves
+        # a raw table's action grain builds no target
+        raw = semantics.Moves(UNI, raw=True)
+        assert raw.actions(p) == {SendAct(Name("a"), Atom("m0"))} | {
+            ReceiveAct(Name(c), Atom(v)) for c in "bc" for v in ("m0", "m1")
+        }
+        assert not raw and calls == []
+        # the τ closure builds the targets of the τs alone
+        states, truncated = _tau_reach(r, UNI, 4)
     assert len(states) == 4 and not truncated
-    for s in states:
-        entry = semantics._STEP_CACHE[s, UNI]
-        assert {entry.actions[k] for k in built_steps(entry)} == ({TAU} if TAU in entry.actions else set())
+    assert len(calls) == 3 and all(len(call) == 2 for call in calls)
+
+
+def spine(first, last, components):
+    """new t. (first | h | ... | h | last), `components` in all, where
+    h = new u. u!m0 has no step."""
+    hidden = Restrict(Send(ChanVar(0), Atom("m0")))
+    p = last
+    for _ in range(components - 2):
+        p = Parallel(hidden, p)
+    return Restrict(Parallel(first, p))
 
 
 def test_a_tau_across_a_long_restricted_spine_builds_its_halves_in_a_loop():
-    # new t. (t!m0 | h | ... | h | t -> b), 2,000 components, where
-    # h = new u. u!m0 has no step: the relay's receive on t is kept as a
-    # recipe through 1,998 levels and built once the send on t meets it
+    # 2,000 components: the relay's receive on t is 1,999 levels down, and
+    # the τ is built once the send on t meets it
     t, m0, b = ChanVar(0), Atom("m0"), Name("b")
-    hidden = Restrict(Send(ChanVar(0), m0))
-
-    def spine(first: Process, last: Process) -> Process:
-        p = last
-        for _ in range(1998):
-            p = Parallel(hidden, p)
-        return Restrict(Parallel(first, p))
-
     relay = Distribute(t, (b,))
-    p = spine(Send(t, m0), relay)
+    p = spine(Send(t, m0), relay, 2000)
     delivered = Parallel(Parallel(Send(b, m0), STOP), relay)
-    assert _step(p, UNI) == {(TAU, spine(STOP, delivered))}
-    # the open body offers its steps on t as well, built on request
+    target = spine(STOP, delivered, 2000)
+    assert _step(p, UNI) == {(TAU, target)}
+    # raw and normalizing tables alike
+    assert semantics.Moves(UNI, raw=True)[p] == [(TAU, target)]
+    assert semantics.Moves(UNI)[p] == [(TAU, normalize(target))]
+    # the open body offers its steps on t as well
     assert {a for a, _ in _step(p.body, UNI)} == {
         TAU, SendAct(t, m0), ReceiveAct(t, m0), ReceiveAct(t, Atom("m1"))
     }
 
 
-def recipe_closure(entry, k):
-    """The (entry id, step) pairs step k's target is built from, at any
-    depth, itself included."""
-    found, todo = set(), [(entry, k)]
-    while todo:
-        e, j = todo.pop()
-        if (id(e), j) not in found:
-            found.add((id(e), j))
-            todo += recipe_parts(e, j)
-    return found
-
-
-def rebuilt_target(entry, k):
-    """Step k's target, rebuilt by recursion over `recipe_parts` from the
-    leaves' targets, whatever the slots hold."""
-    parts = [rebuilt_target(e, j) for e, j in recipe_parts(entry, k)]
-    if not parts:
-        return entry.targets[k]
-    if entry.src is not None:
-        return Restrict(parts[0])
-    if len(parts) == 2:
-        return Parallel(*parts)
-    if k < len(entry.parts[0].actions):
-        return Parallel(parts[0], entry.term.right)
-    return Parallel(entry.term.left, parts[0])
-
-
-def filled_slots():
-    return {(id(e), k) for e in semantics._STEP_CACHE.values() for k in built_steps(e)}
-
-
-_ANYCAST_STATES = []
-
-
-def anycast_states():
-    """States the injected anycast network reaches by internal steps."""
-    if not _ANYCAST_STATES:
-        start = explore(anycast3(), [("s", "m0"), ("s", "m1")], max_depth=0).start
-        states, _ = reachable(start, lambda s: [normalize(t) for a, t in _step(s, UNI) if a is TAU], 60)
-        _ANYCAST_STATES.extend(states)
-    return _ANYCAST_STATES
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    st.sampled_from(["comm", "pi", "anycast"]),
-    st.integers(min_value=0, max_value=10_000),
-    st.integers(min_value=1, max_value=4),
-)
-def test_reading_a_target_fills_exactly_its_chain(source, seed, depth):
-    rng = random.Random(seed)
-    if source == "anycast":
-        states = anycast_states()
-        p = states[rng.randrange(len(states))]
-    else:
-        p = (random_comm if source == "comm" else random_pi)(rng, depth)
-    u = effective_universe(UNI, p)
-    semantics._STEP_CACHE.clear()
-    semantics._entry(p, u)
-    # every step of every entry, read in a random order, so that later
-    # reads meet slots earlier reads filled
-    steps = [(e, k) for e in semantics._STEP_CACHE.values() for k in range(len(e.actions))]
-    rng.shuffle(steps)
-    for e, k in steps:
-        before = filled_slots()
-        unbuilt = recipe_closure(e, k) - before
-        assert e.target(k) is rebuilt_target(e, k)
-        assert filled_slots() - before == unbuilt
+def test_a_deep_restricted_spine_steps_in_linear_time():
+    # 8,000 components, at the default recursion limit: the walk keeps
+    # parent links, so no path is copied per leaf
+    t, m0 = ChanVar(0), Atom("m0")
+    p = spine(Send(t, m0), Distribute(t, (Name("b"),)), 8000)
+    limit = sys.getrecursionlimit()
+    assert [a for a, _ in _step(p, UNI)] == [TAU]
+    # timeit stops the collector, and the best of three drops a slow run
+    elapsed = min(timeit.repeat(lambda: _step(p, UNI), number=1, repeat=3))
+    assert sys.getrecursionlimit() == limit and elapsed < 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -476,9 +432,9 @@ def test_reading_a_target_fills_exactly_its_chain(source, seed, depth):
 
 
 def reference_row(p, universe, keep):
-    """A normalizing table's row, read through the state's own entry: its
-    raw steps in `step_order`, each target then normalized."""
-    return [(a, normalize(t)) for a, t in sorted(semantics._entry(p, universe).kept(keep), key=step_order)]
+    """A normalizing table's row, read from the state's raw steps: those
+    `keep` accepts, in `step_order`, each target then normalized."""
+    return [(a, normalize(t)) for a, t in sorted(_step(p, universe), key=step_order) if keep is None or keep(a)]
 
 
 def hidden_run(rng, k, pi):
@@ -579,48 +535,42 @@ KINDS = ["random", "composed", "run", "crossing", "duplicated", "inert", "nested
 KEEPS = {"all": None, "tau": lambda a: a is TAU, "observable": lambda a: _observable(a, frozenset({"a"}))}
 
 
-def spine_entries():
-    """The step-table entries of terms that are no leaf unit."""
-    return [key for key, e in semantics._STEP_CACHE.items() if type(e.term) in (Parallel, Restrict)]
-
-
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(KINDS), st.integers(0, 10**6), st.sampled_from(list(KEEPS)))
 def test_normalizing_reads_match_the_reference_row(kind, seed, keep):
-    # the row read through the run tree from the leaf units equals the row
-    # read from the state's own entry: the same steps, in the same order,
-    # each with the same normalized target, duplicates and all
+    # the row read through the run tree from the leaf units equals the
+    # state's raw steps, sorted, then normalized: the same steps, in the
+    # same order, each with the same normalized target, duplicates and all
     p = normal_state(random.Random(seed), kind)
     universe = effective_universe(UNI, p)
     keep = KEEPS[keep]
-    semantics._STEP_CACHE.clear()
     assert normalize(p) is p
-    row = semantics.Moves(universe, keep=keep)[p]
-    # no entry for the state or any run in it
-    assert spine_entries() == []
+    with rebuilds() as calls:
+        row = semantics.Moves(universe, keep=keep)[p]
+    # no raw target is built
+    assert calls == []
     ref = reference_row(p, universe, keep)
     assert [a for a, _ in row] == [a for a, _ in ref]
     assert all(t is u for (_, t), (_, u) in zip(row, ref))
-    # with the state's entry filled, the table reads through it
-    assert semantics.Moves(universe, keep=keep)[p] == ref
+    # a raw table's row, normalized, is the reference too
+    assert [(a, normalize(t)) for a, t in semantics.Moves(universe, raw=True, keep=keep)[p]] == ref
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(KINDS), st.integers(0, 10**6), st.sampled_from(list(KEEPS)))
-def test_the_action_grain_is_the_row_s_actions(kind, seed, keep):
-    # read through the run tree with no target built and no entry above a
-    # leaf, the action set is the set of the row's actions
+@given(st.sampled_from(KINDS), st.integers(0, 10**6), st.sampled_from(list(KEEPS)), st.booleans())
+def test_the_action_grain_is_the_row_s_actions(kind, seed, keep, raw):
+    # read from the leaves with no target built, through the run tree or
+    # the raw tree, the action set is the set of the row's actions
     p = normal_state(random.Random(seed), kind)
     universe = effective_universe(UNI, p)
-    moves = semantics.Moves(universe, keep=KEEPS[keep])
-    semantics._STEP_CACHE.clear()
-    actions = moves.actions(p)
-    assert spine_entries() == []
+    keep = KEEPS[keep]
+    moves = semantics.Moves(universe, raw=raw, keep=keep)
+    with rebuilds() as calls:
+        actions = moves.actions(p)
+    assert calls == [] and not moves
     assert actions == {a for a, _ in moves[p]}
-    # a state with an entry is read through the runs all the same, and
-    # agrees with the entry's actions
-    entry, keep = semantics._entry(p, universe), KEEPS[keep]
-    assert semantics.Moves(universe, keep=keep).actions(p) == {a for a in entry.actions if keep is None or keep(a)}
+    # and agrees with the step relation's
+    assert actions == {a for a, _ in _step(p, universe) if keep is None or keep(a)}
 
 
 @pytest.mark.parametrize("text", [
@@ -633,9 +583,9 @@ def test_a_run_whose_binders_fall_unused_dissolves_into_the_run_above(text):
     # the τ on u leaves the inner run with no use of its binder: its
     # components, two sends or none, join the slot list one level up
     p = normalize(parse(text))
-    semantics._STEP_CACHE.clear()
-    row = semantics.Moves(UNI)[p]
-    assert spine_entries() == []
+    with rebuilds() as calls:
+        row = semantics.Moves(UNI)[p]
+    assert calls == []
     ref = reference_row(p, UNI, None)
     assert [a for a, _ in row] == [a for a, _ in ref] and TAU in {a for a, _ in row}
     assert all(t is u for (_, t), (_, u) in zip(row, ref))
@@ -651,9 +601,9 @@ def test_a_200_deep_nest_of_runs_is_read_without_recursion():
         body = [Send(outer, Atom("m0")), Distribute(ChanVar(0), (Name("b"),))]
         p = Restrict(compose_parallel(body + ([p] if p is not STOP else [])))
     p = normalize(p)
-    semantics._STEP_CACHE.clear()
-    row = semantics.Moves(UNI)[p]
-    assert spine_entries() == []
+    with rebuilds() as calls:
+        row = semantics.Moves(UNI)[p]
+    assert calls == []
     assert len(row) == 200 and sum(a is TAU for a, _ in row) == 199
     ref = reference_row(p, UNI, None)
     assert [a for a, _ in row] == [a for a, _ in ref]
