@@ -11,6 +11,7 @@ import argparse
 import errno
 import os
 import sys
+from typing import Callable
 
 from .equivalence import FULL_UPTO, PLAIN, Verdict, check_strong, check_weak
 from .errors import NetprocError, ParseError
@@ -211,26 +212,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _budget(text: str) -> int:
-    """A bound given on the command line: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _at_least(least: int, expected: str) -> Callable[[str], int]:
+    """A bound given on the command line: an integer of at least `least`,
+    refused as not `expected` otherwise."""
+
+    def bound(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = least - 1
+        if value < least:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return bound
 
 
-def _state_budget(text: str) -> int:
-    """A state bound: a positive integer, as the start state always counts."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected at least 1 state, got {text!r}")
-    return value
+_budget = _at_least(0, "a non-negative integer")
+# the start state always counts
+_state_budget = _at_least(1, "at least 1 state")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -289,8 +289,9 @@ def main(argv: list[str] | None = None) -> int:
         # an OSError too, but run() turns a closed pipe into exit 141
         raise
     except (NetprocError, OSError, RecursionError) as exc:
-        # a RecursionError (the prover and the attacker recurse once per
-        # pair or ply) is an input the program cannot take, not a verdict
+        # a RecursionError (the prover and the attacker recurse per pair
+        # or ply, and `term_key` comparisons per nesting level of deep
+        # terms) is an input the program cannot take, not a verdict
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -94,7 +94,6 @@ from .semantics import (
     action_key,
     check_mode,
     effective_universe,
-    _is_tau,
     _steps,
 )
 from .terms import (
@@ -783,7 +782,7 @@ def _delivered(p: Process, uni: Universe) -> Process | None:
                     after += [Send(t, send.payload) for t in row]
                     if before is None:
                         before = _closed(parts, names)
-                    taus = {normalize(t) for _, t in _steps(before, uni, _is_tau)}
+                    taus = {normalize(t) for _, t in _steps(before, uni, visible=False)}
                     before = _closed(after, names)
                     if normalize(before) not in taus:
                         return None

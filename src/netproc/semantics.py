@@ -14,7 +14,7 @@ Restriction steps with no fresh names.  The step table `_STEP_CACHE`
 holds an entry per (leaf, universe) for the sends, receives, repeating
 receives, distributors and the inert process: the leaf's steps, all on
 one channel, their targets built with it.  No term above a leaf has one.
-A term is read in one walk of its tree (`_read_tree`) that keeps a parent
+A term is read in one walk of its tree (`_steps`) that keeps a parent
 link per node and the binders above each leaf, as LTSmin's partitioned
 next-state function reads only the slots a transition touches (Blom, van
 de Pol & Weber, CAV 2010).  A leaf's channel is a free name, a de Bruijn
@@ -23,12 +23,13 @@ dropped, or an index bound outside the term, which moves out past those
 binders: the textbook rule (open the binder with a fresh name, step,
 re-abstract) without the renaming, which tests cross-check.  A send and a
 receive whose channels resolve to the same name or binder meet in a τ,
-wherever their leaves sit.  A target is rebuilt up the parent links
-(`_rebuild`), binders and all, only for a step the reader keeps, a τ's
-two halves up to the `Parallel` they join at: the move table builds those
-its `keep` accepts, the action grain none, the τ closure the τs and the
-weak closure the visible steps.  `_step` returns the frozenset of all
-the steps, made afresh on each call.
+wherever their leaves sit, if the send's value is in the universe: the
+send's entry holds its index there, and the walks list only the sends a
+receive can take.  A target is rebuilt up the parent links (`_rebuild`),
+binders and all, only for the kinds of step the reader asks for, a τ's
+two halves up to the `Parallel` they join at: the τ closure asks for the
+τs alone and the weak closure for the visible steps alone.  `_step`
+returns the frozenset of all the steps, made afresh on each call.
 
 Actions are interned in `terms`' table, as terms are: equal actions are
 the same object, hashed and compared by identity, and each stores its
@@ -39,12 +40,13 @@ target term); every listing, game move and exploration sorts by it.
 The game, its evidence checks, explore, simulate and the CLI's LTS read
 the step relation through a per-call `Moves` table, which puts each
 state's steps into `step_order` once and groups the defender's replies by
-action; readers that need only a state's actions read its action grain,
-with no target built.  A table that normalizes its targets is asked only
-for normal states `new^k (c1 | ... | cn)`, and reads each through the
-tree of its restriction runs instead (`_read_runs`), down to its leaf
-units: `normalform.splice` builds a step's normal target run by run from
-the sorted components, so no raw target is built.
+action.  A table that normalizes its targets is asked only for normal
+states `new^k (c1 | ... | cn)`, and reads each through the tree of its
+restriction runs instead (`_read_runs`), down to its leaf units:
+`normalform.splice` builds a step's normal target run by run from the
+sorted components, so no raw target is built.  Readers that need only a
+state's actions read its action grain the same way in either kind of
+table, from the state's normal form, with no target built.
 `reachable` is the one breadth-first search: explore's census, the CLI's
 LTS and the weak closure run on it.  `_tau_reach` is one call of it over
 the internal steps, one step deeper than the bound: a state found past
@@ -249,15 +251,20 @@ _STEP_CACHE: dict[tuple[Process, Universe], _Entry] = {}
 class _Entry:
     """A leaf's steps in one universe, all on one channel: their actions,
     a receive's in the universe's order, and their targets.  `channel` is
-    that channel (None when there is no step), `send` whether the leaf
-    sends, and `normal` holds the `normal_step`s read so far."""
+    that channel (None when there is no step).  `side` is the half of a τ
+    the leaf can be: 0 for a send whose value is in the universe, at
+    `index` (a receive takes no other value: the one place that is
+    checked), 1 for a receiver, and None for the inert process and any
+    other send.  `normal` holds the `normal_step`s read so far."""
 
-    __slots__ = ("term", "actions", "targets", "channel", "send", "normal")
+    __slots__ = ("term", "actions", "targets", "channel", "side", "index", "normal")
 
     def __init__(self, p: Process, universe: Universe) -> None:
+        side, index = 1, None
         match p:
             case Send(channel=c, payload=v):
                 steps = [(SendAct(c, v), STOP)]
+                side, index = (0, universe.index(v)) if v in universe else (None, None)
             case Receive(channel=c, body=b):
                 steps = [(ReceiveAct(c, v), instantiate_value(b, v)) for v in universe]
             case RepeatReceive(channel=c, body=b):
@@ -265,10 +272,10 @@ class _Entry:
             case Distribute(source=c, targets=ts):
                 steps = [(ReceiveAct(c, v), Parallel(_sender_row(ts, v), p)) for v in universe]
             case Stop():
-                steps = []
+                steps, side = [], None
             case _:
                 raise TypeError(f"not a leaf: {p!r}")
-        self.term, self.normal, self.send = p, None, type(p) is Send
+        self.term, self.normal, self.side, self.index = p, None, side, index
         self.actions = tuple(a for a, _ in steps)
         self.targets = tuple(t for _, t in steps)
         self.channel = self.actions[0].channel if steps else None
@@ -311,33 +318,20 @@ def _step(p: Process, universe: Universe) -> frozenset[Step]:
     return frozenset(_steps(p, universe))
 
 
-def _is_tau(a: Action) -> bool:
-    return a is TAU
+def _steps(p: Process, universe: Universe, visible: bool = True, tau: bool = True) -> list[Step]:
+    """The steps of `p`, the visible ones when `visible` is set and the
+    τs when `tau` is, in the walk's order, duplicates and all: read from
+    its leaves' entries in one walk with no recursion, no other target built.
 
-
-def _is_visible(a: Action) -> bool:
-    return a is not TAU
-
-
-def _read_tree(p: Process, universe: Universe, keep: Callable[[Action], bool] | None, tau: bool) -> tuple:
-    """The term `p`'s tree, its visible steps and its ends, read from its
-    leaves' entries in one walk with no recursion.
-
-    The tree is `(terms, up)`: its nodes in pre-order, so that a node's
-    left operand or body is the node after it, and each node's parent
-    (-1 for `p`).  A visible step is (action, leaf node, leaf target) for
-    a step that `keep` accepts (all when None, none when it is `_is_tau`)
-    on a free name, or on a channel bound outside `p`, moved out past the
-    binders above the leaf.  When `tau` is set, every leaf with a step is
-    an end, (node, entry), listed under its channel, resolved to a free
-    name, an outer channel or its binder's node, among the sends or the
-    receives."""
-    # `_is_tau` reads no visible step and `_is_visible` every one
-    read = keep is not _is_tau
-    if keep is _is_visible:
-        keep = None
+    The walk lists the nodes in pre-order, so that a node's left operand
+    or body is the node after it, with each node's parent (-1 for `p`).
+    A visible step is a leaf's step on a free name, or on a channel bound
+    outside `p`, moved out past the binders above the leaf.  For the τs,
+    each leaf that can be a half of one is listed under its channel,
+    resolved to a free name, an outer channel or its binder's node, among
+    the sends or the receives."""
     # binders: those on the path to the node being read, outermost first
-    terms, up, binders, visible, ends = [], [], [], [], {}
+    terms, up, binders, out, ends = [], [], [], [], {}
     cache, todo = _STEP_CACHE, [(p, -1, 0)]
     while todo:
         x, parent, d = todo.pop()
@@ -369,17 +363,20 @@ def _read_tree(p: Process, universe: Universe, keep: Callable[[Action], bool] | 
             elif d:
                 # bound outside `p`: the steps move out past d binders
                 channel = ChanVar(i - d)
-        if read and type(channel) is not int:
+        if visible and type(channel) is not int:
             actions = e.actions
             if channel is not e.channel:
                 actions = [type(a)(channel, a.payload) for a in actions]
-            visible += [(a, n, t) for a, t in zip(actions, e.targets) if keep is None or keep(a)]
-        if tau:
+            out += [(a, _rebuild(terms, up, n, t)) for a, t in zip(actions, e.targets)]
+        if tau and e.side is not None:
             group = ends.get(channel)
             if group is None:
                 group = ends[channel] = ([], [])
-            group[not e.send].append((n, e))
-    return (terms, up), visible, ends
+            group[e.side].append((n, e))
+    for sends, receives in ends.values():
+        for n, e in sends:
+            out += [(TAU, _rebuild(terms, up, n, e.targets[0], m, f.targets[e.index])) for m, f in receives]
+    return out
 
 
 def _rebuild(terms: list[Process], up: list[int], n: int, t: Process, m: int = -1, u: Process | None = None) -> Process:
@@ -413,22 +410,6 @@ def _rebuild(terms: list[Process], up: list[int], n: int, t: Process, m: int = -
     return t
 
 
-def _steps(p: Process, universe: Universe, keep: Callable[[Action], bool] | None = None) -> list[Step]:
-    """The steps of `p` whose action `keep` accepts (all when None), in
-    the walk's order, duplicates and all; only their targets are built."""
-    (terms, up), visible, ends = _read_tree(p, universe, keep, keep is None or keep(TAU))
-    out = [(a, _rebuild(terms, up, n, t)) for a, n, t in visible]
-    for sends, receives in ends.values():
-        if receives:
-            for n, e in sends:
-                # a receive's steps are on the universe's values, in order
-                v = e.actions[0].payload
-                if v in universe:
-                    j, t = universe.index(v), e.targets[0]
-                    out += [(TAU, _rebuild(terms, up, n, t, m, f.targets[j])) for m, f in receives]
-    return out
-
-
 def step_order(step: Step) -> tuple:
     """The deterministic presentation order of steps: action, then target."""
     action, target = step
@@ -441,9 +422,9 @@ class Moves(dict):
 
     `moves[p]` is the steps of `p` whose action `keep` accepts (all of
     them when None) in `step_order` of their raw targets: read by `_steps`
-    in a `raw` table, which builds only those targets, else by
-    `_normal_row` from the normal form's run tree, each target normalized
-    and no raw target built.
+    in a `raw` table, which builds every step and then drops those `keep`
+    refuses, else by `_normal_row` from the normal form's run tree, each
+    target normalized and no raw target built.
     `moves.replies(p)` is the defender's distinct targets per action, in
     `term_key` order, and whether the weak closure truncated them: from
     `closure.weak_steps(p)` in the weak game, from `moves[p]` in the
@@ -451,8 +432,9 @@ class Moves(dict):
     `moves.unpadded(p)` is the weak game's replies with no internal
     padding, which the prover and the audit try first.
     `moves.actions(p)` is the action grain, the set of actions of
-    `moves[p]`, with no target built and no row filled; the attacker's
-    last ply and explore's frontier test read it.
+    `moves[p]`, read from the leaf units of `p`'s normal form with no
+    target built and no row filled; the attacker's last ply and explore's
+    frontier test read it.
     A table lives as long as the call that builds it.
     """
 
@@ -471,7 +453,8 @@ class Moves(dict):
 
     def __missing__(self, p: Process) -> list[Step]:
         if self.raw:
-            out = sorted(set(_steps(p, self.universe, self.keep)), key=step_order)
+            keep = self.keep
+            out = sorted({s for s in _steps(p, self.universe) if keep is None or keep(s[0])}, key=step_order)
         else:
             out = _normal_row(normalize(p), self)
         self[p] = out
@@ -479,16 +462,14 @@ class Moves(dict):
 
     def actions(self, p: Process) -> set[Action]:
         """The actions of `p`'s steps that `keep` accepts, with no target
-        built and no row filled: read by `_read_tree` from `p`'s leaves in
-        a raw table, else by `_read_runs` from the leaf units of its normal
-        form, with τ when a send and a receive can meet."""
-        universe = self.universe
-        _, visible, ends = _read_tree(p, universe, self.keep, self._tau) if self.raw else _read_runs(normalize(p), self)
+        built and no row filled, in either kind of table: read by
+        `_read_runs` from the leaf units of `p`'s normal form, whose
+        actions structural congruence keeps, with τ when a send and a
+        receive can meet."""
+        _, visible, ends = _read_runs(normalize(p), self)
         out = {a for a, *_ in visible}
-        for sends, receives in ends.values():
-            if receives and any(e.actions[0].payload in universe for *_, e in sends):
-                out.add(TAU)
-                break
+        if any(sends and receives for sends, receives in ends.values()):
+            out.add(TAU)
         return out
 
     def _unit(self, c: Process) -> tuple[_Entry, tuple]:
@@ -529,7 +510,7 @@ class Moves(dict):
         if hit is None:
             n = normalize(p)
             hit = self._unpadded[p] = {TAU: {n: None}}
-            for a, t in _steps(n, self.universe, None if self.closure.bound >= 1 else _is_visible):
+            for a, t in _steps(n, self.universe, tau=self.closure.bound >= 1):
                 hit.setdefault(a, {})[normalize(t)] = None
         return hit
 
@@ -541,8 +522,8 @@ _END = 1
 
 def _read_runs(p: Process, moves: Moves) -> tuple[list, list, dict]:
     """The normal state `p`'s run tree by `normal_runs`, its visible steps
-    and its ends, read from its leaf units' entries as `_read_tree` reads
-    a term's: a visible step is (action, run, slot, entry, step), for a
+    and its ends, read from its leaf units' entries as `_steps` reads a
+    term's: a visible step is (action, run, slot, entry, step), for a
     step on a free name that the table keeps, as `p` is closed, and an end
     (run, slot, entry), its channel resolved to a free name or to (run,
     binder) by moving it out one run's binders at a time."""
@@ -555,7 +536,7 @@ def _read_runs(p: Process, moves: Moves) -> tuple[list, list, dict]:
         for a, j in kept:
             visible.append((a, r, i, e, j))
         channel = e.channel
-        if tau and channel is not None:
+        if tau and e.side is not None:
             if type(channel) is ChanVar:
                 x, s = channel.index, r
                 while x >= runs[s][0]:
@@ -565,7 +546,7 @@ def _read_runs(p: Process, moves: Moves) -> tuple[list, list, dict]:
             group = ends.get(channel)
             if group is None:
                 group = ends[channel] = ([], [])
-            group[not e.send].append((r, i, e))
+            group[e.side].append((r, i, e))
     return runs, visible, ends
 
 
@@ -607,14 +588,10 @@ def _normal_row(p: Process, moves: Moves) -> list[Step]:
         up, tk, parts = e.normal_step(j)
         keys.append((a._key,) + (high[r] + (2, -i, tk) if up else low[r] + (0, i, tk)) + close[r])
         steps.append((a, (r, e, j), [(r, i, parts)]))
-    universe, tau = moves.universe, TAU._key
+    tau = TAU._key
     for sends, receives in ends.values():
         for r, i, e in sends:
-            # a receive's steps are on the universe's values, in order
-            v = e.actions[0].payload
-            if v not in universe:
-                continue
-            j = universe.index(v)
+            j = e.index
             up, tk, parts = e.normal_step(0)
             x = (2, -i, tk) if up else (0, i, tk)
             for r2, i2, e2 in receives:
@@ -671,7 +648,7 @@ def _tau_reach(p: Process, universe: Universe, bound: int) -> tuple[frozenset[Pr
     """
     bound = max(bound, 0)
     depth, _ = reachable(
-        normalize(p), lambda s: [normalize(t) for _, t in _steps(s, universe, _is_tau)], sys.maxsize, bound + 1
+        normalize(p), lambda s: [normalize(t) for _, t in _steps(s, universe, visible=False)], sys.maxsize, bound + 1
     )
     visited = frozenset(s for s, d in depth.items() if d <= bound)
     return visited, len(visited) < len(depth)
@@ -727,7 +704,7 @@ class WeakClosure:
         pre, truncated = self.reach(p)
         out: set[Step] = {(TAU, s) for s in pre}
         for s in pre:
-            for a, t in _steps(s, self.universe, _is_visible):
+            for a, t in _steps(s, self.universe, tau=False):
                 post, trunc2 = self.reach(t)
                 truncated |= trunc2
                 out |= {(a, u) for u in post}

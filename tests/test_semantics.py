@@ -268,8 +268,9 @@ def rebuilds():
 
 def raw_census(net, inputs, max_depth):
     """Explore's census of `net` with `inputs` injected, read through a raw
-    table with explore's filter, so each state's kept steps are built
-    from its own tree: the states found, by depth."""
+    table with explore's filter, which builds each state's whole row from
+    its own tree and then drops the steps explore does not keep: the
+    states found, by depth."""
     start, _, suppressed = _inject(net, inputs)
     universe = effective_universe(None, start)
     moves = semantics.Moves(universe, raw=True, keep=lambda a: _observable(a, suppressed))
@@ -288,6 +289,47 @@ def test_steps_on_a_bound_channel_are_built_only_for_a_tau():
     assert any(type(channel_of(leaf)) is ChanVar for call in calls if len(call) == 2 for leaf in call)
 
 
+@pytest.mark.parametrize("text", [
+    "a!m0 | a -> b | b -> c | c ? x. d!x | e!m1",
+    "new t. (t!m0 | t -> b | a ? x. t!x) | a!m1 | new u. u!m0",
+])
+def test_the_walk_builds_only_the_kind_of_step_asked_for(text):
+    p = parse(text)
+    steps = _step(p, UNI)
+    # both kinds: one rebuild per step
+    with rebuilds() as calls:
+        both = semantics._steps(p, UNI)
+    assert set(both) == steps and len(calls) == len(both)
+    # the visible steps alone: no τ target is built
+    with rebuilds() as calls:
+        visible = semantics._steps(p, UNI, tau=False)
+    assert visible and set(visible) == {s for s in steps if s[0] is not TAU}
+    assert len(calls) == len(visible) and all(len(call) == 1 for call in calls)
+    # the τs alone: no visible target is built
+    with rebuilds() as calls:
+        taus = semantics._steps(p, UNI, visible=False)
+    assert taus and set(taus) == {s for s in steps if s[0] is TAU}
+    assert len(calls) == len(taus) and all(len(call) == 2 for call in calls)
+
+
+def test_a_receive_takes_only_a_value_in_the_universe():
+    # a!m2 is a visible step, but with universe (m0,) no receive takes
+    # it: the one τ rule, read alike by every reader
+    u = make_universe("m0")
+    p = parse("a!m2 | a ? x. b!x")
+    send, receive = SendAct(Name("a"), Atom("m2")), ReceiveAct(Name("a"), Atom("m0"))
+    assert {t.action for t in transitions(p, universe=u)} == {send, receive}
+    n = normalize(p)
+    assert set(semantics.Moves(u)[n]) == {(t.action, normalize(t.target)) for t in transitions(p, universe=u)}
+    for raw in (True, False):
+        moves = semantics.Moves(u, raw=raw)
+        assert moves.actions(p) == moves.actions(n) == {send, receive}
+    # under a binder on a, the send and the receive have nothing left
+    hidden = parse("new a. (a!m2 | a ? x. b!x)")
+    assert transitions(hidden, universe=u) == frozenset()
+    assert semantics.Moves(u)[normalize(hidden)] == [] and semantics.Moves(u, raw=True).actions(hidden) == set()
+
+
 def test_explore_builds_no_target_of_a_state_first_reached_at_the_depth_bound():
     semantics._STEP_CACHE.clear()
     report = explore(broadcast3_unreliable(), [("s", "m0")], max_depth=6)
@@ -303,18 +345,6 @@ def test_explore_builds_no_target_of_a_state_first_reached_at_the_depth_bound():
     # a frontier state's actions are read from its leaf units' entries:
     # it gets no entry of its own
     assert all((s, report.universe) not in built for s in frontier)
-
-
-def test_anycast_explore_builds_a_receive_on_the_injected_port_only_for_a_tau():
-    # explore drops the receives on the port it injects on, so such a
-    # receive is moved only as a half of a τ with an injected send (m0)
-    with rebuilds() as calls:
-        raw_census(anycast3(), [("s", "m0")], 8)
-    on_port = lambda leaf: type(leaf) is not Send and channel_of(leaf) == Name("s")
-    assert not any(on_port(leaf) for leaf, *tau in calls if not tau)
-    halves = [call for call in calls if len(call) == 2 and any(map(on_port, call))]
-    assert halves
-    assert all({x.payload for x in call if type(x) is Send} == {Atom("m0")} for call in halves)
 
 
 @pytest.mark.parametrize("net, inputs, max_depth", [
