@@ -59,12 +59,16 @@ structural congruence).  The row bound keeps the hidden buffer from
 growing under the rule: a distributor that sends twice into the run, such
 as `t => [t, t]`, would double it on every reduced pair.  The strong game
 and PLAIN fire nothing, since a τ-step is visible to the strong game.
-`audit_witness` re-derives every firing with code of its own: it opens
-the binders with fresh names where `_fire` counts de Bruijn indices, and
-requires each delivery to be a τ-step of the step relation.  It derives
-each normal form's deliveries once per audit, and in the weak game tries
-the responder's replies with no internal padding (`Moves.unpadded`, as
-the prover's pre-pass does) before it builds the weak closure.  Both skip
+`audit_witness` re-derives every firing with code of its own.  It calls
+none of `_fire`, `_fire_run` and `_licensed_rows`.  It counts a binder's
+consumers by a walk of its own over every node of the run's core, where
+`_licensed_rows` skips the subterms whose channel mask holds no binder of
+the run.  It requires each delivery to be a τ-step of the step relation.
+Like `_fire`, it reads the run's de Bruijn core; the tests keep a
+derivation that opens each binder with a fresh name as its reference.  It
+derives each normal form's deliveries once per audit, and in the weak game
+tries the responder's replies with no internal padding (`Moves.unpadded`,
+as the prover's pre-pass does) before it builds the weak closure.  Both skip
 only work whose answer is already known: a delivery reads the normal form
 alone, and those replies are weak replies too.  So the audit answers as
 the full check does.
@@ -108,7 +112,6 @@ from .terms import (
     STOP,
     Send,
     Stop,
-    abstract_channel,
     children,
     free_channel_names,
     fresh_channel_name,
@@ -737,89 +740,79 @@ def audit_witness(
 def _delivered(p: Process, uni: Universe) -> Process | None:
     """The audit's own derivation of `_fire(normalize(p))`.
 
-    It opens each top-level restriction run that has a pending send on one
-    of its own binders with fresh names, checks each name's one consumer by
-    walking every node, and fires one pending send at a time, in the rounds
-    and binder order `_fire` uses.  Each delivery must be a τ-step of the
-    run under the step relation; None when one is not.  The term after a
-    delivery, closed, is the term the next delivery steps from.
+    It reads each top-level restriction run `new^k core` that has a pending
+    send on one of its own binders on the de Bruijn core, finds each
+    binder's one consumer by walking every node of the core, and fires one
+    pending send at a time, in the rounds and binder order `_fire` uses.
+    Each delivery must be a τ-step of the closed run under the step
+    relation; None when one is not.  The run after a delivery is the run
+    the next delivery steps from.
     """
     p = normalize(p)
-    taken = set(free_channel_names(p))
     out: list[Process] = []
     fired = False
     for c in parallel_components(p):
         k, core = 0, c
         while type(core) is Restrict:
             k, core = k + 1, core.body
+        parts = parallel_components(core)
         # a run with no pending send on its own binders has nothing to fire
-        if not any(type(x) is Send and type(x.channel) is ChanVar and x.channel.index < k
-                   for x in parallel_components(core)):
+        if not any(type(x) is Send and type(x.channel) is ChanVar and x.channel.index < k for x in parts):
             out.append(c)
             continue
-        names: list[Name] = []
-        body = c
-        while type(body) is Restrict:
-            names.append(Name(fresh_channel_name(taken)))
-            taken.add(names[-1].text)
-            body = instantiate_channel(body.body, names[-1])
-        parts = parallel_components(body)
         rows = []
-        # the innermost binder, de Bruijn index 0, was opened last
-        for n in reversed(names):
-            d = _sole_consumer(body, n)
-            if d is not None and sum(t in names for t in d.targets) <= 1:
-                rows.append((n, d.targets))
-        delivered = False
-        before = None
-        for _ in names:
+        for i in range(k):
+            d = _sole_consumer(core, i)
+            if d is not None and sum(type(t) is ChanVar for t in d.targets) <= 1:
+                rows.append((ChanVar(i), d.targets))
+        # the normal form's run is the closed run of its own components
+        before, delivered = c, False
+        for _ in range(k):
             progress = False
-            for n, row in rows:
-                for _ in range(sum(type(x) is Send and x.channel is n for x in parts)):
-                    send = next(x for x in parts if type(x) is Send and x.channel is n)
+            for hidden, row in rows:
+                for _ in range(sum(type(x) is Send and x.channel is hidden for x in parts)):
+                    send = next(x for x in parts if type(x) is Send and x.channel is hidden)
                     after = list(parts)
                     after.remove(send)
                     after += [Send(t, send.payload) for t in row]
-                    if before is None:
-                        before = _closed(parts, names)
                     taus = {normalize(t) for _, t in _steps(before, uni, visible=False)}
-                    before = _closed(after, names)
+                    before = compose_parallel(after)
+                    for _ in range(k):
+                        before = Restrict(before)
                     if normalize(before) not in taus:
                         return None
                     parts, progress = after, True
             if not progress:
                 break
             delivered = True
-        if delivered:
-            inside = {n.text for n in names}
-            out += [x for x in parts if not free_channel_names(x) & inside]
-            out.append(_closed([x for x in parts if free_channel_names(x) & inside], names))
-            fired = True
-        else:
+        if not delivered:
             out.append(c)
+            continue
+        # a component that uses no binder of the closed run is closed itself
+        run = (1 << k) - 1
+        body = compose_parallel([x for x in parts if x._chan_mask & run])
+        for _ in range(k):
+            body = Restrict(body)
+        out += [x for x in parts if not x._chan_mask & run] + [body]
+        fired = True
     return normalize(compose_parallel(out)) if fired else p
 
 
-def _closed(parts: list[Process], names: list[Name]) -> Process:
-    """The components under restrictions of `names`, the first outermost."""
-    q = compose_parallel(parts)
-    for n in reversed(names):
-        q = Restrict(abstract_channel(q, n))
-    return q
-
-
-def _sole_consumer(body: Process, n: Name) -> Distribute | None:
-    """The one consumer of `n` in `body` when it is a distributor among the
-    body's parallel components; None otherwise."""
+def _sole_consumer(core: Process, i: int) -> Distribute | None:
+    """The one consumer of the run's binder `i` in `core`, counted from
+    the innermost, when it is a distributor among the core's parallel
+    components; None otherwise."""
     found = []
-    todo = [body]
+    todo = [(core, i)]
     while todo:
-        x = todo.pop()
+        x, j = todo.pop()
         kind = type(x)
-        if (x.source if kind is Distribute else x.channel if kind in (Receive, RepeatReceive) else None) is n:
+        c = x.source if kind is Distribute else x.channel if kind in (Receive, RepeatReceive) else None
+        if type(c) is ChanVar and c.index == j:
             found.append(x)
-        todo += children(x)
-    if len(found) == 1 and type(found[0]) is Distribute and found[0] in parallel_components(body):
+        # a restriction binds a channel, a receive a value
+        todo += [(y, j + (kind is Restrict)) for y in children(x)]
+    if len(found) == 1 and type(found[0]) is Distribute and found[0] in parallel_components(core):
         return found[0]
     return None
 

@@ -30,10 +30,11 @@ from netproc import (
     replay_trace,
     verify_witness,
 )
-from netproc import Atom, ChanVar, Distribute, Name, Send, Stop, equivalence, free_channel_names, fresh_channel_name, instantiate_channel, make_universe
+from netproc import Atom, ChanVar, Distribute, Name, Receive, RepeatReceive, Send, Stop, equivalence, free_channel_names, fresh_channel_name, instantiate_channel, make_universe, terms
 from netproc.equivalence import _Attacker, _BoundHit, _Prover, _canon, _fire, _reduce
 from netproc.normalform import compose_parallel, parallel_components, term_key
 from netproc.semantics import DEFAULT_UNIVERSE, TAU, Mode, Moves, WeakClosure, _step, effective_universe, step_order
+from netproc.terms import children
 from helpers import count_fills, random_comm, random_pi
 
 # ---------------------------------------------------------------------------
@@ -237,8 +238,8 @@ def test_the_audit_refuses_a_delivery_that_is_no_tau_step(monkeypatch):
     assert audit_witness(l, r, res.witness, weak=True) is None
     sole, delivered, results = equivalence._sole_consumer, equivalence._delivered, []
 
-    def forged(body, n):
-        d = sole(body, n)
+    def forged(core, i):
+        d = sole(core, i)
         return d and Distribute(d.source, (Name("c"),))
 
     def recorded(p, uni):
@@ -443,13 +444,16 @@ def test_weak_reduction_delivers_pending_sends_to_their_one_consumer():
 
 
 # Pending sends the rule must leave alone: a second consumer, a consumer
-# under a nested restriction, a receive, a consumer under a receive prefix
-# (these two mix the languages, which only a direct call can do), a row
-# that sends twice into the run, and a pending send under a nested
-# restriction
+# under a nested restriction (twice: the second also holds a pending send
+# on the nested binder, so a consumer walk that looks for t's index without
+# adding one under `new u` finds t -> b alone and fires it), a receive, a
+# consumer under a receive prefix (these two mix the languages, which only
+# a direct call can do), a row that sends twice into the run, and a pending
+# send under a nested restriction
 UNLICENSED = [
     "new t. (t!m0 | t -> b | t -> c)",
     "new t. (t!m0 | t -> b | new u. (t -> u | u -> c))",
+    "new t. (t!m0 | t -> b | new u. (u!m1 | t -> u))",
     "new t. (t!m0 | t -> b | t ? x. c!x)",
     "new t. (t!m0 | t -> b | c ? y. t ? x. 0)",
     "new t. (t!m0 | t => [t, t])",
@@ -508,18 +512,28 @@ def test_the_audit_rederives_each_firing(seed):
     assert equivalence._delivered(p, DEFAULT_UNIVERSE) == _fire(normalize(p))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=100_000))
+def test_the_audit_delivers_as_the_named_derivation_does(seed):
+    p = _hidden_buffer(random.Random(seed))
+    assert equivalence._delivered(p, DEFAULT_UNIVERSE) == reference_delivered(p, DEFAULT_UNIVERSE)
+
+
 @pytest.mark.parametrize("text", ["new t. (a -> t | t -> b)", "new t. (b!m0 | a -> t | t -> b)"])
 def test_a_run_with_no_pending_send_on_its_binders_is_not_opened(monkeypatch, text):
-    calls = []
-    instantiate = equivalence.instantiate_channel
-    monkeypatch.setattr(equivalence, "instantiate_channel", lambda *args: calls.append(args) or instantiate(*args))
+    steps, maps = [], []
+    step, walk = equivalence._steps, terms._map
+    monkeypatch.setattr(equivalence, "_steps", lambda *args, **kw: steps.append(args) or step(*args, **kw))
+    monkeypatch.setattr(terms, "_map", lambda *args, **kw: maps.append(args) or walk(*args, **kw))
     run = normalize(parse(text))
     assert equivalence._delivered(run, DEFAULT_UNIVERSE) is run
-    assert calls == []
-    # a pending send on the run's own binder opens it
+    assert steps == []
+    # a pending send on the run's own binder is delivered, and checked by
+    # one step of the run; no binder is opened or closed by a substitution
     pending = normalize(parse("new t. (t!m0 | a -> t | t -> b)"))
     assert equivalence._delivered(pending, DEFAULT_UNIVERSE) == normalize(parse("b!m0 | new t. (a -> t | t -> b)"))
-    assert len(calls) == 1
+    assert len(steps) == 1
+    assert maps == []
 
 
 def test_the_audit_delivers_each_normal_form_once(monkeypatch):
@@ -646,9 +660,31 @@ def test_a_flipped_witness_audits_as_the_witness():
         assert audit_witness(l, r, _flipped(holed), PLAIN) == audit_witness(l, r, holed, PLAIN)
 
 
+def reference_closed(parts, names):
+    """The components under restrictions of `names`, the first outermost."""
+    q = compose_parallel(parts)
+    for n in reversed(names):
+        q = Restrict(abstract_channel(q, n))
+    return q
+
+
+def reference_sole_consumer(body, n):
+    """The one consumer of the name `n` in `body` when it is a distributor
+    among the body's parallel components; None otherwise."""
+    found, todo = [], [body]
+    while todo:
+        x = todo.pop()
+        if (x.source if type(x) is Distribute else x.channel if type(x) in (Receive, RepeatReceive) else None) is n:
+            found.append(x)
+        todo += children(x)
+    if len(found) == 1 and isinstance(found[0], Distribute) and found[0] in parallel_components(body):
+        return found[0]
+    return None
+
+
 def reference_delivered(p, uni):
-    """Reference `_delivered`: it opens every run, and closes the run again
-    to step from before each delivery."""
+    """Reference `_delivered`: it opens every run with fresh names, and
+    closes the run again to step from before each delivery."""
     p = normalize(p)
     taken = set(free_channel_names(p))
     out, fired = [], False
@@ -667,7 +703,7 @@ def reference_delivered(p, uni):
             continue
         rows = []
         for n in reversed(names):
-            d = equivalence._sole_consumer(body, n)
+            d = reference_sole_consumer(body, n)
             if d is not None and sum(t in names for t in d.targets) <= 1:
                 rows.append((n, d.targets))
         delivered = False
@@ -679,8 +715,8 @@ def reference_delivered(p, uni):
                     after = list(parts)
                     after.remove(send)
                     after += [Send(t, send.payload) for t in row]
-                    taus = {normalize(t) for a, t in _step(equivalence._closed(parts, names), uni) if a is TAU}
-                    if normalize(equivalence._closed(after, names)) not in taus:
+                    taus = {normalize(t) for a, t in _step(reference_closed(parts, names), uni) if a is TAU}
+                    if normalize(reference_closed(after, names)) not in taus:
                         return None
                     parts, progress = after, True
             if not progress:
@@ -689,7 +725,7 @@ def reference_delivered(p, uni):
         if delivered:
             inside = {n.text for n in names}
             out += [x for x in parts if not free_channel_names(x) & inside]
-            out.append(equivalence._closed([x for x in parts if free_channel_names(x) & inside], names))
+            out.append(reference_closed([x for x in parts if free_channel_names(x) & inside], names))
             fired = True
         else:
             out.append(c)
